@@ -10,7 +10,6 @@ its theoretical covariance.
 
 from .criterion import (
     CriterionContext,
-    contrast_oracle,
     criterion_gradient,
     criterion_value,
     phase_weight,
@@ -24,7 +23,6 @@ from .fit import (
     estimate_shape,
     fit,
     initialize_shifts,
-    numeric_hessian,
     profile_amplitude,
 )
 from .fourier import (
@@ -34,7 +32,6 @@ from .fourier import (
     dft,
     evaluate_spectrum,
     make_grid,
-    orthogonality_kernel,
 )
 from .inference import (
     A1CovarianceBlocks,

@@ -14,21 +14,26 @@ which is what the fit minimizes.  Under A0 the band is 1 <= |l| <= m and
 levels enter only through the first sum; under A1 the l = 0 coefficient
 (computed from level-centered data) joins the spectral sum.
 
-The deterministic large-n limit of the criterion (minus the noise floor)
-is also provided as an independent test oracle: it is minimized at the
-true parameters and has an explicit formula in terms of the true spectrum
-and the phase weight sum_j a_j a*_j e^{i x_j} / J.
+With levels and scales profiled out too, the criterion over the shifts is
+C - lambda_max(Q(theta)), Q = Re(W W^H) / J, W_jl = e^{i l theta_j} d_jl
+(1 <= |l| <= m), C a per-panel constant: :func:`profiled_shift_objective`
+gives it with its gradient and exact Hessian from one eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BandTooWide, DegenerateAmplitude
+from .errors import BandTooWide, DegenerateAmplitude, DegenerateSpectrum, NonFiniteData
 from .fourier import ShapeSpectrum
-from .model import ConstraintRegime, CurvePanel, ParameterSet, Regime
+from .model import ConstraintRegime, CurvePanel, Regime
+
+# Leading-eigenvalue gap below which the scale profile is a tie: the
+# eigenvector, and with it the shift Hessian, is not determined.
+EIGENVALUE_TIE = 1e-10
 
 
 @dataclass
@@ -39,6 +44,12 @@ class CriterionContext:
     (the l = 0 column holds the curve means, used only under A1);
     ``mean_sq`` is (1/(nJ)) sum y^2 and ``ybar`` the per-curve means, which
     together reconstruct the residual term without touching the raw panel.
+    ``shift_constant`` is C in the profiled shift criterion C - lambda_max(Q).
+
+    Raises
+    ------
+    NonFiniteData
+        If the moments or the DFT coefficients overflow to non-finite values.
     """
 
     panel: CurvePanel
@@ -51,11 +62,24 @@ class CriterionContext:
             raise BandTooWide(f"band limit must be >= 1, got {self.m}")
         if 2 * self.m >= n:
             raise BandTooWide(f"band limit {self.m} violates 2*m < n for n={n}")
-        blocks = self.panel.curve_dft(self.m)
-        self.d = np.vstack([b.coeffs for b in blocks])
-        self.ybar = self.panel.y.mean(axis=1)
-        self.mean_sq = float((self.panel.y**2).sum()) / (n * self.panel.n_curves)
+        # overflow is detected below and reported as NonFiniteData
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = self.panel.curve_dft(self.m)
+            self.d = np.vstack([b.coeffs for b in blocks])
+            self.ybar = self.panel.y.mean(axis=1)
+            self.mean_sq = float((self.panel.y**2).sum()) / (n * self.panel.n_curves)
         self.freqs = np.arange(-self.m, self.m + 1)
+        if not (np.isfinite(self.mean_sq) and np.isfinite(self.ybar).all()
+                and np.isfinite(self.d).all()):
+            raise NonFiniteData("panel moments or DFT coefficients are not finite")
+        self.d_ac = self.d.copy()
+        self.d_ac[:, self.m] = 0.0
+        self.ac_trace = float(np.sum(np.abs(self.d_ac) ** 2)) / self.n_curves
+        if self.regime.kind is Regime.A0:
+            bound = self.regime.upsilon_max
+            self.shift_constant = self.residual_term(np.clip(self.ybar, -bound, bound))
+        else:
+            self.shift_constant = self.mean_sq - float(self.ybar @ self.ybar) / self.n_curves
 
     @property
     def n_curves(self) -> int:
@@ -64,6 +88,13 @@ class CriterionContext:
     @property
     def n(self) -> int:
         return self.panel.grid.n
+
+    def require_energy(self):
+        """Raise DegenerateSpectrum if the band carries no energy (constant curves)."""
+        # rounding residue of the coefficients of pure-level data is ~eps*scale,
+        # so anything at (eps*scale)^2 in the trace is noise, not signal
+        if self.ac_trace <= 1e-26 * max(1.0, self.mean_sq):
+            raise DegenerateSpectrum("no spectral energy in the selected band")
 
     def residual_term(self, upsilon: np.ndarray) -> float:
         """(1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 via cached moments."""
@@ -159,6 +190,66 @@ def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
     return np.concatenate([-denergy_dtheta[1:], -chart, grad_ups])
 
 
+class ShiftEvaluation(NamedTuple):
+    """Profiled shift criterion at one shift vector; derivatives over theta_2..theta_J.
+
+    ``hess`` is None if not requested, or at a tie (leading gap < EIGENVALUE_TIE);
+    ``energy``, ``lead`` are the leading eigenpair of Q (``lead``'s sign arbitrary).
+    """
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray | None
+    energy: float
+    lead: np.ndarray
+    tie_break: bool
+
+
+def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) -> ShiftEvaluation:
+    """Criterion at free shifts ``x`` = theta_2..theta_J (theta_1 = 0), profiled: C - lambda_max(Q).
+
+    One W, one Q = Re(W W^H)/J, one eigendecomposition.  With v the leading
+    unit eigenvector and u = v'W, Hellmann-Feynman gives d lambda / d theta_k
+    = 2 v_k Re sum_l i l W_kl conj(u_l) / J; the Hessian adds v' d2Q v to the
+    second-order perturbation sum over the other eigenpairs.
+
+    Raises
+    ------
+    DegenerateSpectrum
+        If Q carries no energy at all (constant curves).
+    """
+    ctx.require_energy()
+    j = ctx.n_curves
+    theta = np.concatenate([[0.0], x])
+    w = np.exp(1j * np.multiply.outer(theta, ctx.freqs)) * ctx.d_ac
+    q = (w @ w.conj().T).real / j
+    eigvals, eigvecs = np.linalg.eigh(q)
+    v = eigvecs[:, -1]
+    lw = w * ctx.freqs
+    # r[k, p] = Re sum_l i l W_kl conj(W_pl), so (r v)_k = Re sum_l i l W_kl conj(u_l)
+    r = -(lw @ w.conj().T).imag
+    rv = r @ v
+    tie = bool(eigvals[-1] - eigvals[-2] < EIGENVALUE_TIE)
+    hess = None
+    if hessian and not tie:
+        s = (lw @ lw.conj().T).real
+        # v' d2Q/dtheta_k dtheta_p v = -(2/J) (delta_kp v_k (s v)_k - v_k v_p s_kp)
+        d2q = 2.0 * (np.outer(v, v) * s - np.diag(v * (s @ v))) / j
+        # mix[i, k] = e_i' dQ/dtheta_k v over the other eigenvectors e_i
+        others = eigvecs[:, :-1]
+        mix = (others.T * rv + (r @ others).T * v) / j
+        d2lam = d2q + 2.0 * (mix.T / (eigvals[-1] - eigvals[:-1])) @ mix
+        hess = -d2lam[1:, 1:]
+    return ShiftEvaluation(
+        value=ctx.shift_constant - float(eigvals[-1]),
+        grad=-2.0 * (v * rv)[1:] / j,
+        hess=hess,
+        energy=float(eigvals[-1]),
+        lead=v,
+        tie_break=tie,
+    )
+
+
 def phase_weight(offsets, a, a_star) -> complex:
     """Amplitude-weighted phase average sum_j a_j a*_j e^{i x_j} / J.
 
@@ -170,25 +261,3 @@ def phase_weight(offsets, a, a_star) -> complex:
     a = np.asarray(a, dtype=float)
     a_star = np.asarray(a_star, dtype=float)
     return complex((a * a_star * np.exp(1j * offsets)).sum() / a.size)
-
-
-def contrast_oracle(
-    beta: ParameterSet,
-    truth: ParameterSet,
-    true_shape: ShapeSpectrum,
-) -> float:
-    """Deterministic limit of the criterion minus the noise floor.
-
-    Equals  sum_{l != 0} |c_l|^2 (1 - |phase_weight(l(theta - theta*), a)|^2)
-          + (1/J) sum_j (upsilon*_j - upsilon_j)^2,
-    truncated to the true band; nonnegative, zero exactly at the truth.
-    """
-    total = 0.0
-    for l in range(1, true_shape.m + 1):
-        cl = true_shape.coeff(l)
-        if cl == 0:
-            continue
-        w = phase_weight(l * (beta.theta - truth.theta), beta.a, truth.a)
-        total += 2.0 * abs(cl) ** 2 * (1.0 - abs(w) ** 2)
-    diff = truth.upsilon - beta.upsilon
-    return total + float(diff @ diff) / truth.n_curves

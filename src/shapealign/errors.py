@@ -47,8 +47,8 @@ class DegenerateSpectrum(ShapeAlignError):
     """The cross-coefficient matrix carries no spectral energy."""
 
 
-class NoConvergence(ShapeAlignError):
-    """Every optimizer start hit the iteration cap without converging."""
+class NonFiniteData(ShapeAlignError):
+    """Panel values, their moments or their DFT coefficients are not finite."""
 
 
 # --- inference ---

@@ -1,17 +1,19 @@
 """Criterion minimization: profiling, multistart search, and the fitter.
 
 Levels and scales have exact profiles (column means; leading eigenvector
-of the cross-coefficient matrix), so the search runs only over the J-1
-free shifts.  Candidate shifts come from a cross-correlation grid scan;
-each candidate is refined by a BFGS descent with backtracking line search
-(gradient via the envelope theorem: terms through the profiled scales and
-levels vanish at the profiled point), followed by a short Newton polish
-that drives the gradient toward machine zero in well-conditioned cases.
+of the cross-coefficient matrix Q), so the search runs only over the J-1
+free shifts, where the criterion is C - lambda_max(Q).  One kernel,
+:func:`criterion.profiled_shift_objective`, gives its value, gradient and
+exact Hessian from a single eigendecomposition.  Candidate shifts come
+from a cross-correlation grid scan whose combinations are ranked with one
+stacked eigenvalue call.  Each candidate is refined by a BFGS descent
+with backtracking line search; the best endpoint alone then gets a Newton
+polish with the exact Hessian, which drives the gradient toward machine
+zero in well-conditioned cases and certifies the minimum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,12 +21,13 @@ import numpy as np
 
 from .criterion import (
     CriterionContext,
-    criterion_gradient,
+    ShiftEvaluation,
     criterion_value,
     profiled_coefficients,
     profiled_mean,
+    profiled_shift_objective,
 )
-from .errors import ConfigInvalid, DegenerateSpectrum
+from .errors import ConfigInvalid
 from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum
 from .model import (
     ConstraintRegime,
@@ -33,8 +36,6 @@ from .model import (
     Regime,
     project_to_constraints,
 )
-
-_EIGENVALUE_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,9 @@ class AmplitudeProfile:
 def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
     """Scales on the sphere sum a^2 = J minimizing the criterion at ``theta``.
 
-    Builds Q[j,k] = Re sum_{1<=|l|<=m} d_jl conj(d_kl) e^{il(theta_j-theta_k)} / J;
-    on the sphere the captured energy is a'Qa/J, so the optimum is sqrt(J)
-    times the leading unit eigenvector, sign-fixed to a positive first
+    With Q[j,k] = Re sum_{1<=|l|<=m} d_jl conj(d_kl) e^{il(theta_j-theta_k)} / J,
+    the captured energy on the sphere is a'Qa/J, so the optimum is sqrt(J)
+    times the leading unit eigenvector of Q, sign-fixed to a positive first
     coordinate.
 
     Raises
@@ -98,21 +99,13 @@ def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
         If Q carries no energy at all (constant curves).
     """
     theta = np.asarray(theta, dtype=float)
-    j = ctx.n_curves
-    w = np.exp(1j * np.outer(theta, ctx.freqs)) * ctx.d
-    w[:, ctx.m] = 0.0
-    q = np.real(w @ w.conj().T) / j
-    # rounding residue of the coefficients of pure-level data is ~eps*scale,
-    # so anything at (eps*scale)^2 in the trace is noise, not signal
-    if float(np.trace(q)) <= 1e-26 * max(1.0, ctx.mean_sq):
-        raise DegenerateSpectrum("no spectral energy in the selected band")
-    eigvals, eigvecs = np.linalg.eigh(q)
-    lead = eigvecs[:, -1]
+    ev = profiled_shift_objective(ctx, theta[1:] - theta[0])  # only differences enter
+    lead = ev.lead
     nz = np.flatnonzero(lead)
     if nz.size and lead[nz[0]] < 0:
         lead = -lead
-    tie = bool(eigvals[-1] - eigvals[-2] < _EIGENVALUE_TIE)
-    return AmplitudeProfile(a=np.sqrt(j) * lead, energy=float(eigvals[-1]), tie_break=tie)
+    return AmplitudeProfile(a=np.sqrt(ctx.n_curves) * lead, energy=ev.energy,
+                            tie_break=ev.tie_break)
 
 
 def _profiled_levels(ctx: CriterionContext, a: np.ndarray) -> np.ndarray:
@@ -130,65 +123,53 @@ def initialize_shifts(ctx: CriterionContext, config: FitConfig) -> list[np.ndarr
 
     For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|
     peaks near the curve's true shift; the top grid offsets per curve are
-    combined independently and the combinations re-ranked by the full
-    profiled criterion.  Returns the best ``n_multistart`` shift vectors
-    (theta_1 = 0), best first.
+    combined independently (at most 1024 combinations, by summed score) and
+    the combinations re-ranked by the profiled criterion C - lambda_max(Q),
+    all with one stacked eigenvalue call.  Returns the best ``n_multistart``
+    shift vectors (theta_1 = 0), best first; raises DegenerateSpectrum if
+    the band carries no energy at all (constant curves).
     """
+    ctx.require_energy()
     j = ctx.n_curves
     grid_size = config.theta_grid_size or ctx.n
     deltas = TWO_PI * np.arange(grid_size) / grid_size
-    cross = np.conj(ctx.d[0])[None, :] * ctx.d
-    cross[:, ctx.m] = 0.0
+    cross = np.conj(ctx.d_ac[0])[None, :] * ctx.d_ac
     scores = np.abs(cross @ np.exp(1j * np.outer(ctx.freqs, deltas)))  # (J, grid)
 
     k = min(config.n_multistart, grid_size)
     per_curve = [np.argsort(-scores[c], kind="stable")[:k] for c in range(1, j)]
-    combos = list(itertools.product(*per_curve))
+    # rows in itertools.product order: the first free curve varies slowest
+    combos = np.stack(np.meshgrid(*per_curve, indexing="ij"), axis=-1).reshape(-1, j - 1)
     if len(combos) > 1024:
-        weight = [sum(scores[c + 1][idx] for c, idx in enumerate(combo)) for combo in combos]
-        order = np.argsort(-np.asarray(weight), kind="stable")[:1024]
-        combos = [combos[i] for i in order]
+        weight = np.zeros(len(combos))
+        for c in range(j - 1):
+            weight += scores[c + 1, combos[:, c]]
+        combos = combos[np.argsort(-weight, kind="stable")[:1024]]
 
-    ranked = []
-    for combo in combos:
-        theta = np.concatenate([[0.0], deltas[list(combo)]])
-        amp = profile_amplitude(ctx, theta)
-        value = criterion_value(ctx, theta, amp.a, _profiled_levels(ctx, amp.a))
-        ranked.append((value, theta))
-    ranked.sort(key=lambda item: item[0])
-    return [theta for _, theta in ranked[: config.n_multistart]]
-
-
-def _objective(ctx: CriterionContext):
-    """Profiled objective over the free shifts, with its gradient."""
-    def fun_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.concatenate([[0.0], x])
-        amp = profile_amplitude(ctx, theta)
-        ups = _profiled_levels(ctx, amp.a)
-        value = criterion_value(ctx, theta, amp.a, ups)
-        grad = criterion_gradient(ctx, theta, amp.a, ups)[: ctx.n_curves - 1]
-        return value, grad
-
-    return fun_grad
+    thetas = np.zeros((len(combos), j))
+    thetas[:, 1:] = deltas[combos]
+    w = np.exp(1j * thetas[:, :, None] * ctx.freqs) * ctx.d_ac
+    q = (w @ w.conj().transpose(0, 2, 1)).real / j
+    values = ctx.shift_constant - np.linalg.eigvalsh(q)[:, -1]
+    order = np.argsort(values, kind="stable")[: config.n_multistart]
+    return list(thetas[order])
 
 
-def _bfgs(fun_grad, x0, config: FitConfig):
-    """BFGS with backtracking Armijo line search.
+def _bfgs(fun_grad, x0, f0, g0, config: FitConfig):
+    """BFGS with backtracking Armijo line search from (x0, f0, g0).
 
-    Returns (x, f, g, iterations, converged); convergence means the step
-    and objective gain both dropped below their tolerances (or no descent
-    step is representable any more), not an exhausted iteration budget.
+    Returns (x, f, iterations).  Stops when the gradient vanishes, when step
+    and objective gain both drop below their tolerances, when no descent step
+    is representable, or when the budget is spent; the fit certifies the end.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
+    f, g = f0, g0
     dim = x.size
     h_inv = np.eye(dim)
     iterations = 0
-    converged = False
     while iterations < config.max_iters:
         iterations += 1
         if np.max(np.abs(g)) <= 1e-14 * max(1.0, abs(f)):
-            converged = True
             break
         direction = -h_inv @ g
         slope = float(g @ direction)
@@ -197,18 +178,14 @@ def _bfgs(fun_grad, x0, config: FitConfig):
             direction = -g
             slope = -float(g @ g)
         step = 1.0
-        accepted = None
         for _ in range(60):
-            x_try = x + step * direction
-            f_try, g_try = fun_grad(x_try)
-            if f_try <= f + 1e-4 * step * slope:
-                accepted = (x_try, f_try, g_try)
+            x_new = x + step * direction
+            f_new, g_new = fun_grad(x_new)
+            if f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if accepted is None:
-            converged = True  # descent direction exhausted at this precision
-            break
-        x_new, f_new, g_new = accepted
+        else:
+            break  # descent direction exhausted at this precision
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -219,51 +196,37 @@ def _bfgs(fun_grad, x0, config: FitConfig):
         gain = f - f_new
         x, f, g = x_new, f_new, g_new
         if np.max(np.abs(s)) <= config.tol_param and gain <= config.tol_objective * max(1.0, abs(f)):
-            converged = True
             break
-    return x, f, g, iterations, converged
+    return x, f, iterations
 
 
-def _newton_polish(fun_grad, x, f, g, rounds: int = 8):
-    """Damped Newton refinement on the gradient of the profiled objective.
+def _newton_polish(ctx: CriterionContext, x, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
+    """Damped Newton refinement with the exact shift Hessian.
 
-    The Hessian is a central finite difference of the analytic gradient,
-    so the refinement stays accurate down to machine scale; steps are
-    accepted only while they shrink the gradient norm.
+    Steps are accepted only while they shrink the gradient's max norm.  Spends at
+    most ``rounds`` Hessians; returns the final free shifts and their evaluation.
     """
-    for _ in range(rounds):
-        gnorm = np.max(np.abs(g))
-        if gnorm <= 1e-15 * max(1.0, abs(f)):
+    for r in range(rounds):
+        ev = profiled_shift_objective(ctx, x, hessian=True)
+        gnorm = np.max(np.abs(ev.grad))
+        if r == rounds - 1 or ev.hess is None or gnorm <= 1e-15 * max(1.0, abs(ev.value)):
             break
-        dim = x.size
-        hess = np.empty((dim, dim))
-        h = 1e-6
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = h
-            _, gp = fun_grad(x + e)
-            _, gm = fun_grad(x - e)
-            hess[:, k] = (gp - gm) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
         try:
-            step = np.linalg.solve(hess, -g)
+            step = np.linalg.solve(ev.hess, -ev.grad)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
             break
-        moved = False
         t = 1.0
         for _ in range(20):
             x_try = x + t * step
-            f_try, g_try = fun_grad(x_try)
-            if np.max(np.abs(g_try)) < gnorm:
-                x, f, g = x_try, f_try, g_try
-                moved = True
+            if np.max(np.abs(profiled_shift_objective(ctx, x_try).grad)) < gnorm:
+                x = x_try
                 break
             t *= 0.5
-        if not moved:
+        else:
             break
-    return x, f, g
+    return x, ev
 
 
 @dataclass
@@ -291,39 +254,38 @@ class FitResult:
 def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConfig()) -> FitResult:
     """Minimize the criterion over the regime's constraint set.
 
-    Levels are profiled in closed form, scales by the leading eigenvector,
-    and the remaining search over the free shifts starts from every
-    cross-correlation candidate.  ``converged`` is False only when every
-    start exhausted its iteration budget; the best point is returned
-    regardless.  The noise estimate is sqrt of the objective at the
-    minimum, floored at zero (``zero_noise`` marks the floor binding).
+    Levels are profiled in closed form, scales by the leading eigenvector, the
+    free shifts searched from every cross-correlation candidate, and the best
+    endpoint Newton-polished.  ``converged`` certifies a minimum: finite
+    estimates, max|g| <= 1e-8 * max(1, |f|) and a positive definite shift
+    Hessian (waived at an eigenvalue tie); the best point is returned
+    regardless.  The noise estimate is sqrt of the objective at the minimum,
+    floored at zero (``zero_noise`` marks the floor binding).
     """
     m = config.resolve_m(panel.grid.n)
     ctx = CriterionContext(panel, m, regime)
-    fun_grad = _objective(ctx)
     candidates = initialize_shifts(ctx, config)
 
-    best = None  # (f, x, converged)
+    def fun_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        ev = profiled_shift_objective(ctx, x)
+        return ev.value, ev.grad
+
+    best = None  # (f, x, wrapped x)
     total_iters = 0
     start_profile = []
     for theta0 in candidates:
         x0 = theta0[1:]
-        f0, _ = fun_grad(x0)
+        f0, g0 = fun_grad(x0)
         start_profile.append((tuple(np.round(theta0, 12)), f0))
-        x, f, g, iters, conv = _bfgs(fun_grad, x0, config)
-        x, f, g = _newton_polish(fun_grad, x, f, g)
+        x, f, iters = _bfgs(fun_grad, x0, f0, g0, config)
         total_iters += iters
         wrapped = tuple(np.mod(x, TWO_PI))
-        if best is None:
-            best = (f, x, conv, wrapped)
-        elif f < best[0] - config.tol_objective:
-            best = (f, x, conv, wrapped)
-        elif abs(f - best[0]) <= config.tol_objective and wrapped < best[3]:
-            best = (f, x, conv, wrapped)
+        if (best is None or f < best[0] - config.tol_objective
+                or (abs(f - best[0]) <= config.tol_objective and wrapped < best[2])):
+            best = (f, x, wrapped)
 
-    f_best, x_best, conv_best, _ = best
-    theta = np.concatenate([[0.0], x_best])
-    theta = np.mod(theta, TWO_PI)
+    x_best, ev = _newton_polish(ctx, best[1])
+    theta = np.mod(np.concatenate([[0.0], x_best]), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     amp = profile_amplitude(ctx, theta)
     ups = _profiled_levels(ctx, amp.a)
@@ -335,6 +297,12 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     params = ParameterSet(
         theta=params.theta, a=params.a, upsilon=params.upsilon,
         sigma=sigma_hat, regime=regime,
+    )
+
+    converged = bool(
+        np.all(np.isfinite(params.free_values())) and math.isfinite(objective)
+        and np.max(np.abs(ev.grad)) <= 1e-8 * max(1.0, abs(ev.value))
+        and (ev.tie_break or np.linalg.eigvalsh(ev.hess)[0] > 0.0)
     )
 
     shape = profiled_coefficients(ctx, params.theta, params.a)
@@ -350,7 +318,7 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
         objective=objective,
         iterations=total_iters,
         restarts=len(candidates),
-        converged=conv_best,
+        converged=converged,
         zero_noise=zero_noise,
         tie_break=amp.tie_break,
         n=panel.grid.n,
@@ -373,34 +341,3 @@ def estimate_shape(result: FitResult, allow_unconverged: bool = False):
         return evaluate_spectrum(spec, t)
 
     return spec, evaluator
-
-
-def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Hessian of the criterion over the free coordinates.
-
-    Diagnostic only: the closed-form information blocks are what inference
-    uses.  Useful for checking positive definiteness at a minimum and for
-    comparing curvature against the information matrix.
-    """
-    free0 = params.free_values()
-    dim = free0.size
-    j = params.n_curves
-
-    def assemble(free):
-        theta = np.concatenate([[0.0], free[: j - 1]])
-        a_tail = free[j - 1 : 2 * (j - 1)]
-        lead = math.sqrt(max(j - float(a_tail @ a_tail), 0.0))
-        a = np.concatenate([[lead], a_tail])
-        ups_free = free[2 * (j - 1) :]
-        if params.regime.kind is Regime.A0:
-            ups = ups_free
-        else:
-            ups = np.concatenate([[0.0], ups_free])
-        return criterion_gradient(ctx, theta, a, ups)
-
-    hess = np.empty((dim, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = step
-        hess[:, k] = (assemble(free0 + e) - assemble(free0 - e)) / (2.0 * step)
-    return 0.5 * (hess + hess.T)

@@ -114,17 +114,6 @@ def dft(samples: np.ndarray, grid: SamplingGrid, m: int) -> DftBlock:
     return DftBlock(m=m, coeffs=coeffs, source_n=grid.n)
 
 
-def orthogonality_kernel(t: float, n: int) -> complex:
-    """Normalized geometric sum (1/n) * sum_{s=1..n} e^{2*pi*i*s*t}.
-
-    Equals 1 at integer ``t`` and vanishes at t = k/n for integer k not
-    divisible by n; it is the reproducing kernel behind the exact
-    orthogonality of the discrete Fourier basis on the grid.
-    """
-    s = np.arange(1, n + 1)
-    return complex(np.exp(2j * np.pi * s * t).sum() / n)
-
-
 @dataclass(frozen=True)
 class ShapeSpectrum:
     """Hermitian-symmetric coefficients of a trigonometric polynomial.

@@ -118,7 +118,7 @@ def read_panel(path: str) -> CurvePanel:
     Header row required.  If the first column is named ``t`` it must hold
     the equidistant grid 2*pi*i/n (radians, within 1e-9); otherwise every
     column is a curve and the grid is implied by the row count.  The row
-    count must be odd.
+    count must be odd and every cell a finite number.
     """
     try:
         # utf-8-sig: tolerate a byte-order mark without corrupting the header
@@ -153,6 +153,8 @@ def read_panel(path: str) -> CurvePanel:
                 values.append(float(cell))
             except ValueError as exc:
                 raise ParseError(f"bad number {cell!r}", line=line_no, column=col_no) from exc
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"non-finite number {cell!r}", line=line_no, column=col_no)
         data.append(values)
 
     n = len(data)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolation, DegenerateAmplitude, ZeroReferenceAmplitude
+from .errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData, ZeroReferenceAmplitude
 from .fourier import TWO_PI, DftBlock, SamplingGrid, ShapeSpectrum, dft, evaluate_spectrum
 from .normal import standard_normals
 
@@ -120,6 +120,8 @@ class CurvePanel:
             raise ConstraintViolation(
                 f"rows of length {self.y.shape[1]} do not match grid n={self.grid.n}"
             )
+        if not np.all(np.isfinite(self.y)):
+            raise NonFiniteData("panel values must be finite")
         if self.labels is not None and len(self.labels) != self.y.shape[0]:
             raise ConstraintViolation("one label per curve required")
         self._dft_cache: dict[int, list[DftBlock]] = {}

@@ -1,0 +1,118 @@
+"""Independent reference implementations the tests compare against.
+
+None of these is used by the package itself: each recomputes a quantity the
+package computes another way (closed form, stacked eigenvalues, exact
+derivatives), by the most direct route available.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from shapealign.criterion import (
+    CriterionContext,
+    criterion_gradient,
+    criterion_value,
+    phase_weight,
+)
+from shapealign.fit import FitConfig, _profiled_levels, profile_amplitude
+from shapealign.fourier import TWO_PI, ShapeSpectrum
+from shapealign.model import ParameterSet, Regime
+
+
+def orthogonality_kernel(t: float, n: int) -> complex:
+    """Normalized geometric sum (1/n) * sum_{s=1..n} e^{2*pi*i*s*t}.
+
+    Equals 1 at integer ``t`` and vanishes at t = k/n for integer k not
+    divisible by n; it is the reproducing kernel behind the exact
+    orthogonality of the discrete Fourier basis on the grid.
+    """
+    s = np.arange(1, n + 1)
+    return complex(np.exp(2j * np.pi * s * t).sum() / n)
+
+
+def contrast_oracle(
+    beta: ParameterSet,
+    truth: ParameterSet,
+    true_shape: ShapeSpectrum,
+) -> float:
+    """Deterministic limit of the criterion minus the noise floor.
+
+    Equals  sum_{l != 0} |c_l|^2 (1 - |phase_weight(l(theta - theta*), a)|^2)
+          + (1/J) sum_j (upsilon*_j - upsilon_j)^2,
+    truncated to the true band; nonnegative, zero exactly at the truth.
+    """
+    total = 0.0
+    for l in range(1, true_shape.m + 1):
+        cl = true_shape.coeff(l)
+        if cl == 0:
+            continue
+        w = phase_weight(l * (beta.theta - truth.theta), beta.a, truth.a)
+        total += 2.0 * abs(cl) ** 2 * (1.0 - abs(w) ** 2)
+    diff = truth.upsilon - beta.upsilon
+    return total + float(diff @ diff) / truth.n_curves
+
+
+def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Hessian of the criterion over the free coordinates.
+
+    Differences the analytic gradient in the chart of
+    :func:`criterion_gradient`; used to check positive definiteness at a
+    minimum and to compare curvature against the information matrix.
+    """
+    free0 = params.free_values()
+    dim = free0.size
+    j = params.n_curves
+
+    def assemble(free):
+        theta = np.concatenate([[0.0], free[: j - 1]])
+        a_tail = free[j - 1 : 2 * (j - 1)]
+        lead = math.sqrt(max(j - float(a_tail @ a_tail), 0.0))
+        a = np.concatenate([[lead], a_tail])
+        ups_free = free[2 * (j - 1) :]
+        if params.regime.kind is Regime.A0:
+            ups = ups_free
+        else:
+            ups = np.concatenate([[0.0], ups_free])
+        return criterion_gradient(ctx, theta, a, ups)
+
+    hess = np.empty((dim, dim))
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = step
+        hess[:, k] = (assemble(free0 + e) - assemble(free0 - e)) / (2.0 * step)
+    return 0.5 * (hess + hess.T)
+
+
+def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.ndarray]:
+    """Start candidates by one profile and one criterion call per combination.
+
+    Same scores, candidates, pre-cut and ranking rule as
+    ``fit.initialize_shifts``, but the combinations come from
+    ``itertools.product`` and each is ranked by its own scale profile and
+    public criterion call.
+    """
+    j = ctx.n_curves
+    grid_size = config.theta_grid_size or ctx.n
+    deltas = TWO_PI * np.arange(grid_size) / grid_size
+    cross = np.conj(ctx.d[0])[None, :] * ctx.d
+    cross[:, ctx.m] = 0.0
+    scores = np.abs(cross @ np.exp(1j * np.outer(ctx.freqs, deltas)))
+
+    k = min(config.n_multistart, grid_size)
+    per_curve = [np.argsort(-scores[c], kind="stable")[:k] for c in range(1, j)]
+    combos = list(itertools.product(*per_curve))
+    if len(combos) > 1024:
+        weight = [sum(scores[c + 1][idx] for c, idx in enumerate(combo)) for combo in combos]
+        order = np.argsort(-np.asarray(weight), kind="stable")[:1024]
+        combos = [combos[i] for i in order]
+
+    ranked = []
+    for combo in combos:
+        theta = np.concatenate([[0.0], deltas[list(combo)]])
+        amp = profile_amplitude(ctx, theta)
+        value = criterion_value(ctx, theta, amp.a, _profiled_levels(ctx, amp.a))
+        ranked.append((value, theta))
+    ranked.sort(key=lambda item: item[0])
+    return [theta for _, theta in ranked[: config.n_multistart]]

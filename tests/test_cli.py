@@ -103,6 +103,19 @@ def test_fit_malformed_inputs_exit_code(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_fit_non_finite_cell_exit_code(tmp_path, capsys):
+    lines = open(FIXTURE_PANEL).read().splitlines()
+    for cell in ("nan", "inf", "1e308"):
+        row = lines[7].split(",")
+        row[2] = cell
+        bad = tmp_path / f"bad_{cell}.csv"
+        bad.write_text("\n".join(lines[:7] + [",".join(row)] + lines[8:]) + "\n")
+        out = tmp_path / f"r_{cell}.json"
+        assert main(["fit", "--input", str(bad), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_usage_errors_exit_code():
     assert main(["fit", "--input"]) == 1          # missing value
     assert main(["fit"]) == 1                     # missing required flags

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext
+from shapealign.criterion import CriterionContext, profiled_shift_objective
+from shapealign.fit import _profiled_levels
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth, sphere_scales
+from oracles import contrast_oracle
 
 
 def _context(panel, m, kind=Regime.A0):
@@ -216,20 +218,20 @@ def test_phase_weight_bound(rng):
 def test_contrast_oracle_values(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=3)
     # zero at the truth, up to sphere-normalization rounding in the scales
-    assert abs(sa.contrast_oracle(truth, truth, shape)) < 1e-12
+    assert abs(contrast_oracle(truth, truth, shape)) < 1e-12
 
     # one level off by delta: only the level term contributes
     delta = 0.37
     ups = truth.upsilon.copy()
     ups[1] += delta
     beta = sa.ParameterSet(theta=truth.theta, a=truth.a, upsilon=ups, sigma=truth.sigma)
-    assert abs(sa.contrast_oracle(beta, truth, shape) - delta**2 / 2) < 1e-14
+    assert abs(contrast_oracle(beta, truth, shape) - delta**2 / 2) < 1e-14
 
     # single tone, opposite shift, equal unit scales
     tone = sa.ShapeSpectrum.from_onesided({1: 0.7})
     base = sa.ParameterSet(theta=[0.0, 0.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     flipped = sa.ParameterSet(theta=[0.0, np.pi], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
-    assert abs(sa.contrast_oracle(flipped, base, tone) - 2 * 0.7**2) < 1e-14
+    assert abs(contrast_oracle(flipped, base, tone) - 2 * 0.7**2) < 1e-14
 
 
 def test_contrast_oracle_nonnegative(rng):
@@ -237,7 +239,7 @@ def test_contrast_oracle_nonnegative(rng):
     for _ in range(30):
         theta, a, ups = _random_valid_point(rng, 3)
         beta = sa.ParameterSet(theta=theta, a=a, upsilon=ups, sigma=1.0)
-        assert sa.contrast_oracle(beta, truth, shape) >= -1e-12
+        assert contrast_oracle(beta, truth, shape) >= -1e-12
 
 
 def test_noiseless_criterion_matches_contrast_on_grid(rng):
@@ -249,5 +251,54 @@ def test_noiseless_criterion_matches_contrast_on_grid(rng):
         theta, a, ups = _random_valid_point(rng, 2)
         beta = sa.ParameterSet(theta=theta, a=a, upsilon=ups, sigma=1.0)
         value = sa.criterion_value(ctx, theta, a, ups)
-        oracle = sa.contrast_oracle(beta, truth, shape)
+        oracle = contrast_oracle(beta, truth, shape)
         assert abs(value - oracle) < 1e-10
+
+
+@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_shift_kernel_matches_criterion_and_gradient(kind, j, rng):
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=20 + j)
+    ctx = _context(panel, 4, kind)
+    for _ in range(5):
+        theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, j - 1)])
+        ev = profiled_shift_objective(ctx, theta[1:])
+        a = sa.profile_amplitude(ctx, theta).a
+        ups = _profiled_levels(ctx, a)
+        value = sa.criterion_value(ctx, theta, a, ups)
+        grad = sa.criterion_gradient(ctx, theta, a, ups)[: j - 1]
+        assert ev.hess is None
+        assert abs(ev.value - value) <= 1e-12 * max(1.0, abs(value))
+        assert np.max(np.abs(ev.grad - grad)) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
+
+
+@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_shift_kernel_hessian_matches_finite_differences(kind, j, rng):
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=40 + j)
+    ctx = _context(panel, 4, kind)
+    h = 1e-6
+    for _ in range(5):
+        x = rng.uniform(0, 2 * np.pi, j - 1)
+        ev = profiled_shift_objective(ctx, x, hessian=True)
+        fd = np.empty((j - 1, j - 1))
+        for k in range(j - 1):
+            e = np.zeros(j - 1)
+            e[k] = h
+            fd[:, k] = (profiled_shift_objective(ctx, x + e).grad
+                        - profiled_shift_objective(ctx, x - e).grad) / (2 * h)
+        assert np.max(np.abs(ev.hess - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-6
+
+
+def test_shift_kernel_no_hessian_at_eigenvalue_tie():
+    # two identical single-tone curves a quarter period apart: Q is a multiple
+    # of the identity, so the leading eigenvalue is tied
+    grid = sa.make_grid(41)
+    y = np.vstack([np.cos(grid.points), np.cos(grid.points)])
+    ctx = _context(sa.CurvePanel(grid=grid, y=y), 1)
+    ev = profiled_shift_objective(ctx, [np.pi / 2], hessian=True)
+    assert ev.tie_break
+    assert ev.hess is None
+

@@ -1,5 +1,7 @@
 """Profiling, initialization, and the full fitter."""
 
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from shapealign.errors import ConfigInvalid, DegenerateSpectrum
 from shapealign.fit import FitConfig
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth
+from oracles import initialize_shifts_loop, numeric_hessian
 
 
 def _circ(x, y):
@@ -101,6 +104,40 @@ def test_initialize_shifts_grid_equivariance():
     best2 = sa.initialize_shifts(ctx2, FitConfig(m=3))[0]
     step = 2 * np.pi / 41
     assert _circ(best2[1], best[1] + step) < 1e-9
+
+
+@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
+@pytest.mark.parametrize("j", [2, 3, 4, 6])
+def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
+    # J = 6 has 5^5 combinations, so the 1024-combination pre-cut runs
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=30 + j)
+    ctx = CriterionContext(panel, 3, ConstraintRegime(kind=kind))
+    for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24)):
+        batched = sa.initialize_shifts(ctx, config)
+        looped = initialize_shifts_loop(ctx, config)
+        assert len(batched) == len(looped)
+        for got, want in zip(batched, looped):
+            assert np.array_equal(got, want)
+
+
+def test_fit_polishes_the_best_start_only(rng, monkeypatch):
+    truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=14)
+    # the package re-exports the function ``fit`` under the submodule's name
+    fit_module = importlib.import_module("shapealign.fit")
+    kernel = fit_module.profiled_shift_objective
+    hessians = []
+
+    def counting(ctx, x, hessian=False):
+        hessians.append(hessian)
+        return kernel(ctx, x, hessian)
+
+    monkeypatch.setattr(fit_module, "profiled_shift_objective", counting)
+    result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
+    assert result.restarts == 5
+    assert result.converged
+    assert 1 <= sum(hessians) <= 8
 
 
 def test_fit_noiseless_exact_recovery(rng):
@@ -223,7 +260,7 @@ def test_numeric_hessian_positive_definite_at_minimum(rng):
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=12)
     result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
     ctx = CriterionContext(panel, 3, ConstraintRegime())
-    hess = sa.numeric_hessian(ctx, result.beta_hat)
+    hess = numeric_hessian(ctx, result.beta_hat)
     eigvals = np.linalg.eigvalsh(hess)
     assert np.min(eigvals) > 0.0
 
@@ -234,7 +271,7 @@ def test_numeric_hessian_curvature_scale(rng):
     panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=13)
     result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
     ctx = CriterionContext(panel, 3, ConstraintRegime())
-    hess = sa.numeric_hessian(ctx, result.beta_hat)
+    hess = numeric_hessian(ctx, result.beta_hat)
     blocks = sa.efficiency_blocks(
         result.beta_hat.a, result.shape_hat, max(result.sigma_hat, 1e-12))
     target = (2.0 / 2) * blocks.h

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import shapealign as sa
-from shapealign.errors import ConfigInvalid, GridMismatch, ParseError, RaggedColumns
+from shapealign.criterion import CriterionContext
+from shapealign.errors import (
+    ConfigInvalid,
+    GridMismatch,
+    NonFiniteData,
+    ParseError,
+    RaggedColumns,
+)
 from shapealign.io import (
     dumps_canonical,
     parse_study_config,
@@ -80,6 +87,33 @@ def test_read_panel_ragged_and_bad_cells(tmp_path):
         read_panel(_write(tmp_path, "v.csv", "t,a\n0.0,1.0\n"))  # one curve only
     with pytest.raises(ParseError):
         read_panel(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_read_panel_rejects_non_finite_cells(tmp_path, cell):
+    lines = _panel_csv(21).splitlines()
+    row = lines[4].split(",")
+    row[2] = cell
+    lines[4] = ",".join(row)
+    path = _write(tmp_path, "p.csv", "\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 5, column 3") as info:
+        read_panel(path)
+    assert (info.value.line, info.value.column) == (5, 3)
+
+
+def test_panel_and_context_reject_non_finite_values():
+    grid = sa.make_grid(21)
+    y = np.vstack([np.cos(grid.points), np.sin(grid.points)])
+    for bad in (np.nan, np.inf):
+        broken = y.copy()
+        broken[1, 4] = bad
+        with pytest.raises(NonFiniteData):
+            sa.CurvePanel(grid=grid, y=broken)
+    # finite cells whose squares overflow the second moment
+    huge = y.copy()
+    huge[1, 4] = 1e308
+    with pytest.raises(NonFiniteData):
+        CriterionContext(sa.CurvePanel(grid=grid, y=huge), 3)
 
 
 def test_read_panel_tolerates_bom_and_crlf(tmp_path):
