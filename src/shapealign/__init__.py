@@ -30,6 +30,7 @@ from .fourier import (
     SamplingGrid,
     ShapeSpectrum,
     dft,
+    evaluate_shifted_on_grid,
     evaluate_spectrum,
     make_grid,
 )

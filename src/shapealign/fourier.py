@@ -4,8 +4,9 @@ Everything downstream relies on the discrete orthogonality of the complex
 exponentials e^{ilt} on the grid t_i = 2*pi*i/n with n odd: frequencies
 l, p with |l|, |p| < n/2 are exactly orthogonal, so truncated Fourier
 coefficients computed by direct summation are exact for band-limited
-signals.  Coefficients are computed by direct summation with precomputed
-twiddle tables, O(n*m); the band guard 2*m < n is enforced explicitly.
+signals.  Analysis is direct summation against a twiddle table, O(n*m);
+synthesis on the grid is one inverse FFT; both enforce the band guard
+2*m < n explicitly.
 """
 
 from __future__ import annotations
@@ -184,6 +185,23 @@ class ShapeSpectrum:
         return ShapeSpectrum(m=self.m, coeffs=c)
 
 
+def _checked_scale(spec: ShapeSpectrum) -> float:
+    """Coefficient mass max(1, sum |c_l|), after the conjugate-symmetry check."""
+    defect = spec.hermitian_defect()
+    scale = max(1.0, float(np.abs(spec.coeffs).sum()))
+    if defect > 1e-9 * scale:
+        raise NonHermitianSpectrum(f"conjugate-symmetry defect {defect:.3e}")
+    return scale
+
+
+def _real_part(values: np.ndarray, scale: float) -> np.ndarray:
+    """Drop the imaginary residue of a Hermitian sum after checking it is rounding."""
+    residue = float(np.max(np.abs(np.imag(values)))) if values.size else 0.0
+    if residue > 1e-12 * scale:
+        raise NonHermitianSpectrum(f"imaginary residue {residue:.3e} after evaluation")
+    return np.real(values)
+
+
 def evaluate_spectrum(spec: ShapeSpectrum, t) -> float | np.ndarray:
     """Evaluate the trigonometric polynomial sum_l c_l e^{ilt} at angle(s) t.
 
@@ -196,15 +214,26 @@ def evaluate_spectrum(spec: ShapeSpectrum, t) -> float | np.ndarray:
     NonHermitianSpectrum
         If the coefficients break conjugate symmetry beyond 1e-9.
     """
-    defect = spec.hermitian_defect()
-    scale = max(1.0, float(np.abs(spec.coeffs).sum()))
-    if defect > 1e-9 * scale:
-        raise NonHermitianSpectrum(f"conjugate-symmetry defect {defect:.3e}")
+    scale = _checked_scale(spec)
     t_arr = np.asarray(t, dtype=float)
     ls = np.arange(-spec.m, spec.m + 1)
-    values = np.exp(1j * np.multiply.outer(t_arr, ls)) @ spec.coeffs
-    residue = float(np.max(np.abs(np.imag(values)))) if values.size else 0.0
-    if residue > 1e-12 * scale:
-        raise NonHermitianSpectrum(f"imaginary residue {residue:.3e} after evaluation")
-    real = np.real(values)
+    real = _real_part(np.exp(1j * np.multiply.outer(t_arr, ls)) @ spec.coeffs, scale)
     return float(real) if np.isscalar(t) or t_arr.ndim == 0 else real
+
+
+def evaluate_shifted_on_grid(spec: ShapeSpectrum, grid: SamplingGrid, shifts) -> np.ndarray:
+    """Rows f(t_i - theta_k) on the grid, one per shift, by one inverse FFT.
+
+    Slot l mod n of row k holds c_l e^{-il theta_k}, so ``ifft * n`` sums
+    the series at every grid point.  Raises ``BandTooWide`` if 2*m >= n
+    (slots would alias) and ``NonHermitianSpectrum`` as
+    :func:`evaluate_spectrum` does.
+    """
+    if 2 * spec.m >= grid.n:
+        raise BandTooWide(f"band limit {spec.m} violates 2*m < n for n={grid.n}")
+    scale = _checked_scale(spec)
+    theta = np.asarray(shifts, dtype=float).reshape(-1)
+    ls = np.arange(-spec.m, spec.m + 1)
+    rows = np.zeros((theta.size, grid.n), dtype=complex)
+    rows[:, ls % grid.n] = spec.coeffs * np.exp(-1j * np.multiply.outer(theta, ls))
+    return _real_part(np.fft.ifft(rows, axis=1) * grid.n, scale)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData, ZeroReferenceAmplitude
-from .fourier import TWO_PI, DftBlock, SamplingGrid, ShapeSpectrum, dft, evaluate_spectrum
+from .fourier import TWO_PI, DftBlock, SamplingGrid, ShapeSpectrum, dft, evaluate_shifted_on_grid
 from .normal import standard_normals
 
 
@@ -154,15 +154,11 @@ def generate_panel(
         raise ConstraintViolation(f"shape band {shape.m} violates 2*m < n for n={grid.n}")
     c0 = shape.c0
     ac = shape.centered() if c0 != 0.0 else shape
-    j = truth.n_curves
-    y = np.empty((j, grid.n))
-    noise = standard_normals(seed, (j, grid.n)) if truth.sigma > 0 else None
-    for k in range(j):
-        base = evaluate_spectrum(ac, grid.points - truth.theta[k])
-        level = truth.upsilon[k] + truth.a[k] * c0
-        y[k] = truth.a[k] * base + level
-        if noise is not None:
-            y[k] += truth.sigma * noise[k]
+    base = evaluate_shifted_on_grid(ac, grid, truth.theta)
+    level = truth.upsilon + truth.a * c0
+    y = truth.a[:, None] * base + level[:, None]
+    if truth.sigma > 0:
+        y += truth.sigma * standard_normals(seed, y.shape)
     return CurvePanel(grid=grid, y=y)
 
 

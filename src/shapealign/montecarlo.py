@@ -1,20 +1,20 @@
 """Replication studies: consistency, covariance calibration, regime contrast.
 
-Panels are generated from one truth with derived seeds (base seed plus
-replicate index), fitted, and aggregated into deterministic summaries:
-mean bias, the empirical covariance of sqrt(n)-scaled errors against its
-closed-form target, shape-estimator integrated squared error, and
-boxplot-style quantiles.  Replicates are independent, so they may run in
-parallel; the worker count is capped by the SHAPEALIGN_THREADS environment
-variable (unset: serial, 0: one per CPU) and aggregation always follows
-replicate order, so parallelism cannot change any result.
+Each replicate's panel is generated once, from one truth and a derived seed
+(base seed plus replicate index), and fitted under every requested regime;
+the fits aggregate into deterministic summaries: mean bias, the empirical
+covariance of sqrt(n)-scaled errors against its closed-form target,
+shape-estimator integrated squared error, and boxplot-style quantiles.  A
+study sends all its replicates through one process pool of at most
+SHAPEALIGN_THREADS workers (unset: serial, 0: one per CPU); aggregation
+follows replicate order, so parallelism cannot change any result.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,21 +87,15 @@ class StudyConfig:
         self.truth.validate()
 
 
-def _fit_one(args) -> dict:
-    truth, shape, n, seed, regime, fit_config = args
+def _replicate(args) -> tuple[dict, ...]:
+    """Generate one seeded panel and fit it under each regime kind; later fits reuse its DFT."""
+    truth, shape, n, seed, kinds, fit_config = args
     panel = generate_panel(truth, shape, make_grid(n), seed)
-    result = fit(panel, regime, fit_config)
-    return _summarize(result)
-
-
-def _fit_both(args) -> tuple[dict, dict]:
-    truth, shape, n, seed, fit_config, upsilon_max = args
-    panel = generate_panel(truth, shape, make_grid(n), seed)
-    out = []
-    for kind in (Regime.A0, Regime.A1):
-        regime = ConstraintRegime(kind=kind, upsilon_max=upsilon_max)
-        out.append(_summarize(fit(panel, regime, fit_config)))
-    return tuple(out)
+    upsilon_max = truth.regime.upsilon_max
+    return tuple(
+        _summarize(fit(panel, ConstraintRegime(kind=kind, upsilon_max=upsilon_max), fit_config))
+        for kind in kinds
+    )
 
 
 def _summarize(result: FitResult) -> dict:
@@ -122,18 +116,19 @@ def _circular_errors(free_est, free_truth, n_shift):
     return err
 
 
-def _shape_error_sq(est_coeffs: np.ndarray, m_fit: int, true_shape: ShapeSpectrum,
+def _shape_error_sq(kept: list[dict], true_shape: ShapeSpectrum,
                     include_mean: bool) -> tuple[float, float]:
-    """In-band coefficient error and fixed out-of-band truth energy."""
-    inband = 0.0
-    for l in range(-m_fit, m_fit + 1):
-        if l == 0 and not include_mean:
-            continue
-        inband += abs(est_coeffs[l + m_fit] - true_shape.coeff(l)) ** 2
-    tail = 0.0
-    for l in range(m_fit + 1, true_shape.m + 1):
-        tail += 2.0 * abs(true_shape.coeff(l)) ** 2
-    return float(inband), float(tail)
+    """Mean in-band coefficient error of the kept fits and the fixed
+    out-of-band truth energy, computed once: the fits share their band m."""
+    if not kept:
+        return float("nan"), float("nan")
+    m_fit = kept[0]["m"]
+    target = np.array([true_shape.coeff(l) for l in range(-m_fit, m_fit + 1)])
+    err = np.abs(np.vstack([s["shape_coeffs"] for s in kept]) - target) ** 2
+    if not include_mean:
+        err[:, m_fit] = 0.0
+    tail = 2.0 * np.sum(np.abs(true_shape.coeffs[true_shape.m + m_fit + 1:]) ** 2)
+    return float(np.mean(err.sum(axis=1))), float(tail)
 
 
 @dataclass
@@ -177,19 +172,21 @@ def _theory_covariance(truth: ParameterSet, shape: ShapeSpectrum, regime: Regime
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Generate, fit, and aggregate; deterministic given the base seed."""
+    reps = config.replicates
+    args = [
+        (config.truth, config.shape, n, config.base_seed + r, config.regimes, config.fit_config)
+        for n in config.n_list
+        for r in range(reps)
+    ]
+    results = _map_ordered(_replicate, args)
     cells = []
-    for n in config.n_list:
-        for regime_kind in config.regimes:
-            regime = ConstraintRegime(kind=regime_kind, upsilon_max=config.truth.regime.upsilon_max)
+    for i, n in enumerate(config.n_list):
+        for k, regime_kind in enumerate(config.regimes):
             if regime_kind is Regime.A0:
                 ref_truth, ref_shape = config.truth, config.shape
             else:
                 ref_truth, ref_shape = reparameterize_to_a1(config.truth, config.shape)
-            args = [
-                (config.truth, config.shape, n, config.base_seed + r, regime, config.fit_config)
-                for r in range(config.replicates)
-            ]
-            summaries = _map_ordered(_fit_one, args)
+            summaries = [res[k] for res in results[i * reps:(i + 1) * reps]]
             cells.append(_aggregate(n, regime_kind, ref_truth, ref_shape, summaries))
     return StudyReport(
         n_list=tuple(config.n_list),
@@ -223,11 +220,7 @@ def _aggregate(n, regime_kind, ref_truth, ref_shape, summaries) -> StudyCell:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(np.abs(theory) > 1e-12, emp_cov / theory, np.nan)
 
-    inband_vals, tails = [], []
-    for s in kept:
-        inband, tail = _shape_error_sq(s["shape_coeffs"], s["m"], ref_shape, include_mean)
-        inband_vals.append(inband)
-        tails.append(tail)
+    mise_inband, mise_tail = _shape_error_sq(kept, ref_shape, include_mean)
     quantiles = (
         np.quantile(estimates, _QUANTILES, axis=0)
         if kept
@@ -243,8 +236,8 @@ def _aggregate(n, regime_kind, ref_truth, ref_shape, summaries) -> StudyCell:
         empirical_covariance=emp_cov,
         theory_covariance=theory,
         ratios=ratios,
-        mise_inband=float(np.mean(inband_vals)) if inband_vals else float("nan"),
-        mise_tail=float(tails[0]) if tails else float("nan"),
+        mise_inband=mise_inband,
+        mise_tail=mise_tail,
         quantiles=quantiles,
         sigma_mean=float(np.mean([s["sigma"] for s in kept])) if kept else float("nan"),
         failures=failures,
@@ -290,27 +283,17 @@ def mise_curve(
     if smoothness < 1:
         raise ConfigInvalid("smoothness must be >= 1")
     base = fit_config or FitConfig()
+    ladder = [(n, max(1, int(np.ceil(n ** (1.0 / (2 * smoothness + 1)))))) for n in n_list]
+    args = [
+        (truth, shape, n, base_seed + r, (Regime.A0,), replace(base, m=m_n))
+        for n, m_n in ladder
+        for r in range(replicates)
+    ]
+    results = _map_ordered(_replicate, args)
     points = []
-    for n in n_list:
-        m_n = max(1, int(np.ceil(n ** (1.0 / (2 * smoothness + 1)))))
-        cfg = FitConfig(
-            m=m_n,
-            theta_grid_size=base.theta_grid_size,
-            n_multistart=base.n_multistart,
-            tol_objective=base.tol_objective,
-            tol_param=base.tol_param,
-            max_iters=base.max_iters,
-        )
-        regime = ConstraintRegime(kind=Regime.A0, upsilon_max=truth.regime.upsilon_max)
-        args = [
-            (truth, shape, n, base_seed + r, regime, cfg)
-            for r in range(replicates)
-        ]
-        summaries = _map_ordered(_fit_one, args)
-        kept = [s for s in summaries if s["converged"]]
-        pairs = [_shape_error_sq(s["shape_coeffs"], s["m"], shape, False) for s in kept]
-        inband = float(np.mean([p[0] for p in pairs]))
-        tail = pairs[0][1] if pairs else float("nan")
+    for i, (n, m_n) in enumerate(ladder):
+        kept = [s for (s,) in results[i * replicates:(i + 1) * replicates] if s["converged"]]
+        inband, tail = _shape_error_sq(kept, shape, include_mean=False)
         points.append(MisePoint(n=n, m=m_n, inband=inband, tail=tail))
     totals = np.array([p.total for p in points])
     ns = np.array([p.n for p in points], dtype=float)
@@ -357,11 +340,9 @@ def compare_regimes(
     """
     cfg = fit_config or FitConfig()
     truth_a1, shape_a1 = reparameterize_to_a1(truth, shape)
-    args = [
-        (truth, shape, n, base_seed + r, cfg, truth.regime.upsilon_max)
-        for r in range(replicates)
-    ]
-    results = _map_ordered(_fit_both, args)
+    both = (Regime.A0, Regime.A1)
+    args = [(truth, shape, n, base_seed + r, both, cfg) for r in range(replicates)]
+    results = _map_ordered(_replicate, args)
 
     j = truth.n_curves
     rows_a0, rows_a1 = [], []

@@ -16,9 +16,16 @@ from shapealign.criterion import (
     criterion_value,
     phase_weight,
 )
-from shapealign.fit import FitConfig, _profiled_levels, profile_amplitude
-from shapealign.fourier import TWO_PI, ShapeSpectrum
-from shapealign.model import ParameterSet, Regime
+from shapealign.fit import FitConfig, _profiled_levels, fit, profile_amplitude
+from shapealign.fourier import TWO_PI, ShapeSpectrum, make_grid
+from shapealign.model import (
+    ConstraintRegime,
+    ParameterSet,
+    Regime,
+    generate_panel,
+    reparameterize_to_a1,
+)
+from shapealign.montecarlo import StudyConfig, StudyReport, _aggregate, _summarize
 
 
 def orthogonality_kernel(t: float, n: int) -> complex:
@@ -116,3 +123,32 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
         ranked.append((value, theta))
     ranked.sort(key=lambda item: item[0])
     return [theta for _, theta in ranked[: config.n_multistart]]
+
+
+def run_study_per_regime(config: StudyConfig) -> StudyReport:
+    """Study by one generate-then-fit loop per (grid size, regime) cell.
+
+    Same seeds, fits and aggregation as ``montecarlo.run_study``, but every
+    replicate panel is generated afresh for each regime, one cell at a time.
+    """
+    cells = []
+    for n in config.n_list:
+        for kind in config.regimes:
+            regime = ConstraintRegime(kind=kind, upsilon_max=config.truth.regime.upsilon_max)
+            summaries = []
+            for r in range(config.replicates):
+                panel = generate_panel(config.truth, config.shape, make_grid(n),
+                                       config.base_seed + r)
+                summaries.append(_summarize(fit(panel, regime, config.fit_config)))
+            if kind is Regime.A0:
+                ref_truth, ref_shape = config.truth, config.shape
+            else:
+                ref_truth, ref_shape = reparameterize_to_a1(config.truth, config.shape)
+            cells.append(_aggregate(n, kind, ref_truth, ref_shape, summaries))
+    return StudyReport(
+        n_list=tuple(config.n_list),
+        replicates=config.replicates,
+        base_seed=config.base_seed,
+        regimes=tuple(config.regimes),
+        cells=cells,
+    )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
@@ -156,6 +158,57 @@ def test_evaluate_spectrum_rejects_non_hermitian():
     spec = sa.ShapeSpectrum(m=2, coeffs=coeffs)
     with pytest.raises(NonHermitianSpectrum):
         sa.evaluate_spectrum(spec, 0.3)
+
+
+odd_sizes = st.integers(1, 200).map(lambda half: 2 * half + 1)
+coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+shift_lists = st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=1, max_size=4)
+
+
+@st.composite
+def hermitian_spectra(draw, max_m):
+    """Spectrum of band m <= max_m with c_{-l} = conj(c_l) and a real mean."""
+    m = draw(st.integers(0, max_m))
+    terms = draw(st.lists(coefficients, min_size=m, max_size=m))
+    c0 = draw(st.floats(-10.0, 10.0))
+    coeffs = np.array([np.conj(c) for c in terms[::-1]] + [c0] + terms, dtype=complex)
+    return sa.ShapeSpectrum(m=m, coeffs=coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=odd_sizes, shifts=shift_lists)
+def test_grid_synthesis_matches_evaluate_spectrum(data, n, shifts):
+    spec = data.draw(hermitian_spectra((n - 1) // 2))
+    grid = sa.make_grid(n)
+    rows = sa.evaluate_shifted_on_grid(spec, grid, shifts)
+    assert rows.shape == (len(shifts), n)
+    tol = 1e-12 * max(1.0, float(np.abs(spec.coeffs).sum()))
+    for row, theta in zip(rows, shifts):
+        direct = sa.evaluate_spectrum(spec, grid.points - theta)
+        assert np.max(np.abs(row - direct)) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=odd_sizes, shifts=shift_lists)
+def test_grid_synthesis_rejects_aliasing_band(data, n, shifts):
+    m = data.draw(st.integers((n + 1) // 2, n + 2))
+    spec = sa.ShapeSpectrum.from_onesided({m: data.draw(coefficients)}, m=m)
+    with pytest.raises(BandTooWide):
+        sa.evaluate_shifted_on_grid(spec, sa.make_grid(n), shifts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=odd_sizes, shifts=shift_lists)
+def test_grid_synthesis_rejects_non_hermitian(data, n, shifts):
+    spec = data.draw(hermitian_spectra((n - 1) // 2))
+    l = data.draw(st.integers(0, spec.m))
+    coeffs = spec.coeffs.copy()
+    # an imaginary kick of 1e-3 of the coefficient mass breaks c_{-l} = conj(c_l),
+    # for l = 0 too, far above the 1e-9 tolerance
+    coeffs[spec.m + l] += 1e-3j * max(1.0, float(np.abs(coeffs).sum()))
+    broken = sa.ShapeSpectrum(m=spec.m, coeffs=coeffs)
+    with pytest.raises(NonHermitianSpectrum):
+        sa.evaluate_shifted_on_grid(broken, sa.make_grid(n), shifts)
 
 
 def test_spectrum_powers():

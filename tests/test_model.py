@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
 from shapealign.errors import ConstraintViolation, DegenerateAmplitude
 from shapealign.model import ConstraintRegime, Regime
-from conftest import boxplot_truth, parabola_spectrum
+from conftest import bandlimited_truth, boxplot_truth, parabola_spectrum
 
 
 def _valid_theta_a():
@@ -87,6 +89,27 @@ def test_generate_shift_covariance_of_dft():
             if l == 0:
                 expected += truth.upsilon[j]
             assert abs(block.coeff(l) - expected) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), degree=st.integers(1, 8),
+       half=st.integers(8, 100), c0=st.floats(-5.0, 5.0))
+def test_generate_shift_covariance_of_dft_property(seed, j, degree, half, c0):
+    # noiseless panel of a random band-limited truth: each curve's DFT is
+    # a_j e^{-il theta_j} c_l + upsilon_j delta_{l0}, the shape mean included
+    truth, ac = bandlimited_truth(np.random.default_rng(seed), j=j, degree=degree)
+    coeffs = ac.coeffs.copy()
+    coeffs[degree] = c0
+    shape = sa.ShapeSpectrum(m=degree, coeffs=coeffs)
+    grid = sa.make_grid(2 * half + 1)
+    panel = sa.generate_panel(truth, shape, grid, seed=seed)
+    ls = np.arange(-degree, degree + 1)
+    scale = np.abs(coeffs).sum() * np.abs(truth.a).max() + np.abs(truth.upsilon).max()
+    for k in range(j):
+        expected = truth.a[k] * np.exp(-1j * ls * truth.theta[k]) * coeffs
+        expected[degree] += truth.upsilon[k]
+        block = sa.dft(panel.y[k], grid, degree)
+        assert np.max(np.abs(block.coeffs - expected)) <= 1e-12 * max(1.0, scale)
 
 
 def test_center_shape_noop_and_parabola():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import shapealign as sa
+from shapealign import montecarlo
 from shapealign.errors import ConfigInvalid
 from shapealign.io import dumps_canonical, report_document
-from shapealign.montecarlo import _fit_one, worker_count
+from shapealign.montecarlo import _replicate, worker_count
 from shapealign.model import ConstraintRegime, Regime
 from conftest import decay_shape
+from oracles import run_study_per_regime
 
 
 def _small_truth(sigma=1.0):
@@ -53,8 +55,8 @@ def test_replicates_extend_without_changing_prefix():
     truth, shape = _small_truth()
     regime = ConstraintRegime()
     cfg = sa.FitConfig(m=4)
-    first = [_fit_one((truth, shape, 41, 7 + r, regime, cfg))["free"] for r in range(3)]
-    again = [_fit_one((truth, shape, 41, 7 + r, regime, cfg))["free"] for r in range(6)]
+    first = [_replicate((truth, shape, 41, 7 + r, (regime.kind,), cfg))[0]["free"] for r in range(3)]
+    again = [_replicate((truth, shape, 41, 7 + r, (regime.kind,), cfg))[0]["free"] for r in range(6)]
     for a, b in zip(first, again[:3]):
         assert np.array_equal(a, b)
 
@@ -67,6 +69,47 @@ def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
     parallel = dumps_canonical(report_document(sa.run_study(config)))
     assert serial == parallel
+
+
+def _two_grid_config():
+    truth, shape = _small_truth()
+    return sa.StudyConfig(truth=truth, shape=shape, n_list=(41, 61), replicates=4,
+                          base_seed=5, fit_config=sa.FitConfig(m=4),
+                          regimes=(Regime.A0, Regime.A1))
+
+
+def _canonical(report):
+    return dumps_canonical(report_document(report))
+
+
+def test_study_matches_per_regime_loop(monkeypatch):
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    config = _two_grid_config()
+    assert _canonical(sa.run_study(config)) == _canonical(run_study_per_regime(config))
+
+
+def test_study_generates_each_replicate_once(monkeypatch):
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    seeds = []
+    generate = montecarlo.generate_panel
+
+    def counting(truth, shape, grid, seed):
+        seeds.append((grid.n, seed))
+        return generate(truth, shape, grid, seed)
+
+    monkeypatch.setattr(montecarlo, "generate_panel", counting)
+    config = _two_grid_config()
+    sa.run_study(config)
+    assert len(seeds) == config.replicates * len(config.n_list)
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_parallel_matches_serial_both_regimes(monkeypatch):
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    config = _two_grid_config()
+    serial = _canonical(sa.run_study(config))
+    monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
+    assert _canonical(sa.run_study(config)) == serial
 
 
 def test_worker_count_parsing(monkeypatch):
