@@ -22,6 +22,7 @@ from .fit import (
     FitResult,
     estimate_shape,
     fit,
+    fit_batch,
     initialize_shifts,
     profile_amplitude,
 )

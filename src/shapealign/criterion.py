@@ -205,11 +205,35 @@ class ShiftEvaluation(NamedTuple):
     tie_break: bool
 
 
+def shift_objective_stack(d_ac: np.ndarray, owner, x: np.ndarray, constant):
+    """Profiled criterion C - lambda_max(Q) at K rows of free shifts ``x`` (K, J-1).
+
+    Row k uses band coefficients ``d_ac[owner[k]]`` of the (F, J, 2m+1) stack
+    and constant ``constant[k]``.  Every product is a stacked matmul and Q has
+    one stacked ``eigh``, so a row's bits do not depend on the other rows.
+    Returns values (K,), gradients (K, J-1) and, for the exact Hessian, the
+    stacks lW, eigenvalues and eigenvectors of Q, R and R v.
+    """
+    j, width = d_ac.shape[1], d_ac.shape[2]
+    freqs = np.arange(width) - width // 2
+    theta = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
+    w = np.exp(1j * theta[:, :, None] * freqs) * d_ac[owner]
+    wh = w.conj().transpose(0, 2, 1)
+    eigvals, eigvecs = np.linalg.eigh((w @ wh).real / j)
+    lw = w * freqs
+    # r[k, p] = Re sum_l i l W_kl conj(W_pl), so (r v)_k = Re sum_l i l W_kl conj(u_l)
+    r = -(lw @ wh).imag
+    rv = (r @ eigvecs[:, :, -1:])[:, :, 0]
+    grad = -2.0 * (eigvecs[:, :, -1] * rv)[:, 1:] / j
+    return constant - eigvals[:, -1], grad, (lw, eigvals, eigvecs, r, rv)
+
+
 def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) -> ShiftEvaluation:
     """Criterion at free shifts ``x`` = theta_2..theta_J (theta_1 = 0), profiled: C - lambda_max(Q).
 
-    One W, one Q = Re(W W^H)/J, one eigendecomposition.  With v the leading
-    unit eigenvector and u = v'W, Hellmann-Feynman gives d lambda / d theta_k
+    The one-row case of :func:`shift_objective_stack`: one W, one
+    Q = Re(W W^H)/J, one eigendecomposition.  With v the leading unit
+    eigenvector and u = v'W, Hellmann-Feynman gives d lambda / d theta_k
     = 2 v_k Re sum_l i l W_kl conj(u_l) / J; the Hessian adds v' d2Q v to the
     second-order perturbation sum over the other eigenpairs.
 
@@ -220,15 +244,9 @@ def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) ->
     """
     ctx.require_energy()
     j = ctx.n_curves
-    theta = np.concatenate([[0.0], x])
-    w = np.exp(1j * np.multiply.outer(theta, ctx.freqs)) * ctx.d_ac
-    q = (w @ w.conj().T).real / j
-    eigvals, eigvecs = np.linalg.eigh(q)
+    value, grad, rows = shift_objective_stack(ctx.d_ac[None], [0], np.atleast_2d(x), ctx.shift_constant)
+    lw, eigvals, eigvecs, r, rv = (a[0] for a in rows)
     v = eigvecs[:, -1]
-    lw = w * ctx.freqs
-    # r[k, p] = Re sum_l i l W_kl conj(W_pl), so (r v)_k = Re sum_l i l W_kl conj(u_l)
-    r = -(lw @ w.conj().T).imag
-    rv = r @ v
     tie = bool(eigvals[-1] - eigvals[-2] < EIGENVALUE_TIE)
     hess = None
     if hessian and not tie:
@@ -241,8 +259,8 @@ def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) ->
         d2lam = d2q + 2.0 * (mix.T / (eigvals[-1] - eigvals[:-1])) @ mix
         hess = -d2lam[1:, 1:]
     return ShiftEvaluation(
-        value=ctx.shift_constant - float(eigvals[-1]),
-        grad=-2.0 * (v * rv)[1:] / j,
+        value=float(value[0]),
+        grad=grad[0],
         hess=hess,
         energy=float(eigvals[-1]),
         lead=v,

@@ -6,10 +6,11 @@ free shifts, where the criterion is C - lambda_max(Q).  One kernel,
 :func:`criterion.profiled_shift_objective`, gives its value, gradient and
 exact Hessian from a single eigendecomposition.  Candidate shifts come
 from a cross-correlation grid scan whose combinations are ranked with one
-stacked eigenvalue call.  Each candidate is refined by a BFGS descent
-with backtracking line search; the best endpoint alone then gets a Newton
-polish with the exact Hessian, which drives the gradient toward machine
-zero in well-conditioned cases and certifies the minimum.
+stacked eigenvalue call.  One lockstep BFGS search, a row per start,
+refines the candidates of every fit in a batch (:func:`fit` is the batch of
+one); each fit's best endpoint alone then gets a Newton polish with the
+exact Hessian, which drives the gradient toward machine zero in
+well-conditioned cases and certifies the minimum.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .criterion import (
     profiled_coefficients,
     profiled_mean,
     profiled_shift_objective,
+    shift_objective_stack,
 )
 from .errors import ConfigInvalid
 from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum
@@ -155,49 +157,60 @@ def initialize_shifts(ctx: CriterionContext, config: FitConfig) -> list[np.ndarr
     return list(thetas[order])
 
 
-def _bfgs(fun_grad, x0, f0, g0, config: FitConfig):
-    """BFGS with backtracking Armijo line search from (x0, f0, g0).
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products by matmul: each row's bits are those of its 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Returns (x, f, iterations).  Stops when the gradient vanishes, when step
-    and objective gain both drop below their tolerances, when no descent step
-    is representable, or when the budget is spent; the fit certifies the end.
+
+def _lockstep_bfgs(fun_grad, x0: np.ndarray, config: FitConfig):
+    """BFGS with backtracking Armijo line search from every row of ``x0`` (K, d) in lockstep.
+
+    ``fun_grad(x, rows)`` gives values and gradients of rows ``rows`` at ``x``.  A row
+    stops when its gradient vanishes, when step and gain both drop below their
+    tolerances, when no descent step is representable, or when the budget is spent;
+    the fit certifies the end.  Returns (x, f, iterations, f at x0) per row.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = f0, g0
-    dim = x.size
-    h_inv = np.eye(dim)
-    iterations = 0
-    while iterations < config.max_iters:
-        iterations += 1
-        if np.max(np.abs(g)) <= 1e-14 * max(1.0, abs(f)):
-            break
-        direction = -h_inv @ g
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            h_inv = np.eye(dim)
-            direction = -g
-            slope = -float(g @ g)
-        step = 1.0
+    x = np.array(x0, dtype=float)
+    k, dim = x.shape
+    f, g = fun_grad(x, np.arange(k))
+    f_start, eye = f.copy(), np.eye(dim)
+    h_inv = np.tile(eye, (k, 1, 1))
+    iterations = np.zeros(k, dtype=int)
+    live = np.arange(k)
+    while live.size:
+        live = live[iterations[live] < config.max_iters]
+        iterations[live] += 1
+        live = live[~(np.max(np.abs(g[live]), axis=1) <= 1e-14 * np.fmax(1.0, np.abs(f[live])))]
+        gl = g[live]
+        direction = (-h_inv[live] @ gl[:, :, None])[:, :, 0]
+        slope = _rowdot(gl, direction)
+        uphill = slope >= 0.0
+        h_inv[live[uphill]] = eye
+        direction[uphill] = -gl[uphill]
+        slope[uphill] = -_rowdot(gl[uphill], gl[uphill])
+        step = np.ones(live.size)
+        x_new, f_new, g_new = np.empty_like(gl), np.empty(live.size), np.empty_like(gl)
+        todo = np.arange(live.size)  # rows still searching
         for _ in range(60):
-            x_new = x + step * direction
-            f_new, g_new = fun_grad(x_new)
-            if f_new <= f + 1e-4 * step * slope:
+            if not todo.size:
                 break
-            step *= 0.5
-        else:
-            break  # descent direction exhausted at this precision
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-            rho = 1.0 / sy
-            v = np.eye(dim) - rho * np.outer(s, yv)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        gain = f - f_new
-        x, f, g = x_new, f_new, g_new
-        if np.max(np.abs(s)) <= config.tol_param and gain <= config.tol_objective * max(1.0, abs(f)):
-            break
-    return x, f, iterations
+            x_new[todo] = x[live[todo]] + step[todo, None] * direction[todo]
+            f_new[todo], g_new[todo] = fun_grad(x_new[todo], live[todo])
+            todo = todo[~(f_new[todo] <= f[live[todo]] + 1e-4 * step[todo] * slope[todo])]
+            step[todo] *= 0.5
+        moved = np.isin(np.arange(live.size), todo, invert=True)  # todo: no descent step found
+        live, x_new, f_new, g_new = live[moved], x_new[moved], f_new[moved], g_new[moved]
+        s, yv = x_new - x[live], g_new - g[live]
+        sy = _rowdot(s, yv)
+        curved = sy > 1e-12 * np.sqrt(_rowdot(s, s)) * np.sqrt(_rowdot(yv, yv))
+        rows, sc, rho = live[curved], s[curved], (1.0 / sy[curved])[:, None, None]
+        v = eye - rho * (sc[:, :, None] * yv[curved][:, None, :])
+        h_inv[rows] = v @ h_inv[rows] @ v.transpose(0, 2, 1) + rho * (sc[:, :, None] * sc[:, None, :])
+        gain = f[live] - f_new
+        x[live], f[live], g[live] = x_new, f_new, g_new
+        live = live[~((np.max(np.abs(s), axis=1) <= config.tol_param)
+                      & (gain <= config.tol_objective * np.fmax(1.0, np.abs(f_new))))]
+    return x, f, iterations, f_start
 
 
 def _newton_polish(ctx: CriterionContext, x, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
@@ -251,6 +264,34 @@ class FitResult:
         return self.beta_hat.regime
 
 
+def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
+    """Fit each ``(panel, regime)`` of ``jobs``, every start of the jobs of one (J, m) in one search.
+
+    Rows of the stacked kernel do not interact, so each result is bitwise the
+    one :func:`fit` gives for that job alone.
+    """
+    contexts = [CriterionContext(panel, config.resolve_m(panel.grid.n), regime)
+                for panel, regime in jobs]
+    starts = [initialize_shifts(ctx, config) for ctx in contexts]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, ctx in enumerate(contexts):
+        groups.setdefault((ctx.n_curves, ctx.m), []).append(i)
+    searches = [None] * len(contexts)
+    for members in groups.values():
+        counts = [len(starts[i]) for i in members]
+        d_ac = np.stack([contexts[i].d_ac for i in members])
+        owner = np.repeat(np.arange(len(members)), counts)
+        constant = np.array([contexts[i].shift_constant for i in members])[owner]
+        x0 = np.vstack([theta0[1:] for i in members for theta0 in starts[i]])
+        search = _lockstep_bfgs(
+            lambda xs, rows: shift_objective_stack(d_ac, owner[rows], xs, constant[rows])[:2],
+            x0, config)
+        for i, *rows in zip(members, *(np.split(a, np.cumsum(counts)[:-1]) for a in search)):
+            searches[i] = rows
+    return [_finish(ctx, cands, *search, config)
+            for ctx, cands, search in zip(contexts, starts, searches)]
+
+
 def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConfig()) -> FitResult:
     """Minimize the criterion over the regime's constraint set.
 
@@ -262,41 +303,34 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     regardless.  The noise estimate is sqrt of the objective at the minimum,
     floored at zero (``zero_noise`` marks the floor binding).
     """
-    m = config.resolve_m(panel.grid.n)
-    ctx = CriterionContext(panel, m, regime)
-    candidates = initialize_shifts(ctx, config)
+    return fit_batch([(panel, regime)], config)[0]
 
-    def fun_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        ev = profiled_shift_objective(ctx, x)
-        return ev.value, ev.grad
 
-    best = None  # (f, x, wrapped x)
-    total_iters = 0
-    start_profile = []
-    for theta0 in candidates:
-        x0 = theta0[1:]
-        f0, g0 = fun_grad(x0)
-        start_profile.append((tuple(np.round(theta0, 12)), f0))
-        x, f, iters = _bfgs(fun_grad, x0, f0, g0, config)
-        total_iters += iters
+def _finish(ctx: CriterionContext, candidates, x_end, f_end, iters, f_start,
+            config: FitConfig) -> FitResult:
+    """Polish the best search endpoint of one job and assemble its result."""
+    best = None  # (f, x, wrapped x), first best in start order
+    for x, f in zip(x_end, f_end):
         wrapped = tuple(np.mod(x, TWO_PI))
         if (best is None or f < best[0] - config.tol_objective
                 or (abs(f - best[0]) <= config.tol_objective and wrapped < best[2])):
             best = (f, x, wrapped)
+    start_profile = [(tuple(np.round(theta0, 12)), float(f0))
+                     for theta0, f0 in zip(candidates, f_start)]
 
     x_best, ev = _newton_polish(ctx, best[1])
     theta = np.mod(np.concatenate([[0.0], x_best]), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     amp = profile_amplitude(ctx, theta)
     ups = _profiled_levels(ctx, amp.a)
-    params, _ = project_to_constraints(theta, amp.a, ups, regime, sigma=1.0)
+    params, _ = project_to_constraints(theta, amp.a, ups, ctx.regime, sigma=1.0)
 
     objective = criterion_value(ctx, params.theta, params.a, params.upsilon)
     zero_noise = objective <= 0.0
     sigma_hat = math.sqrt(objective) if objective > 0.0 else 0.0
     params = ParameterSet(
         theta=params.theta, a=params.a, upsilon=params.upsilon,
-        sigma=sigma_hat, regime=regime,
+        sigma=sigma_hat, regime=ctx.regime,
     )
 
     converged = bool(
@@ -306,7 +340,7 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     )
 
     shape = profiled_coefficients(ctx, params.theta, params.a)
-    if regime.kind is Regime.A1:
+    if ctx.regime.kind is Regime.A1:
         coeffs = shape.coeffs.copy()
         coeffs[shape.m] = profiled_mean(ctx, params.a, params.upsilon)
         shape = ShapeSpectrum(m=shape.m, coeffs=coeffs)
@@ -316,13 +350,13 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
         sigma_hat=sigma_hat,
         shape_hat=shape,
         objective=objective,
-        iterations=total_iters,
+        iterations=int(iters.sum()),
         restarts=len(candidates),
         converged=converged,
         zero_noise=zero_noise,
         tie_break=amp.tie_break,
-        n=panel.grid.n,
-        m=m,
+        n=ctx.n,
+        m=ctx.m,
         start_profile=start_profile,
     )
 

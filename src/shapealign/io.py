@@ -4,16 +4,18 @@ All numbers are serialized with 17 significant digits, which identifies a
 double uniquely, so parse -> emit reproduces a tool-written file byte for
 byte.  Emission is canonical (fixed key order as built, fixed float
 format, fixed layout); non-finite values become null.  Files are written
-via a temporary sibling and an atomic rename, so readers never observe a
-partial file.
+via a uniquely named temporary sibling and an atomic rename, so readers
+never observe a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 
@@ -101,11 +103,29 @@ def dumps_canonical(doc) -> str:
 
 
 def write_atomic(path: str, text: str):
-    """Write-then-rename so no partial file is ever visible."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write-then-rename so no partial file is ever visible.
+
+    The text goes to a temporary file of its own beside ``path``, so writers
+    never share one, and replaces ``path`` in one rename; on any failure the
+    temporary file is removed and ``path`` keeps its old content.  The file
+    gets the mode a plain ``open`` would give it.  There is no fsync: the
+    rename is atomic for readers but not durable across a power loss, and an
+    fsync measured about 0.25 ms per write on ext4, against about 6 ms for a
+    J=3, n=201 fit.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    try:
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +298,49 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _parse_shape(node: dict) -> ShapeSpectrum:
-    entries = _require(node, "coeffs", "shape")
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{key} must be a JSON object")
+    return value
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer (an integral float is accepted), else ConfigInvalid naming ``key``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number, else ConfigInvalid naming ``key``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigInvalid(f"{key} must be a finite number, got {value!r}")
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{key} must be a list of numbers")
+    return np.array([_number(v, key) for v in value], dtype=float)
+
+
+def _parse_shape(node) -> ShapeSpectrum:
+    entries = _require(_object(node, "shape"), "coeffs", "shape")
     if not isinstance(entries, list) or not entries:
         raise ConfigInvalid("shape.coeffs must be a nonempty list")
+    if not all(isinstance(e, dict) for e in entries):
+        raise ConfigInvalid("shape.coeffs entries must be JSON objects")
     m = node.get("m")
     if m is None:
-        m = max(abs(int(e.get("l", 0))) for e in entries)
-    m = int(m)
+        m = max(abs(_integer(e.get("l", 0), "shape.coeffs.l")) for e in entries)
+    m = _integer(m, "shape.m")
     if m < 1:
         raise ConfigInvalid("shape band must be >= 1")
     coeffs = np.zeros(2 * m + 1, dtype=complex)
@@ -327,14 +382,14 @@ def parse_study_config(doc: dict) -> StudyConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a JSON object")
-    truth_node = _require(doc, "truth", "config")
+    truth_node = _object(_require(doc, "truth", "config"), "truth")
     shape = _parse_shape(_require(doc, "shape", "config"))
 
-    theta = np.asarray(_require(truth_node, "theta", "truth"), dtype=float)
-    a = np.asarray(_require(truth_node, "a", "truth"), dtype=float)
-    upsilon = np.asarray(_require(truth_node, "upsilon", "truth"), dtype=float)
-    sigma = float(_require(truth_node, "sigma", "truth"))
-    upsilon_max = float(truth_node.get("upsilon_max", 1e6))
+    theta = _numbers(_require(truth_node, "theta", "truth"), "truth.theta")
+    a = _numbers(_require(truth_node, "a", "truth"), "truth.a")
+    upsilon = _numbers(_require(truth_node, "upsilon", "truth"), "truth.upsilon")
+    sigma = _number(_require(truth_node, "sigma", "truth"), "truth.sigma")
+    upsilon_max = _number(truth_node.get("upsilon_max", 1e6), "truth.upsilon_max")
     if not (theta.size == a.size == upsilon.size) or theta.size < 2:
         raise ConfigInvalid("truth vectors must share length J >= 2")
     if sigma < 0:
@@ -358,32 +413,36 @@ def parse_study_config(doc: dict) -> StudyConfig:
     n_list = _require(doc, "n_list", "config")
     if not isinstance(n_list, list) or not n_list:
         raise ConfigInvalid("n_list must be a nonempty list")
-    replicates = int(_require(doc, "replicates", "config"))
-    base_seed = int(_require(doc, "base_seed", "config"))
+    n_list = tuple(_integer(n, "n_list") for n in n_list)
+    replicates = _integer(_require(doc, "replicates", "config"), "replicates")
+    base_seed = _integer(_require(doc, "base_seed", "config"), "base_seed")
+    if base_seed < 0 or base_seed + replicates > 2**128:
+        raise ConfigInvalid("base_seed must be >= 0 and base_seed + replicates <= 2**128")
 
-    fit_node = doc.get("fit", {})
+    fit_node = _object(doc.get("fit", {}), "fit")
     m_value = fit_node.get("m", "auto")
+    grid_size = fit_node.get("theta_grid_size")
     fit_config = FitConfig(
-        m=None if m_value in (None, "auto") else int(m_value),
-        m_exponent=float(fit_node.get("m_exponent", 0.25)),
-        theta_grid_size=fit_node.get("theta_grid_size"),
-        n_multistart=int(fit_node.get("n_multistart", 5)),
-        tol_objective=float(fit_node.get("tol_objective", 1e-12)),
-        tol_param=float(fit_node.get("tol_param", 1e-9)),
-        max_iters=int(fit_node.get("max_iters", 500)),
+        m=None if m_value in (None, "auto") else _integer(m_value, "fit.m"),
+        m_exponent=_number(fit_node.get("m_exponent", 0.25), "fit.m_exponent"),
+        theta_grid_size=None if grid_size is None else _integer(grid_size, "fit.theta_grid_size"),
+        n_multistart=_integer(fit_node.get("n_multistart", 5), "fit.n_multistart"),
+        tol_objective=_number(fit_node.get("tol_objective", 1e-12), "fit.tol_objective"),
+        tol_param=_number(fit_node.get("tol_param", 1e-9), "fit.tol_param"),
+        max_iters=_integer(fit_node.get("max_iters", 500), "fit.max_iters"),
     )
 
     regime_names = doc.get("regimes", ["a0"])
     try:
         regimes = tuple(Regime(name) for name in regime_names)
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown regime in {regime_names!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"unknown regime in regimes: {regime_names!r}") from exc
 
     try:
         return StudyConfig(
             truth=truth,
             shape=canonical_shape,
-            n_list=tuple(int(n) for n in n_list),
+            n_list=n_list,
             replicates=replicates,
             base_seed=base_seed,
             fit_config=fit_config,

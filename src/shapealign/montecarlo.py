@@ -5,9 +5,12 @@ Each replicate's panel is generated once, from one truth and a derived seed
 the fits aggregate into deterministic summaries: mean bias, the empirical
 covariance of sqrt(n)-scaled errors against its closed-form target,
 shape-estimator integrated squared error, and boxplot-style quantiles.  A
-study sends all its replicates through one process pool of at most
-SHAPEALIGN_THREADS workers (unset: serial, 0: one per CPU); aggregation
-follows replicate order, so parallelism cannot change any result.
+study splits its replicates into contiguous chunks, one when serial and one
+per worker of a process pool of at most SHAPEALIGN_THREADS workers (unset:
+serial, 0: one per CPU), and fits each chunk as one batch, every start of
+every fit in one lockstep search.  Batched fits equal lone ones bit for bit
+and aggregation follows replicate order, so parallelism cannot change any
+result.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
 from .errors import ConfigInvalid
-from .fit import FitConfig, FitResult, fit
+from .fit import FitConfig, FitResult, fit_batch
 from .fourier import ShapeSpectrum, make_grid
 from .inference import a1_covariance, efficiency_blocks
 from .model import (
@@ -49,12 +53,15 @@ def worker_count() -> int:
     return os.cpu_count() or 1 if value == 0 else value
 
 
-def _map_ordered(fn, args_list):
-    count = worker_count()
-    if count <= 1 or len(args_list) <= 1:
-        return [fn(args) for args in args_list]
+def _map_ordered(fn, shared: tuple, items: list) -> list:
+    """``fn((*shared, chunk))`` over contiguous chunks of ``items``, one per worker; results in order."""
+    count = min(worker_count(), len(items))
+    if count <= 1:
+        return fn((*shared, items))
+    bounds = [len(items) * w // count for w in range(count + 1)]
+    chunks = [(*shared, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, args_list, chunksize=max(1, len(args_list) // (4 * count))))
+        return [res for part in pool.map(fn, chunks) for res in part]
 
 
 @dataclass(frozen=True)
@@ -87,15 +94,21 @@ class StudyConfig:
         self.truth.validate()
 
 
-def _replicate(args) -> tuple[dict, ...]:
-    """Generate one seeded panel and fit it under each regime kind; later fits reuse its DFT."""
-    truth, shape, n, seed, kinds, fit_config = args
-    panel = generate_panel(truth, shape, make_grid(n), seed)
-    upsilon_max = truth.regime.upsilon_max
-    return tuple(
-        _summarize(fit(panel, ConstraintRegime(kind=kind, upsilon_max=upsilon_max), fit_config))
-        for kind in kinds
-    )
+def _replicate_chunk(args) -> list[tuple[dict, ...]]:
+    """One summary per regime kind for each ``(n, seed, config)`` of a chunk.
+
+    Each panel is generated once; the chunk's fits that share a config run as
+    one batch, and the later kinds reuse the panel's DFT.
+    """
+    truth, shape, kinds, chunk = args
+    regimes = [ConstraintRegime(kind=kind, upsilon_max=truth.regime.upsilon_max) for kind in kinds]
+    panels = [(generate_panel(truth, shape, make_grid(n), seed), config) for n, seed, config in chunk]
+    summaries = []
+    for config, group in groupby(panels, key=lambda item: item[1]):
+        jobs = [(panel, regime) for panel, _ in group for regime in regimes]
+        fits = [_summarize(result) for result in fit_batch(jobs, config)]
+        summaries += [tuple(fits[i:i + len(kinds)]) for i in range(0, len(fits), len(kinds))]
+    return summaries
 
 
 def _summarize(result: FitResult) -> dict:
@@ -173,12 +186,8 @@ def _theory_covariance(truth: ParameterSet, shape: ShapeSpectrum, regime: Regime
 def run_study(config: StudyConfig) -> StudyReport:
     """Generate, fit, and aggregate; deterministic given the base seed."""
     reps = config.replicates
-    args = [
-        (config.truth, config.shape, n, config.base_seed + r, config.regimes, config.fit_config)
-        for n in config.n_list
-        for r in range(reps)
-    ]
-    results = _map_ordered(_replicate, args)
+    items = [(n, config.base_seed + r, config.fit_config) for n in config.n_list for r in range(reps)]
+    results = _map_ordered(_replicate_chunk, (config.truth, config.shape, config.regimes), items)
     cells = []
     for i, n in enumerate(config.n_list):
         for k, regime_kind in enumerate(config.regimes):
@@ -284,12 +293,8 @@ def mise_curve(
         raise ConfigInvalid("smoothness must be >= 1")
     base = fit_config or FitConfig()
     ladder = [(n, max(1, int(np.ceil(n ** (1.0 / (2 * smoothness + 1)))))) for n in n_list]
-    args = [
-        (truth, shape, n, base_seed + r, (Regime.A0,), replace(base, m=m_n))
-        for n, m_n in ladder
-        for r in range(replicates)
-    ]
-    results = _map_ordered(_replicate, args)
+    items = [(n, base_seed + r, replace(base, m=m_n)) for n, m_n in ladder for r in range(replicates)]
+    results = _map_ordered(_replicate_chunk, (truth, shape, (Regime.A0,)), items)
     points = []
     for i, (n, m_n) in enumerate(ladder):
         kept = [s for (s,) in results[i * replicates:(i + 1) * replicates] if s["converged"]]
@@ -340,9 +345,8 @@ def compare_regimes(
     """
     cfg = fit_config or FitConfig()
     truth_a1, shape_a1 = reparameterize_to_a1(truth, shape)
-    both = (Regime.A0, Regime.A1)
-    args = [(truth, shape, n, base_seed + r, both, cfg) for r in range(replicates)]
-    results = _map_ordered(_replicate, args)
+    items = [(n, base_seed + r, cfg) for r in range(replicates)]
+    results = _map_ordered(_replicate_chunk, (truth, shape, (Regime.A0, Regime.A1)), items)
 
     j = truth.n_curves
     rows_a0, rows_a1 = [], []

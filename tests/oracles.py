@@ -125,6 +125,51 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     return [theta for _, theta in ranked[: config.n_multistart]]
 
 
+def bfgs_per_start(fun_grad, x0, f0, g0, config: FitConfig):
+    """BFGS with backtracking Armijo line search from one start (x0, f0, g0).
+
+    One start at a time, with the stops and constants of the lockstep engine
+    ``fit._lockstep_bfgs``, which must match it bit for bit.  Returns
+    (x, f, iterations).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = f0, g0
+    dim = x.size
+    h_inv = np.eye(dim)
+    iterations = 0
+    while iterations < config.max_iters:
+        iterations += 1
+        if np.max(np.abs(g)) <= 1e-14 * max(1.0, abs(f)):
+            break
+        direction = -h_inv @ g
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            h_inv = np.eye(dim)
+            direction = -g
+            slope = -float(g @ g)
+        step = 1.0
+        for _ in range(60):
+            x_new = x + step * direction
+            f_new, g_new = fun_grad(x_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # descent direction exhausted at this precision
+        s = x_new - x
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
+            rho = 1.0 / sy
+            v = np.eye(dim) - rho * np.outer(s, yv)
+            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
+        gain = f - f_new
+        x, f, g = x_new, f_new, g_new
+        if np.max(np.abs(s)) <= config.tol_param and gain <= config.tol_objective * max(1.0, abs(f)):
+            break
+    return x, f, iterations
+
+
 def run_study_per_regime(config: StudyConfig) -> StudyReport:
     """Study by one generate-then-fit loop per (grid size, regime) cell.
 

@@ -219,11 +219,11 @@ def test_criterion_09_consistency_trend():
     truth = sa.ParameterSet(theta=[0.0, 1.3], a=a, upsilon=[0.4, -0.6], sigma=1.0)
     shape = decay_shape(1.0, band=50)  # band far above the fitted one
     medians = {}
-    from shapealign.montecarlo import _replicate
+    from shapealign.montecarlo import _replicate_chunk
     for n in (101, 801):
         errs = []
         for r in range(50):
-            s, = _replicate((truth, shape, n, 5 + r, (ConstraintRegime().kind,), sa.FitConfig()))
+            (s,), = _replicate_chunk((truth, shape, (ConstraintRegime().kind,), [(n, 5 + r, sa.FitConfig())]))
             e = s["free"] - truth.free_values()
             e[0] = np.mod(e[0] + np.pi, 2 * np.pi) - np.pi
             errs.append(float(np.max(np.abs(e))))

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 import shapealign as sa
 from shapealign.cli import main
@@ -161,11 +162,70 @@ def test_fixture_config_parses():
     assert abs(float(config.truth.a @ config.truth.a) - 2.0) < 1e-12
 
 
+_MALFORMED = [
+    (("replicates",), "ten"),
+    (("replicates",), 4.5),
+    (("base_seed",), "3"),
+    (("base_seed",), -1),
+    (("n_list",), [41.5]),
+    (("n_list",), ["41"]),
+    (("fit", "m"), 2.5),
+    (("fit", "n_multistart"), "five"),
+    (("fit", "max_iters"), [500]),
+    (("fit", "theta_grid_size"), 2.5),
+    (("fit", "theta_grid_size"), True),
+    (("fit", "tol_objective"), "tiny"),
+    (("fit", "tol_param"), None),
+    (("truth", "sigma"), [1]),
+    (("truth", "upsilon_max"), "big"),
+    (("truth", "theta"), [0.0, "x"]),
+    (("fit",), []),
+    (("regimes",), 5),
+]
+
+
+@pytest.mark.parametrize("path, value", _MALFORMED,
+                         ids=[".".join(path) + "=" + repr(value) for path, value in _MALFORMED])
+def test_simulate_rejects_malformed_config_values(tmp_path, capsys, path, value):
+    doc = _tiny_config_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = str(tmp_path / "study.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert path[-1] in err[0]
+
+
+def _assert_same_numbers(got, want, where="report"):
+    """Identical structure; every number within 1e-12 relative of the golden value."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_same_numbers(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_numbers(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), (where, got, want)
+    else:
+        assert got == want, where
+
+
 def test_simulate_shipped_config_end_to_end(tmp_path):
-    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json")
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    fixture = os.path.join(fixtures, "figure2.json")
     out = str(tmp_path / "report.json")
     assert main(["simulate", "--config", fixture, "--out", out]) == 0
     doc = json.loads(open(out).read())
+    with open(os.path.join(fixtures, "figure2_report.json")) as fh:
+        _assert_same_numbers(doc, json.load(fh))
     assert [c["regime"] for c in doc["cells"]] == ["a0", "a1"]
     for cell in doc["cells"]:
         assert cell["replicates"] == 100

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext, profiled_shift_objective
+from shapealign.criterion import CriterionContext, profiled_shift_objective, shift_objective_stack
 from shapealign.fit import _profiled_levels
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth, sphere_scales
@@ -302,3 +302,26 @@ def test_shift_kernel_no_hessian_at_eigenvalue_tie():
     assert ev.tie_break
     assert ev.hess is None
 
+
+
+@pytest.mark.parametrize("m", [3, 11])
+@pytest.mark.parametrize("j", [2, 3, 5, 8, 12])
+def test_shift_kernel_stack_rows_do_not_interact(j, m, rng):
+    # rows of two fits, in any mix: each row's bits equal the lone one-row kernel
+    contexts = []
+    for k, kind in enumerate((Regime.A0, Regime.A1)):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
+        contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k), m, kind))
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    owner = rng.integers(0, 2, 50)
+    x = rng.uniform(0, 2 * np.pi, (50, j - 1))
+    constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
+    values, grads = shift_objective_stack(d_ac, owner, x, constant)[:2]
+    for k in range(50):
+        ev = profiled_shift_objective(contexts[owner[k]], x[k])
+        assert np.float64(ev.value).tobytes() == values[k].tobytes()
+        assert ev.grad.tobytes() == grads[k].tobytes()
+    subset = rng.permutation(50)[:7]
+    sub_values, sub_grads = shift_objective_stack(d_ac, owner[subset], x[subset], constant[subset])[:2]
+    assert sub_values.tobytes() == values[subset].tobytes()
+    assert sub_grads.tobytes() == grads[subset].tobytes()

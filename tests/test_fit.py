@@ -4,15 +4,18 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext
+from shapealign.criterion import CriterionContext, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig
+from shapealign.fit import FitConfig, _lockstep_bfgs, fit_batch
+from shapealign.io import dumps_canonical, result_document
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth
-from oracles import initialize_shifts_loop, numeric_hessian
+from oracles import bfgs_per_start, initialize_shifts_loop, numeric_hessian
 
 
 def _circ(x, y):
@@ -278,3 +281,93 @@ def test_numeric_hessian_curvature_scale(rng):
     diag_ratio = np.diag(hess) / np.diag(target)
     assert np.all(diag_ratio > 0.5)
     assert np.all(diag_ratio < 1.5)
+
+
+def _start_stack(rng, j, kind, config):
+    """Scan starts plus uniform random starts of three panels of one (J, m), as one stack."""
+    contexts = []
+    for seed in range(3):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
+        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=40 + seed)
+        contexts.append(CriterionContext(panel, config.m, ConstraintRegime(kind=kind)))
+    x0, owner = [], []
+    for i, ctx in enumerate(contexts):
+        starts = [theta[1:] for theta in sa.initialize_shifts(ctx, config)]
+        starts += list(rng.uniform(0.0, 2 * np.pi, (3, j - 1)))
+        x0 += starts
+        owner += [i] * len(starts)
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    owner = np.array(owner)
+    constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
+
+    def fun_grad(xs, rows):
+        return shift_objective_stack(d_ac, owner[rows], xs, constant[rows])[:2]
+
+    return fun_grad, np.array(x0)
+
+
+def _assert_matches_per_start(fun_grad, x0, config):
+    x, f, iterations, f_start = _lockstep_bfgs(fun_grad, x0, config)
+    for k in range(len(x0)):
+        def one(xk, k=k):
+            values, grads = fun_grad(xk[None], np.array([k]))
+            return values[0], grads[0]
+
+        f0, g0 = one(x0[k])
+        x_ref, f_ref, iters_ref = bfgs_per_start(one, x0[k], f0, g0, config)
+        assert f_start[k].tobytes() == f0.tobytes()
+        assert x[k].tobytes() == x_ref.tobytes()
+        assert f[k].tobytes() == np.float64(f_ref).tobytes()
+        assert iterations[k] == iters_ref
+    return iterations
+
+
+@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
+def test_lockstep_bfgs_matches_per_start_oracle(kind, j, rng):
+    config = FitConfig(m=3)
+    fun_grad, x0 = _start_stack(rng, j, kind, config)
+    iterations = _assert_matches_per_start(fun_grad, x0, config)
+    assert len(set(iterations)) > 1  # rows stop at different iterations
+    assert np.all(_assert_matches_per_start(fun_grad, x0, FitConfig(m=3, max_iters=1)) == 1)
+
+
+def test_lockstep_bfgs_line_search_exhaustion_matches_oracle(rng):
+    # every other start moves to 0 and gets a steep kink there, unseen by the
+    # gradient: a step of any length, down to 2**-59, is exact and an ascent, so
+    # those rows exhaust their 60 halvings in the first iteration; the others go on
+    config = FitConfig(m=3)
+    smooth, x0 = _start_stack(rng, 3, Regime.A0, config)
+    x0[::2] = 0.0
+    weight = np.where(np.arange(len(x0)) % 2 == 0, 1e12, 0.0)
+
+    def fun_grad(xs, rows):
+        values, grads = smooth(xs, rows)
+        return values + weight[rows] * np.abs(xs).sum(axis=1), grads
+
+    iterations = _assert_matches_per_start(fun_grad, x0, config)
+    x, _, _, _ = _lockstep_bfgs(fun_grad, x0, config)
+    assert np.all(iterations[::2] == 1) and np.array_equal(x[::2], x0[::2])
+    assert np.all(iterations[1::2] > 1)
+
+
+_BATCH_GRIDS = (21, 41, 81, 257)   # resolved bands m = 2, 2, 3, 4
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       jobs=st.lists(st.tuples(st.integers(2, 4), st.sampled_from(_BATCH_GRIDS),
+                               st.sampled_from(["a0", "a1"])), min_size=2, max_size=5))
+def test_fit_batch_equals_lone_fits_property(seed, jobs):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for k, (j, n, kind) in enumerate(jobs):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.3)
+        panel = sa.generate_panel(truth, shape, sa.make_grid(n), seed=k)
+        batch.append((panel, ConstraintRegime(kind=Regime(kind))))
+    config = FitConfig()
+    for (panel, regime), together in zip(batch, fit_batch(batch, config)):
+        alone = sa.fit(panel, regime, config)
+        assert (dumps_canonical(result_document(together, None))
+                == dumps_canonical(result_document(alone, None)))
+        assert together.start_profile == alone.start_profile

@@ -1,6 +1,7 @@
 """Panel parsing, canonical JSON, config parsing, document round-trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -222,3 +223,42 @@ def test_parse_study_config_one_sided_shape_completion():
     doc = _config_doc()
     config = parse_study_config(doc)
     assert config.shape.hermitian_defect() == 0.0
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_write_atomic_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    write_atomic(str(target), "old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_atomic(str(target), "new\n")
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
+    assert target.read_text() == "old\n"
+
+
+def test_write_atomic_uses_a_fresh_temp_file_per_write(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    sources = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(src)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    write_atomic(str(target), "first\n")
+    write_atomic(str(target), "second\n")
+    assert len(set(sources)) == 2
+    assert all(os.path.dirname(src) == str(tmp_path) for src in sources)
+    assert target.read_text() == "second\n"
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~_umask()
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]

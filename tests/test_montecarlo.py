@@ -7,7 +7,7 @@ import shapealign as sa
 from shapealign import montecarlo
 from shapealign.errors import ConfigInvalid
 from shapealign.io import dumps_canonical, report_document
-from shapealign.montecarlo import _replicate, worker_count
+from shapealign.montecarlo import _replicate_chunk, worker_count
 from shapealign.model import ConstraintRegime, Regime
 from conftest import decay_shape
 from oracles import run_study_per_regime
@@ -55,8 +55,8 @@ def test_replicates_extend_without_changing_prefix():
     truth, shape = _small_truth()
     regime = ConstraintRegime()
     cfg = sa.FitConfig(m=4)
-    first = [_replicate((truth, shape, 41, 7 + r, (regime.kind,), cfg))[0]["free"] for r in range(3)]
-    again = [_replicate((truth, shape, 41, 7 + r, (regime.kind,), cfg))[0]["free"] for r in range(6)]
+    first = [s["free"] for s, in _replicate_chunk((truth, shape, (regime.kind,), [(41, 7 + r, cfg) for r in range(3)]))]
+    again = [s["free"] for s, in _replicate_chunk((truth, shape, (regime.kind,), [(41, 7 + r, cfg) for r in range(6)]))]
     for a, b in zip(first, again[:3]):
         assert np.array_equal(a, b)
 
