@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ShapeAlignError
@@ -40,6 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)  # built once per process: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shapealign",
                      description="Register noisy periodic curves sharing one common shape.")

@@ -102,9 +102,36 @@ class CriterionContext:
         return self.mean_sq + float(upsilon @ upsilon - 2.0 * (upsilon @ self.ybar)) / j
 
 
-def _phase_matrix(ctx: CriterionContext, theta: np.ndarray) -> np.ndarray:
-    """e^{i l theta_j} for l = -m..m, shaped like ctx.d."""
-    return np.exp(1j * np.outer(theta, ctx.freqs))
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products by matmul: each row's bits are those of its 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def criterion_stack(contexts, theta, a, upsilon) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion values (F,) and shape coefficients (F, 2m+1) of F contexts of one (J, m).
+
+    Row f evaluates ``contexts[f]`` at (theta[f], a[f], upsilon[f]) with row-wise
+    products only, so its bits are those of the row alone.  Its coefficients are
+    chat_l (1 <= |l| <= m) with, in the l = 0 slot, the mean coefficient of
+    :func:`profiled_mean` under A1 and zero under A0.
+    """
+    theta, a, upsilon = (np.asarray(v, dtype=float) for v in (theta, a, upsilon))
+    ssq = rowdot(a, a)
+    if np.any(ssq < np.finfo(float).tiny):
+        raise DegenerateAmplitude("amplitude vector is zero")
+    m = contexts[0].m
+    d, ybar, mean_sq = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d", "ybar", "mean_sq"))
+    phases = np.exp(1j * (theta[:, :, None] * contexts[0].freqs))
+    coeffs = (a[:, :, None] * phases * d).sum(axis=1) / ssq[:, None]
+    coeffs[:, m] = 0.0
+    energy = (np.abs(coeffs) ** 2).sum(axis=1)
+    a1 = np.array([ctx.regime.kind is Regime.A1 for ctx in contexts])
+    coeffs[:, m] = mean = np.where(a1, rowdot(a, ybar - upsilon) / ssq, 0.0)
+    # Python's float pow, not numpy's square: they differ in the last bit for
+    # about 0.1% of inputs, and the reports keep the bits of the former
+    energy += [c ** 2 for c in mean.tolist()]
+    residual = mean_sq + (rowdot(upsilon, upsilon) - 2.0 * rowdot(upsilon, ybar)) / theta.shape[1]
+    return residual - energy, coeffs
 
 
 def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:
@@ -115,14 +142,9 @@ def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:
     cannot change them.  The l = 0 slot is left at zero; see
     :func:`profiled_mean` for the A1 mean coefficient.
     """
-    theta = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    ssq = float(a @ a)
-    if ssq < np.finfo(float).tiny:
-        raise DegenerateAmplitude("amplitude vector is zero")
-    weighted = (a[:, None] * _phase_matrix(ctx, theta) * ctx.d).sum(axis=0) / ssq
-    weighted[ctx.m] = 0.0
-    return ShapeSpectrum(m=ctx.m, coeffs=weighted)
+    coeffs = criterion_stack([ctx], [theta], [a], [np.zeros(ctx.n_curves)])[1][0]
+    coeffs[ctx.m] = 0.0
+    return ShapeSpectrum(m=ctx.m, coeffs=coeffs)
 
 
 def profiled_mean(ctx: CriterionContext, a, upsilon) -> float:
@@ -136,12 +158,7 @@ def profiled_mean(ctx: CriterionContext, a, upsilon) -> float:
 
 def criterion_value(ctx: CriterionContext, theta, a, upsilon) -> float:
     """Objective value at (theta, a, upsilon) under the context's regime."""
-    upsilon = np.asarray(upsilon, dtype=float)
-    spec = profiled_coefficients(ctx, theta, a)
-    energy = spec.power_ac
-    if ctx.regime.kind is Regime.A1:
-        energy += profiled_mean(ctx, a, upsilon) ** 2
-    return ctx.residual_term(upsilon) - energy
+    return float(criterion_stack([ctx], [theta], [a], [upsilon])[0][0])
 
 
 def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
@@ -159,7 +176,7 @@ def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
     if ssq < np.finfo(float).tiny:
         raise DegenerateAmplitude("amplitude vector is zero")
 
-    phases = _phase_matrix(ctx, theta)
+    phases = np.exp(1j * np.outer(theta, ctx.freqs))
     weighted = a[:, None] * phases * ctx.d          # row j: a_j e^{il theta_j} d_jl
     chat = weighted.sum(axis=0) / ssq
     chat[ctx.m] = 0.0
@@ -195,6 +212,8 @@ class ShiftEvaluation(NamedTuple):
 
     ``hess`` is None if not requested, or at a tie (leading gap < EIGENVALUE_TIE);
     ``energy``, ``lead`` are the leading eigenpair of Q (``lead``'s sign arbitrary).
+    :func:`shift_objective_stack` returns the same fields with a leading row axis,
+    and there ``hess`` is meaningless in the rows that are ties.
     """
 
     value: float
@@ -205,14 +224,17 @@ class ShiftEvaluation(NamedTuple):
     tie_break: bool
 
 
-def shift_objective_stack(d_ac: np.ndarray, owner, x: np.ndarray, constant):
+def shift_objective_stack(d_ac: np.ndarray, owner, x: np.ndarray, constant,
+                          hessian: bool = False) -> ShiftEvaluation:
     """Profiled criterion C - lambda_max(Q) at K rows of free shifts ``x`` (K, J-1).
 
     Row k uses band coefficients ``d_ac[owner[k]]`` of the (F, J, 2m+1) stack
     and constant ``constant[k]``.  Every product is a stacked matmul and Q has
     one stacked ``eigh``, so a row's bits do not depend on the other rows.
-    Returns values (K,), gradients (K, J-1) and, for the exact Hessian, the
-    stacks lW, eigenvalues and eigenvectors of Q, R and R v.
+    With v the leading unit eigenvector and u = v'W, Hellmann-Feynman gives
+    d lambda / d theta_k = 2 v_k Re sum_l i l W_kl conj(u_l) / J; the exact
+    Hessian, on request, adds v' d2Q v to the second-order perturbation sum
+    over the other eigenpairs.
     """
     j, width = d_ac.shape[1], d_ac.shape[2]
     freqs = np.arange(width) - width // 2
@@ -220,22 +242,35 @@ def shift_objective_stack(d_ac: np.ndarray, owner, x: np.ndarray, constant):
     w = np.exp(1j * theta[:, :, None] * freqs) * d_ac[owner]
     wh = w.conj().transpose(0, 2, 1)
     eigvals, eigvecs = np.linalg.eigh((w @ wh).real / j)
+    v, v_col = eigvecs[:, :, -1], eigvecs[:, :, -1:]
     lw = w * freqs
     # r[k, p] = Re sum_l i l W_kl conj(W_pl), so (r v)_k = Re sum_l i l W_kl conj(u_l)
     r = -(lw @ wh).imag
-    rv = (r @ eigvecs[:, :, -1:])[:, :, 0]
-    grad = -2.0 * (eigvecs[:, :, -1] * rv)[:, 1:] / j
-    return constant - eigvals[:, -1], grad, (lw, eigvals, eigvecs, r, rv)
+    rv = (r @ v_col)[:, :, 0]
+    gap = eigvals[:, -1:] - eigvals[:, :-1]
+    hess = None
+    if hessian:
+        s = (lw @ lw.conj().transpose(0, 2, 1)).real
+        # v' d2Q/dtheta_k dtheta_p v = -(2/J) (delta_kp v_k (s v)_k - v_k v_p s_kp)
+        d2q = v[:, :, None] * v[:, None, :] * s
+        d2q[:, np.arange(j), np.arange(j)] -= v * (s @ v_col)[:, :, 0]
+        # mix[i, k] = e_i' dQ/dtheta_k v over the other eigenvectors e_i
+        others = eigvecs[:, :, :-1]
+        mix = (others.transpose(0, 2, 1) * rv[:, None, :]
+               + (r @ others).transpose(0, 2, 1) * v[:, None, :]) / j
+        with np.errstate(divide="ignore", invalid="ignore"):  # ties: a zero gap
+            d2lam = 2.0 * d2q / j + 2.0 * (mix.transpose(0, 2, 1) / gap[:, None, :]) @ mix
+        hess = -d2lam[:, 1:, 1:]
+    return ShiftEvaluation(value=constant - eigvals[:, -1], grad=-2.0 * (v * rv)[:, 1:] / j,
+                           hess=hess, energy=eigvals[:, -1], lead=v,
+                           tie_break=gap[:, -1] < EIGENVALUE_TIE)
 
 
 def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) -> ShiftEvaluation:
     """Criterion at free shifts ``x`` = theta_2..theta_J (theta_1 = 0), profiled: C - lambda_max(Q).
 
     The one-row case of :func:`shift_objective_stack`: one W, one
-    Q = Re(W W^H)/J, one eigendecomposition.  With v the leading unit
-    eigenvector and u = v'W, Hellmann-Feynman gives d lambda / d theta_k
-    = 2 v_k Re sum_l i l W_kl conj(u_l) / J; the Hessian adds v' d2Q v to the
-    second-order perturbation sum over the other eigenpairs.
+    Q = Re(W W^H)/J, one eigendecomposition.
 
     Raises
     ------
@@ -243,29 +278,10 @@ def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) ->
         If Q carries no energy at all (constant curves).
     """
     ctx.require_energy()
-    j = ctx.n_curves
-    value, grad, rows = shift_objective_stack(ctx.d_ac[None], [0], np.atleast_2d(x), ctx.shift_constant)
-    lw, eigvals, eigvecs, r, rv = (a[0] for a in rows)
-    v = eigvecs[:, -1]
-    tie = bool(eigvals[-1] - eigvals[-2] < EIGENVALUE_TIE)
-    hess = None
-    if hessian and not tie:
-        s = (lw @ lw.conj().T).real
-        # v' d2Q/dtheta_k dtheta_p v = -(2/J) (delta_kp v_k (s v)_k - v_k v_p s_kp)
-        d2q = 2.0 * (np.outer(v, v) * s - np.diag(v * (s @ v))) / j
-        # mix[i, k] = e_i' dQ/dtheta_k v over the other eigenvectors e_i
-        others = eigvecs[:, :-1]
-        mix = (others.T * rv + (r @ others).T * v) / j
-        d2lam = d2q + 2.0 * (mix.T / (eigvals[-1] - eigvals[:-1])) @ mix
-        hess = -d2lam[1:, 1:]
-    return ShiftEvaluation(
-        value=float(value[0]),
-        grad=grad[0],
-        hess=hess,
-        energy=float(eigvals[-1]),
-        lead=v,
-        tie_break=tie,
-    )
+    ev = shift_objective_stack(ctx.d_ac[None], [0], np.atleast_2d(x), ctx.shift_constant, hessian)
+    tie = bool(ev.tie_break[0])
+    return ShiftEvaluation(float(ev.value[0]), ev.grad[0], None if ev.hess is None or tie else ev.hess[0],
+                           float(ev.energy[0]), ev.lead[0], tie)
 
 
 def phase_weight(offsets, a, a_star) -> complex:

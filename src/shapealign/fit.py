@@ -2,15 +2,16 @@
 
 Levels and scales have exact profiles (column means; leading eigenvector
 of the cross-coefficient matrix Q), so the search runs only over the J-1
-free shifts, where the criterion is C - lambda_max(Q).  One kernel,
-:func:`criterion.profiled_shift_objective`, gives its value, gradient and
-exact Hessian from a single eigendecomposition.  Candidate shifts come
-from a cross-correlation grid scan whose combinations are ranked with one
-stacked eigenvalue call.  One lockstep BFGS search, a row per start,
-refines the candidates of every fit in a batch (:func:`fit` is the batch of
-one); each fit's best endpoint alone then gets a Newton polish with the
-exact Hessian, which drives the gradient toward machine zero in
-well-conditioned cases and certifies the minimum.
+free shifts, where the criterion is C - lambda_max(Q).  One stacked kernel,
+:func:`criterion.shift_objective_stack`, gives its value, gradient and
+exact Hessian at many rows of shifts, one eigendecomposition per row.
+:func:`fit_batch` fits a batch per (J, m) group (:func:`fit` is the batch
+of one), each stage in stacked calls whose rows do not interact: a
+cross-correlation grid scan whose combinations are ranked with one
+eigenvalue call; one lockstep BFGS search, a row per start; a lockstep
+Newton polish with the exact Hessian of each fit's best endpoint, which
+drives the gradient toward machine zero in well-conditioned cases and
+certifies the minimum; and the assembly of the estimates.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import numpy as np
 from .criterion import (
     CriterionContext,
     ShiftEvaluation,
-    criterion_value,
-    profiled_coefficients,
-    profiled_mean,
+    criterion_stack,
     profiled_shift_objective,
+    rowdot,
     shift_objective_stack,
 )
 from .errors import ConfigInvalid
@@ -102,12 +102,14 @@ def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
     """
     theta = np.asarray(theta, dtype=float)
     ev = profiled_shift_objective(ctx, theta[1:] - theta[0])  # only differences enter
-    lead = ev.lead
-    nz = np.flatnonzero(lead)
-    if nz.size and lead[nz[0]] < 0:
-        lead = -lead
-    return AmplitudeProfile(a=np.sqrt(ctx.n_curves) * lead, energy=ev.energy,
+    return AmplitudeProfile(a=_sphere_scales(ev.lead[None])[0], energy=ev.energy,
                             tie_break=ev.tie_break)
+
+
+def _sphere_scales(lead: np.ndarray) -> np.ndarray:
+    """Rows of unit eigenvectors (K, J) as scales on the sphere, first nonzero coordinate positive."""
+    first = np.take_along_axis(lead, np.argmax(lead != 0, axis=1)[:, None], axis=1)
+    return np.sqrt(lead.shape[1]) * np.where(first < 0, -lead, lead)
 
 
 def _profiled_levels(ctx: CriterionContext, a: np.ndarray) -> np.ndarray:
@@ -129,50 +131,64 @@ def initialize_shifts(ctx: CriterionContext, config: FitConfig) -> list[np.ndarr
     the combinations re-ranked by the profiled criterion C - lambda_max(Q),
     all with one stacked eigenvalue call.  Returns the best ``n_multistart``
     shift vectors (theta_1 = 0), best first; raises DegenerateSpectrum if
-    the band carries no energy at all (constant curves).
+    the band carries no energy at all (constant curves).  The one-job case
+    of :func:`initialize_shifts_batch`.
     """
-    ctx.require_energy()
-    j = ctx.n_curves
-    grid_size = config.theta_grid_size or ctx.n
-    deltas = TWO_PI * np.arange(grid_size) / grid_size
-    cross = np.conj(ctx.d_ac[0])[None, :] * ctx.d_ac
-    scores = np.abs(cross @ np.exp(1j * np.outer(ctx.freqs, deltas)))  # (J, grid)
+    return list(initialize_shifts_batch([ctx], config)[0])
 
+
+def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
+    """:func:`initialize_shifts` for contexts of one (J, m) and scan grid: one score matmul,
+    one stable argsort per row and one eigenvalue call over every combination of every
+    context.  Each context's candidates (n_multistart, J) are bitwise those it gets alone.
+    """
+    for ctx in contexts:
+        ctx.require_energy()
+    j, freqs = contexts[0].n_curves, contexts[0].freqs
+    grid_size = config.theta_grid_size or contexts[0].n
     k = min(config.n_multistart, grid_size)
-    per_curve = [np.argsort(-scores[c], kind="stable")[:k] for c in range(1, j)]
+    per_call = max(1, 2**15 // k ** (j - 1))  # bounds the memory of the combinations
+    if len(contexts) > per_call:
+        return [starts for i in range(0, len(contexts), per_call)
+                for starts in initialize_shifts_batch(contexts[i:i + per_call], config)]
+    deltas = TWO_PI * np.arange(grid_size) / grid_size
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    cross = np.conj(d_ac[:, :1]) * d_ac
+    scores = np.abs(cross @ np.exp(1j * np.outer(freqs, deltas)))  # (F, J, grid)
+
+    top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
     # rows in itertools.product order: the first free curve varies slowest
-    combos = np.stack(np.meshgrid(*per_curve, indexing="ij"), axis=-1).reshape(-1, j - 1)
-    if len(combos) > 1024:
-        weight = np.zeros(len(combos))
+    ranks = np.stack(np.meshgrid(*[np.arange(k)] * (j - 1), indexing="ij"), axis=-1)
+    combos = top[:, np.arange(j - 1), ranks.reshape(-1, j - 1)]  # (F, K, J-1)
+    if combos.shape[1] > 1024:
+        weight = np.zeros(combos.shape[:2])
         for c in range(j - 1):
-            weight += scores[c + 1, combos[:, c]]
-        combos = combos[np.argsort(-weight, kind="stable")[:1024]]
+            weight += np.take_along_axis(scores[:, c + 1], combos[:, :, c], axis=1)
+        keep = np.argsort(-weight, axis=1, kind="stable")[:, :1024]
+        combos = np.take_along_axis(combos, keep[:, :, None], axis=1)
 
-    thetas = np.zeros((len(combos), j))
-    thetas[:, 1:] = deltas[combos]
-    w = np.exp(1j * thetas[:, :, None] * ctx.freqs) * ctx.d_ac
-    q = (w @ w.conj().transpose(0, 2, 1)).real / j
-    values = ctx.shift_constant - np.linalg.eigvalsh(q)[:, -1]
-    order = np.argsort(values, kind="stable")[: config.n_multistart]
-    return list(thetas[order])
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products by matmul: each row's bits are those of its 1-D ``a @ b``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    thetas = np.zeros(combos.shape[:2] + (j,))
+    thetas[:, :, 1:] = deltas[combos]
+    w = np.exp(1j * thetas[:, :, :, None] * freqs) * d_ac[:, None]
+    q = (w @ w.conj().swapaxes(-1, -2)).real / j
+    constant = np.array([ctx.shift_constant for ctx in contexts])
+    values = constant[:, None] - np.linalg.eigvalsh(q)[:, :, -1]
+    order = np.argsort(values, axis=1, kind="stable")[:, : config.n_multistart]
+    return list(np.take_along_axis(thetas, order[:, :, None], axis=1))
 
 
 def _lockstep_bfgs(fun_grad, x0: np.ndarray, config: FitConfig):
     """BFGS with backtracking Armijo line search from every row of ``x0`` (K, d) in lockstep.
 
-    ``fun_grad(x, rows)`` gives values and gradients of rows ``rows`` at ``x``.  A row
-    stops when its gradient vanishes, when step and gain both drop below their
-    tolerances, when no descent step is representable, or when the budget is spent;
-    the fit certifies the end.  Returns (x, f, iterations, f at x0) per row.
+    ``fun_grad(x, rows)`` gives values and gradients (its first two items) of rows
+    ``rows`` at ``x``.  A row stops when its gradient vanishes, when step and gain
+    both drop below their tolerances, when no descent step is representable, or
+    when the budget is spent; the fit certifies the end.  Returns (x, f, iterations,
+    f at x0) per row.
     """
     x = np.array(x0, dtype=float)
     k, dim = x.shape
-    f, g = fun_grad(x, np.arange(k))
+    f, g = fun_grad(x, np.arange(k))[:2]
     f_start, eye = f.copy(), np.eye(dim)
     h_inv = np.tile(eye, (k, 1, 1))
     iterations = np.zeros(k, dtype=int)
@@ -183,11 +199,11 @@ def _lockstep_bfgs(fun_grad, x0: np.ndarray, config: FitConfig):
         live = live[~(np.max(np.abs(g[live]), axis=1) <= 1e-14 * np.fmax(1.0, np.abs(f[live])))]
         gl = g[live]
         direction = (-h_inv[live] @ gl[:, :, None])[:, :, 0]
-        slope = _rowdot(gl, direction)
+        slope = rowdot(gl, direction)
         uphill = slope >= 0.0
         h_inv[live[uphill]] = eye
         direction[uphill] = -gl[uphill]
-        slope[uphill] = -_rowdot(gl[uphill], gl[uphill])
+        slope[uphill] = -rowdot(gl[uphill], gl[uphill])
         step = np.ones(live.size)
         x_new, f_new, g_new = np.empty_like(gl), np.empty(live.size), np.empty_like(gl)
         todo = np.arange(live.size)  # rows still searching
@@ -195,14 +211,14 @@ def _lockstep_bfgs(fun_grad, x0: np.ndarray, config: FitConfig):
             if not todo.size:
                 break
             x_new[todo] = x[live[todo]] + step[todo, None] * direction[todo]
-            f_new[todo], g_new[todo] = fun_grad(x_new[todo], live[todo])
+            f_new[todo], g_new[todo] = fun_grad(x_new[todo], live[todo])[:2]
             todo = todo[~(f_new[todo] <= f[live[todo]] + 1e-4 * step[todo] * slope[todo])]
             step[todo] *= 0.5
         moved = np.isin(np.arange(live.size), todo, invert=True)  # todo: no descent step found
         live, x_new, f_new, g_new = live[moved], x_new[moved], f_new[moved], g_new[moved]
         s, yv = x_new - x[live], g_new - g[live]
-        sy = _rowdot(s, yv)
-        curved = sy > 1e-12 * np.sqrt(_rowdot(s, s)) * np.sqrt(_rowdot(yv, yv))
+        sy = rowdot(s, yv)
+        curved = sy > 1e-12 * np.sqrt(rowdot(s, s)) * np.sqrt(rowdot(yv, yv))
         rows, sc, rho = live[curved], s[curved], (1.0 / sy[curved])[:, None, None]
         v = eye - rho * (sc[:, :, None] * yv[curved][:, None, :])
         h_inv[rows] = v @ h_inv[rows] @ v.transpose(0, 2, 1) + rho * (sc[:, :, None] * sc[:, None, :])
@@ -213,33 +229,49 @@ def _lockstep_bfgs(fun_grad, x0: np.ndarray, config: FitConfig):
     return x, f, iterations, f_start
 
 
-def _newton_polish(ctx: CriterionContext, x, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
-    """Damped Newton refinement with the exact shift Hessian.
+def _newton_polish(fun, x: np.ndarray, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
+    """Damped Newton refinement with the exact shift Hessian, every row of ``x`` (K, d) in lockstep.
 
-    Steps are accepted only while they shrink the gradient's max norm.  Spends at
-    most ``rounds`` Hessians; returns the final free shifts and their evaluation.
+    ``fun(x, rows, hessian)`` evaluates rows ``rows`` at ``x``; each round makes one
+    call with Hessians over the rows still going.  A row accepts a step only while
+    it shrinks its gradient's max norm, and stops at a tie, a vanishing gradient, a
+    singular or non-finite Newton step, a failed 20-halving line search, or after
+    ``rounds`` Hessians.  Returns the final free shifts and their evaluations.
     """
-    for r in range(rounds):
-        ev = profiled_shift_objective(ctx, x, hessian=True)
-        gnorm = np.max(np.abs(ev.grad))
-        if r == rounds - 1 or ev.hess is None or gnorm <= 1e-15 * max(1.0, abs(ev.value)):
-            break
-        try:
-            step = np.linalg.solve(ev.hess, -ev.grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        t = 1.0
+    x = np.array(x, dtype=float)
+    live = np.arange(len(x))
+    final = fun(x, live, True)
+    for _ in range(rounds - 1):
+        grad = final.grad[live]
+        gnorm = np.max(np.abs(grad), axis=1)
+        going = ~(final.tie_break[live] | (gnorm <= 1e-15 * np.fmax(1.0, np.abs(final.value[live]))))
+        live, gnorm, step = live[going], gnorm[going], _newton_steps(final.hess[live[going]], -grad[going])
+        live, gnorm, step = (a[np.all(np.isfinite(step), axis=1)] for a in (live, gnorm, step))
+        t, todo = np.ones(live.size), np.arange(live.size)  # todo: rows still searching
         for _ in range(20):
-            x_try = x + t * step
-            if np.max(np.abs(profiled_shift_objective(ctx, x_try).grad)) < gnorm:
-                x = x_try
+            if not todo.size:
                 break
-            t *= 0.5
-        else:
+            x_try = x[live[todo]] + t[todo, None] * step[todo]
+            shrunk = np.max(np.abs(fun(x_try, live[todo], False).grad), axis=1) < gnorm[todo]
+            x[live[todo[shrunk]]] = x_try[shrunk]
+            todo = todo[~shrunk]
+            t[todo] *= 0.5
+        live = np.delete(live, todo)
+        if not live.size:
             break
-    return x, ev
+        for whole, part in zip(final, fun(x[live], live, True)):
+            whole[live] = part
+    return x, final
+
+
+def _newton_steps(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each (d, d) system of ``hess`` for its row of ``rhs``; a singular one gives NaN."""
+    try:
+        return np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a singular system: solve the rows one at a time
+        if len(hess) == 1:
+            return np.full_like(rhs, np.nan)
+        return np.vstack([_newton_steps(hess[i:i + 1], rhs[i:i + 1]) for i in range(len(hess))])
 
 
 @dataclass
@@ -265,31 +297,22 @@ class FitResult:
 
 
 def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
-    """Fit each ``(panel, regime)`` of ``jobs``, every start of the jobs of one (J, m) in one search.
+    """Fit each ``(panel, regime)`` of ``jobs``, every stage stacked over the jobs of one (J, m).
 
-    Rows of the stacked kernel do not interact, so each result is bitwise the
+    Jobs that share J, m and the scan grid are scanned, searched, polished and assembled
+    together in stacked calls whose rows do not interact, so each result is bitwise the
     one :func:`fit` gives for that job alone.
     """
     contexts = [CriterionContext(panel, config.resolve_m(panel.grid.n), regime)
                 for panel, regime in jobs]
-    starts = [initialize_shifts(ctx, config) for ctx in contexts]
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for i, ctx in enumerate(contexts):
-        groups.setdefault((ctx.n_curves, ctx.m), []).append(i)
-    searches = [None] * len(contexts)
+        groups.setdefault((ctx.n_curves, ctx.m, config.theta_grid_size or ctx.n), []).append(i)
+    results = [None] * len(contexts)
     for members in groups.values():
-        counts = [len(starts[i]) for i in members]
-        d_ac = np.stack([contexts[i].d_ac for i in members])
-        owner = np.repeat(np.arange(len(members)), counts)
-        constant = np.array([contexts[i].shift_constant for i in members])[owner]
-        x0 = np.vstack([theta0[1:] for i in members for theta0 in starts[i]])
-        search = _lockstep_bfgs(
-            lambda xs, rows: shift_objective_stack(d_ac, owner[rows], xs, constant[rows])[:2],
-            x0, config)
-        for i, *rows in zip(members, *(np.split(a, np.cumsum(counts)[:-1]) for a in search)):
-            searches[i] = rows
-    return [_finish(ctx, cands, *search, config)
-            for ctx, cands, search in zip(contexts, starts, searches)]
+        for i, result in zip(members, _fit_group([contexts[i] for i in members], config)):
+            results[i] = result
+    return results
 
 
 def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConfig()) -> FitResult:
@@ -306,59 +329,71 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     return fit_batch([(panel, regime)], config)[0]
 
 
-def _finish(ctx: CriterionContext, candidates, x_end, f_end, iters, f_start,
-            config: FitConfig) -> FitResult:
-    """Polish the best search endpoint of one job and assemble its result."""
-    best = None  # (f, x, wrapped x), first best in start order
-    for x, f in zip(x_end, f_end):
-        wrapped = tuple(np.mod(x, TWO_PI))
-        if (best is None or f < best[0] - config.tol_objective
-                or (abs(f - best[0]) <= config.tol_objective and wrapped < best[2])):
-            best = (f, x, wrapped)
-    start_profile = [(tuple(np.round(theta0, 12)), float(f0))
-                     for theta0, f0 in zip(candidates, f_start)]
+def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
+    """Scan, search, polish and assemble jobs of one (J, m) and scan grid, each stage stacked."""
+    starts = initialize_shifts_batch(contexts, config)
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    constants = np.array([ctx.shift_constant for ctx in contexts])
 
-    x_best, ev = _newton_polish(ctx, best[1])
-    theta = np.mod(np.concatenate([[0.0], x_best]), TWO_PI)
+    def kernel(owner):
+        return lambda xs, rows, hessian=False: shift_objective_stack(
+            d_ac, owner[rows], xs, constants[owner[rows]], hessian)
+
+    counts = [len(s) for s in starts]
+    bounds = np.cumsum([0] + counts)
+    x_end, f_end, iters, f_start = _lockstep_bfgs(
+        kernel(np.repeat(np.arange(len(contexts)), counts)), np.concatenate(starts)[:, 1:], config)
+    wrapped = np.mod(x_end, TWO_PI)
+    best = [lo + _first_best(f_end[lo:hi], wrapped[lo:hi], config.tol_objective)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    x_best, ev = _newton_polish(kernel(np.arange(len(contexts))), x_end[best])
+
+    theta = np.mod(np.concatenate([np.zeros((len(contexts), 1)), x_best], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
-    amp = profile_amplitude(ctx, theta)
-    ups = _profiled_levels(ctx, amp.a)
-    params, _ = project_to_constraints(theta, amp.a, ups, ctx.regime, sigma=1.0)
+    profile = shift_objective_stack(d_ac, np.arange(len(contexts)), theta[:, 1:], constants)
+    projected = [project_to_constraints(th, a, _profiled_levels(ctx, a), ctx.regime, sigma=1.0)[0]
+                 for ctx, th, a in zip(contexts, theta, _sphere_scales(profile.lead))]
+    objective, coeffs = criterion_stack(contexts, *(np.array([getattr(p, name) for p in projected])
+                                                   for name in ("theta", "a", "upsilon")))
+    gnorm_ok = np.max(np.abs(ev.grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(ev.value))
+    certified = gnorm_ok & ev.tie_break  # the shift Hessian is checked where there is no tie
+    need = gnorm_ok & ~ev.tie_break & np.isfinite(ev.hess).all(axis=(1, 2))
+    certified[need] = np.linalg.eigvalsh(ev.hess[need])[:, 0] > 0.0
+    rounded, results = np.round(np.concatenate(starts), 12), []
+    for f, (ctx, params) in enumerate(zip(contexts, projected)):
+        lo, hi, obj = bounds[f], bounds[f + 1], float(objective[f])
+        sigma_hat = math.sqrt(obj) if obj > 0.0 else 0.0
+        params = ParameterSet(
+            theta=params.theta, a=params.a, upsilon=params.upsilon,
+            sigma=sigma_hat, regime=ctx.regime,
+        )
+        results.append(FitResult(
+            beta_hat=params,
+            sigma_hat=sigma_hat,
+            shape_hat=ShapeSpectrum(m=ctx.m, coeffs=coeffs[f]),
+            objective=obj,
+            iterations=int(iters[lo:hi].sum()),
+            restarts=len(starts[f]),
+            converged=bool(np.all(np.isfinite(params.free_values())) and math.isfinite(obj)
+                           and certified[f]),
+            zero_noise=obj <= 0.0,
+            tie_break=bool(profile.tie_break[f]),
+            n=ctx.n,
+            m=ctx.m,
+            start_profile=[(tuple(theta0), float(f0))
+                           for theta0, f0 in zip(rounded[lo:hi], f_start[lo:hi])],
+        ))
+    return results
 
-    objective = criterion_value(ctx, params.theta, params.a, params.upsilon)
-    zero_noise = objective <= 0.0
-    sigma_hat = math.sqrt(objective) if objective > 0.0 else 0.0
-    params = ParameterSet(
-        theta=params.theta, a=params.a, upsilon=params.upsilon,
-        sigma=sigma_hat, regime=ctx.regime,
-    )
 
-    converged = bool(
-        np.all(np.isfinite(params.free_values())) and math.isfinite(objective)
-        and np.max(np.abs(ev.grad)) <= 1e-8 * max(1.0, abs(ev.value))
-        and (ev.tie_break or np.linalg.eigvalsh(ev.hess)[0] > 0.0)
-    )
-
-    shape = profiled_coefficients(ctx, params.theta, params.a)
-    if ctx.regime.kind is Regime.A1:
-        coeffs = shape.coeffs.copy()
-        coeffs[shape.m] = profiled_mean(ctx, params.a, params.upsilon)
-        shape = ShapeSpectrum(m=shape.m, coeffs=coeffs)
-
-    return FitResult(
-        beta_hat=params,
-        sigma_hat=sigma_hat,
-        shape_hat=shape,
-        objective=objective,
-        iterations=int(iters.sum()),
-        restarts=len(candidates),
-        converged=converged,
-        zero_noise=zero_noise,
-        tie_break=amp.tie_break,
-        n=ctx.n,
-        m=ctx.m,
-        start_profile=start_profile,
-    )
+def _first_best(f_end: np.ndarray, wrapped: np.ndarray, tol: float) -> int:
+    """Index of the best endpoint: least value beyond ``tol``, then least wrapped shifts."""
+    best = 0  # the first of equals in start order
+    for k in range(1, len(f_end)):
+        if (f_end[k] < f_end[best] - tol
+                or (abs(f_end[k] - f_end[best]) <= tol and tuple(wrapped[k]) < tuple(wrapped[best]))):
+            best = k
+    return best
 
 
 def estimate_shape(result: FitResult, allow_unconverged: bool = False):

@@ -12,9 +12,11 @@ import numpy as np
 
 from shapealign.criterion import (
     CriterionContext,
+    ShiftEvaluation,
     criterion_gradient,
     criterion_value,
     phase_weight,
+    profiled_shift_objective,
 )
 from shapealign.fit import FitConfig, _profiled_levels, fit, profile_amplitude
 from shapealign.fourier import TWO_PI, ShapeSpectrum, make_grid
@@ -168,6 +170,37 @@ def bfgs_per_start(fun_grad, x0, f0, g0, config: FitConfig):
         if np.max(np.abs(s)) <= config.tol_param and gain <= config.tol_objective * max(1.0, abs(f)):
             break
     return x, f, iterations
+
+
+def newton_polish_per_fit(ctx: CriterionContext, x, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
+    """Damped Newton refinement with the exact shift Hessian, one fit at a time.
+
+    The rules and constants of the stacked polish ``fit._newton_polish``, which
+    must match it: steps are accepted only while they shrink the gradient's max
+    norm, and at most ``rounds`` Hessians are spent.  Returns the final free
+    shifts and their evaluation.
+    """
+    for r in range(rounds):
+        ev = profiled_shift_objective(ctx, x, hessian=True)
+        gnorm = np.max(np.abs(ev.grad))
+        if r == rounds - 1 or ev.hess is None or gnorm <= 1e-15 * max(1.0, abs(ev.value)):
+            break
+        try:
+            step = np.linalg.solve(ev.hess, -ev.grad)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        t = 1.0
+        for _ in range(20):
+            x_try = x + t * step
+            if np.max(np.abs(profiled_shift_objective(ctx, x_try).grad)) < gnorm:
+                x = x_try
+                break
+            t *= 0.5
+        else:
+            break
+    return x, ev
 
 
 def run_study_per_regime(config: StudyConfig) -> StudyReport:

@@ -2,12 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import shapealign as sa
-from shapealign.cli import main
+from shapealign.cli import _build_parser, main
 from shapealign.io import dumps_canonical, write_atomic
 
 FIXTURE_PANEL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_panel.csv")
@@ -121,6 +123,33 @@ def test_usage_errors_exit_code():
     assert main(["fit", "--input"]) == 1          # missing value
     assert main(["fit"]) == 1                     # missing required flags
     assert main(["frobnicate"]) == 1              # unknown command
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process, so a call must not see the calls before it
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(_tiny_config_doc()))
+    steps = [
+        ["fit", "--input"],
+        ["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", str(tmp_path / "{}fit.json")],
+        ["simulate", "--config", cfg_path, "--out", str(tmp_path / "{}study.json")],
+        ["fit", "--input", FIXTURE_PANEL, "--m", "five", "--out", str(tmp_path / "{}bad.json")],
+    ]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in steps:
+        code = main([arg.format("same-") for arg in argv])
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        fresh = subprocess.run([sys.executable, "-m", "shapealign.cli",
+                                *(arg.format("fresh-") for arg in argv)],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert code == fresh.returncode
+        assert errors == [line for line in fresh.stderr.splitlines() if line.startswith("error:")]
+    assert _build_parser() is _build_parser()
+    for name in ("fit.json", "study.json"):
+        assert (tmp_path / f"same-{name}").read_bytes() == (tmp_path / f"fresh-{name}").read_bytes()
+    assert not (tmp_path / "same-bad.json").exists() and not (tmp_path / "fresh-bad.json").exists()
+    assert len(errors) == 1 and "--m" in errors[0]
 
 
 def test_simulate_roundtrip_and_determinism(tmp_path):

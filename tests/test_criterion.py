@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext, profiled_shift_objective, shift_objective_stack
+from shapealign.criterion import (
+    CriterionContext,
+    criterion_stack,
+    profiled_shift_objective,
+    shift_objective_stack,
+)
 from shapealign.fit import _profiled_levels
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth, sphere_scales
@@ -325,3 +330,50 @@ def test_shift_kernel_stack_rows_do_not_interact(j, m, rng):
     sub_values, sub_grads = shift_objective_stack(d_ac, owner[subset], x[subset], constant[subset])[:2]
     assert sub_values.tobytes() == values[subset].tobytes()
     assert sub_grads.tobytes() == grads[subset].tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 11])
+@pytest.mark.parametrize("j", [2, 3, 5, 8])
+def test_shift_kernel_stack_hessian_rows_do_not_interact(j, m, rng):
+    # stacked Hessians: each row's bits equal the lone one-row kernel's, in any mix
+    contexts = []
+    for k, kind in enumerate((Regime.A0, Regime.A1)):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
+        contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k), m, kind))
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    owner = rng.integers(0, 2, 30)
+    x = rng.uniform(0, 2 * np.pi, (30, j - 1))
+    constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
+    stack = shift_objective_stack(d_ac, owner, x, constant, hessian=True)
+    plain = shift_objective_stack(d_ac, owner, x, constant)
+    assert plain.hess is None and stack.hess.shape == (30, j - 1, j - 1)
+    for got, want in zip(stack, plain):  # asking for Hessians changes nothing else
+        if want is not None:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for k in range(30):
+        ev = profiled_shift_objective(contexts[owner[k]], x[k], hessian=True)
+        assert ev.tie_break == stack.tie_break[k]
+        assert ev.hess.tobytes() == stack.hess[k].tobytes()
+        assert ev.lead.tobytes() == stack.lead[k].tobytes()
+    subset = rng.permutation(30)[:7]
+    sub = shift_objective_stack(d_ac, owner[subset], x[subset], constant[subset], hessian=True)
+    assert sub.hess.tobytes() == stack.hess[subset].tobytes()
+    assert sub.value.tobytes() == stack.value[subset].tobytes()
+
+
+def test_criterion_stack_rows_equal_lone_evaluations(rng):
+    # A0 and A1 rows in one stack: each value, coefficient and A1 mean is that row's alone
+    contexts, points = [], []
+    for k in range(6):
+        kind = (Regime.A0, Regime.A1)[k % 2]
+        truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.7)
+        contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(61), seed=k), 4, kind))
+        points.append(_random_valid_point(rng, 3, kind))
+    theta, a, ups = (np.array(v) for v in zip(*points))
+    values, coeffs = criterion_stack(contexts, theta, a, ups)
+    for k, ctx in enumerate(contexts):
+        assert np.float64(sa.criterion_value(ctx, theta[k], a[k], ups[k])).tobytes() == values[k].tobytes()
+        lone = sa.profiled_coefficients(ctx, theta[k], a[k]).coeffs
+        mean = sa.profiled_mean(ctx, a[k], ups[k]) if ctx.regime.kind is Regime.A1 else 0.0
+        assert np.delete(lone, 4).tobytes() == np.delete(coeffs[k], 4).tobytes()
+        assert coeffs[k][4] == mean

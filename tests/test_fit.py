@@ -11,11 +11,12 @@ from numpy.testing import assert_allclose
 import shapealign as sa
 from shapealign.criterion import CriterionContext, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_bfgs, fit_batch
+from shapealign.fit import FitConfig, _lockstep_bfgs, _newton_polish, fit_batch, initialize_shifts_batch
 from shapealign.io import dumps_canonical, result_document
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth
-from oracles import bfgs_per_start, initialize_shifts_loop, numeric_hessian
+import oracles
+from oracles import bfgs_per_start, initialize_shifts_loop, newton_polish_per_fit, numeric_hessian
 
 
 def _circ(x, y):
@@ -124,22 +125,69 @@ def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("j", [2, 3, 4, 6])
+def test_initialize_shifts_batch_matches_loop_oracle(j, rng):
+    # A0 and A1 jobs of one (J, m) in one batch; at J = 6 the 1024-combination pre-cut runs
+    contexts = []
+    for k, kind in enumerate((Regime.A0, Regime.A1, Regime.A0)):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
+        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=50 + k)
+        contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=kind)))
+    for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24)):
+        for ctx, batched in zip(contexts, initialize_shifts_batch(contexts, config), strict=True):
+            looped = initialize_shifts_loop(ctx, config)
+            assert len(batched) == len(looped)
+            for got, want in zip(batched, looped):
+                assert np.array_equal(got, want)
+
+
+def test_initialize_shifts_batch_in_slices_equals_lone_scans(rng):
+    # 12 jobs at J = 6 hold 12 * 5^5 combinations, more than one slice takes
+    contexts = []
+    for k in range(12):
+        truth, shape = bandlimited_truth(rng, j=6, degree=3, sigma=0.5)
+        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=k)
+        contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=(Regime.A0, Regime.A1)[k % 2])))
+    config = FitConfig(m=3)
+    for ctx, batched in zip(contexts, initialize_shifts_batch(contexts, config), strict=True):
+        assert np.array_equal(batched, sa.initialize_shifts(ctx, config))
+
+
+def _count_hessian_calls(monkeypatch):
+    """Record, per call of the stacked kernel the fitter makes, whether it asked for Hessians."""
+    # the package re-exports the function ``fit`` under the submodule's name
+    fit_module = importlib.import_module("shapealign.fit")
+    kernel = fit_module.shift_objective_stack
+    hessians = []
+
+    def counting(d_ac, owner, x, constant, hessian=False):
+        hessians.append(hessian)
+        return kernel(d_ac, owner, x, constant, hessian)
+
+    monkeypatch.setattr(fit_module, "shift_objective_stack", counting)
+    return hessians
+
+
 def test_fit_polishes_the_best_start_only(rng, monkeypatch):
     truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=14)
-    # the package re-exports the function ``fit`` under the submodule's name
-    fit_module = importlib.import_module("shapealign.fit")
-    kernel = fit_module.profiled_shift_objective
-    hessians = []
-
-    def counting(ctx, x, hessian=False):
-        hessians.append(hessian)
-        return kernel(ctx, x, hessian)
-
-    monkeypatch.setattr(fit_module, "profiled_shift_objective", counting)
+    hessians = _count_hessian_calls(monkeypatch)
     result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
     assert result.restarts == 5
     assert result.converged
+    assert 1 <= sum(hessians) <= 8
+
+
+def test_fit_batch_spends_one_polish_budget_in_total(rng, monkeypatch):
+    # six jobs of one (J, m) share each stacked Hessian call: at most 8 in all
+    jobs = []
+    for k in range(6):
+        truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
+        panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=70 + k)
+        jobs.append((panel, ConstraintRegime(kind=(Regime.A0, Regime.A1)[k % 2])))
+    hessians = _count_hessian_calls(monkeypatch)
+    results = fit_batch(jobs, FitConfig(m=3))
+    assert all(result.converged for result in results)
     assert 1 <= sum(hessians) <= 8
 
 
@@ -356,7 +404,7 @@ _BATCH_GRIDS = (21, 41, 81, 257)   # resolved bands m = 2, 2, 3, 4
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       jobs=st.lists(st.tuples(st.integers(2, 4), st.sampled_from(_BATCH_GRIDS),
+       jobs=st.lists(st.tuples(st.integers(2, 6), st.sampled_from(_BATCH_GRIDS),
                                st.sampled_from(["a0", "a1"])), min_size=2, max_size=5))
 def test_fit_batch_equals_lone_fits_property(seed, jobs):
     rng = np.random.default_rng(seed)
@@ -371,3 +419,85 @@ def test_fit_batch_equals_lone_fits_property(seed, jobs):
         assert (dumps_canonical(result_document(together, None))
                 == dumps_canonical(result_document(alone, None)))
         assert together.start_profile == alone.start_profile
+
+
+# Hessian multiplier per panel of the polish batch: as computed, flipped (a step
+# that grows the gradient, so the line search fails), zero (a singular system,
+# so the stacked solve raises and falls back to one row at a time), NaN (a
+# non-finite Newton step)
+_POLISH_FACTORS = (1.0, -1.0, 1.0, 0.0, 1.0, np.nan)
+
+
+def _polish_batch(rng, j):
+    """Contexts of one (J, m) with A0 and A1 mixed, their Hessian factors, and start rows.
+
+    The last context has J identical single-tone curves; its one start, equally
+    spaced shifts, is an eigenvalue tie.
+    """
+    contexts = []
+    for k in range(len(_POLISH_FACTORS)):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
+        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=80 + k)
+        contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=(Regime.A0, Regime.A1)[k % 2])))
+    grid = sa.make_grid(61)
+    tone = sa.CurvePanel(grid=grid, y=np.tile(np.cos(grid.points), (j, 1)))
+    contexts.append(CriterionContext(tone, 3, ConstraintRegime(kind=Regime.A1)))
+    x0, owner = [], []
+    for i, ctx in enumerate(contexts[:-1]):
+        best = sa.initialize_shifts(ctx, FitConfig(m=3))[0][1:]
+        x0 += [best, best + rng.normal(0.0, 1e-3, j - 1), rng.uniform(0.0, 2 * np.pi, j - 1)]
+        owner += [i] * 3
+    x0.append(2 * np.pi * np.arange(1, j) / (4 if j == 2 else j))
+    owner.append(len(contexts) - 1)
+    factors = np.array(_POLISH_FACTORS + (1.0,))
+    return contexts, factors, np.array(x0), np.array(owner)
+
+
+@pytest.mark.parametrize("rounds", [8, 1])
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
+def test_newton_polish_matches_per_fit_oracle(j, rounds, rng, monkeypatch):
+    contexts, factors, x0, owner = _polish_batch(rng, j)
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    constant = np.array([ctx.shift_constant for ctx in contexts])
+
+    def fun(xs, rows, hessian=False):
+        ev = shift_objective_stack(d_ac, owner[rows], xs, constant[owner[rows]], hessian)
+        if hessian:
+            ev.hess[:] = ev.hess * factors[owner[rows]][:, None, None]
+        return ev
+
+    kernel = oracles.profiled_shift_objective
+    factor_of = {id(ctx): factor for ctx, factor in zip(contexts, factors)}
+
+    def tweaked(ctx, x, hessian=False):
+        ev = kernel(ctx, x, hessian)
+        if ev.hess is None:
+            return ev
+        return ev._replace(hess=ev.hess * factor_of[id(ctx)])
+
+    monkeypatch.setattr(oracles, "profiled_shift_objective", tweaked)
+    x, ev = _newton_polish(fun, x0, rounds)
+
+    def close(got, want):  # bytes at J = 2, else 1e-12 relative; NaN (factor NaN) matches NaN
+        got, want = np.asarray(got), np.asarray(want)
+        if j == 2:
+            return got.tobytes() == want.tobytes()
+        scale = max(1.0, np.max(np.abs(want), initial=0.0, where=np.isfinite(want)))
+        return np.allclose(got, want, rtol=0.0, atol=1e-12 * scale, equal_nan=True)
+
+    for k in range(len(x0)):
+        x_ref, ev_ref = newton_polish_per_fit(contexts[owner[k]], x0[k], rounds)
+        assert close(x[k], x_ref)
+        assert close(ev.value[k], ev_ref.value) and close(ev.grad[k], ev_ref.grad)
+        assert ev.tie_break[k] == ev_ref.tie_break == (ev_ref.hess is None)
+        if ev_ref.hess is not None:
+            assert close(ev.hess[k], ev_ref.hess)
+
+    kept = np.all(x == x0, axis=1)
+    assert ev.tie_break[-1] and kept[-1]
+    assert np.all(kept[np.isin(owner, np.flatnonzero((factors == 0.0) | np.isnan(factors)))])
+    if rounds == 1:
+        assert np.all(kept)
+    else:
+        assert np.any(kept[owner == 1])           # a failed line search
+        assert not np.all(kept[factors[owner] == 1.0])  # while other rows step
