@@ -4,13 +4,14 @@ Everything downstream relies on the discrete orthogonality of the complex
 exponentials e^{ilt} on the grid t_i = 2*pi*i/n with n odd: frequencies
 l, p with |l|, |p| < n/2 are exactly orthogonal, so truncated Fourier
 coefficients computed by direct summation are exact for band-limited
-signals.  Analysis is direct summation against a twiddle table, O(n*m);
-synthesis on the grid is one inverse FFT; both enforce the band guard
-2*m < n explicitly.
+signals.  Analysis is direct summation against a twiddle table built once
+per (n, m), O(n*m) per curve; synthesis on the grid is one inverse FFT;
+both enforce the band guard 2*m < n explicitly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +81,15 @@ class DftBlock:
         return complex(self.coeffs[l + self.m])
 
 
-def _twiddle_table(points: np.ndarray, m: int) -> np.ndarray:
-    """Rows e^{-i l t_s} for l = -m..m; negative rows are exact conjugates."""
-    pos = np.exp(-1j * np.outer(np.arange(1, m + 1), points))
-    table = np.empty((2 * m + 1, points.size), dtype=complex)
+@functools.lru_cache(maxsize=8)
+def _twiddle_table(n: int, m: int) -> np.ndarray:
+    """Read-only rows e^{-i l t_s}, l = -m..m, of the n-point grid; negative rows are exact conjugates."""
+    pos = np.exp(-1j * np.outer(np.arange(1, m + 1), make_grid(n).points))
+    table = np.empty((2 * m + 1, n), dtype=complex)
     table[m + 1:] = pos
     table[m] = 1.0
     table[:m] = np.conj(pos[::-1])
+    table.flags.writeable = False
     return table
 
 
@@ -111,7 +114,7 @@ def dft(samples: np.ndarray, grid: SamplingGrid, m: int) -> DftBlock:
         raise BandTooWide(f"band limit must be >= 1, got {m}")
     if 2 * m >= grid.n:
         raise BandTooWide(f"band limit {m} violates 2*m < n for n={grid.n}")
-    coeffs = _twiddle_table(grid.points, m) @ y / grid.n
+    coeffs = _twiddle_table(grid.n, m) @ y / grid.n
     return DftBlock(m=m, coeffs=coeffs, source_n=grid.n)
 
 

@@ -76,6 +76,17 @@ def test_dft_hermitian_symmetry_is_exact(rng):
         assert block.coeff(-l) == np.conj(block.coeff(l))
 
 
+def test_dft_shares_one_read_only_twiddle_table_per_grid_and_band(rng):
+    from shapealign.fourier import _twiddle_table
+
+    table = _twiddle_table(31, 4)
+    assert _twiddle_table(31, 4) is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    samples = rng.normal(size=31)
+    assert sa.dft(samples, sa.make_grid(31), 4).coeffs.tobytes() == (table @ samples / 31).tobytes()
+
+
 def test_dft_guards():
     grid = sa.make_grid(11)
     with pytest.raises(BandTooWide):
