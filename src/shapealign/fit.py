@@ -8,9 +8,9 @@ exact Hessian at many rows of shifts, one eigendecomposition per row.
 :func:`fit_batch` fits a batch per (J, m) group (:func:`fit` is the batch
 of one), each stage in stacked calls whose rows do not interact: a
 cross-correlation grid scan whose combinations are ranked with one
-eigenvalue call; one lockstep BFGS search, a row per start; a lockstep
-Newton polish with the exact Hessian of each fit's best endpoint, which
-drives the gradient toward machine zero in well-conditioned cases and
+eigenvalue call; one lockstep modified-Newton search, a row per start;
+a lockstep Newton polish with the exact Hessian of each fit's best endpoint,
+which drives the gradient toward machine zero in well-conditioned cases and
 certifies the minimum; and the assembly of the estimates.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .model import (
     Regime,
     project_to_constraints,
 )
+
+_SEARCHED = attrgetter("value", "grad", "hess", "tie_break")  # what the search reads of an evaluation
 
 
 @dataclass(frozen=True)
@@ -177,55 +180,49 @@ def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
     return list(np.take_along_axis(thetas, order[:, :, None], axis=1))
 
 
-def _lockstep_bfgs(fun_grad, x0: np.ndarray, config: FitConfig):
-    """BFGS with backtracking Armijo line search from every row of ``x0`` (K, d) in lockstep.
+def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
+    """Modified Newton search with backtracking Armijo from every row of ``x0`` (K, d) in lockstep.
 
-    ``fun_grad(x, rows)`` gives values and gradients (its first two items) of rows
-    ``rows`` at ``x``.  A row stops when its gradient vanishes, when step and gain
-    both drop below their tolerances, when no descent step is representable, or
-    when the budget is spent; the fit certifies the end.  Returns (x, f, iterations,
-    f at x0) per row.
+    ``fun(x, rows, hessian)`` evaluates rows ``rows`` at ``x``.  The step is -H~^-1 g, H~ the
+    Hessian with eigenvalues |lambda| floored at 1e-8 max(1, max|lambda|), or -g at a tie, a
+    non-finite Hessian or an uphill step.  A row stops when its gradient vanishes, when the
+    predicted gain -g.p or both step and gain drop below their tolerances, when no descent
+    step is representable, or when the budget is spent; the fit certifies the end.  Trials
+    carry Hessians for the next round.  Returns (x, f, iterations, f at x0) per row.
     """
     x = np.array(x0, dtype=float)
-    k, dim = x.shape
-    f, g = fun_grad(x, np.arange(k))[:2]
-    f_start, eye = f.copy(), np.eye(dim)
-    h_inv = np.tile(eye, (k, 1, 1))
-    iterations = np.zeros(k, dtype=int)
-    live = np.arange(k)
+    f, g, hess, tie = _SEARCHED(fun(x, np.arange(len(x)), True))
+    f_start, iterations, live = f.copy(), np.zeros(len(x), dtype=int), np.arange(len(x))
     while live.size:
         live = live[iterations[live] < config.max_iters]
         iterations[live] += 1
         live = live[~(np.max(np.abs(g[live]), axis=1) <= 1e-14 * np.fmax(1.0, np.abs(f[live])))]
-        gl = g[live]
-        direction = (-h_inv[live] @ gl[:, :, None])[:, :, 0]
+        gl, direction = g[live], np.full_like(g[live], np.nan)
+        curved = ~tie[live] & np.isfinite(hess[live]).all(axis=(1, 2))
+        lam, vec = np.linalg.eigh(hess[live[curved]])
+        lam = np.fmax(np.abs(lam), 1e-8 * np.fmax(1.0, np.abs(lam).max(axis=1, keepdims=True)))[:, :, None]
+        direction[curved] = -(vec @ (vec.transpose(0, 2, 1) @ gl[curved][:, :, None] / lam))[:, :, 0]
         slope = rowdot(gl, direction)
-        uphill = slope >= 0.0
-        h_inv[live[uphill]] = eye
-        direction[uphill] = -gl[uphill]
-        slope[uphill] = -rowdot(gl[uphill], gl[uphill])
-        step = np.ones(live.size)
-        x_new, f_new, g_new = np.empty_like(gl), np.empty(live.size), np.empty_like(gl)
-        todo = np.arange(live.size)  # rows still searching
-        for _ in range(60):
+        steepest = ~(slope < 0.0)
+        direction[steepest] = -gl[steepest]
+        slope[steepest] = -rowdot(gl[steepest], gl[steepest])
+        keep = ~(-slope <= config.tol_objective * np.fmax(1.0, np.abs(f[live])))
+        live, gl, direction, slope = live[keep], gl[keep], direction[keep], slope[keep]
+        x_old, f_old, todo = x[live], f[live], np.arange(live.size)  # todo: rows still searching
+        for step in 0.5 ** np.arange(60):
             if not todo.size:
                 break
-            x_new[todo] = x[live[todo]] + step[todo, None] * direction[todo]
-            f_new[todo], g_new[todo] = fun_grad(x_new[todo], live[todo])[:2]
-            todo = todo[~(f_new[todo] <= f[live[todo]] + 1e-4 * step[todo] * slope[todo])]
-            step[todo] *= 0.5
+            x_try = x_old[todo] + step * direction[todo]
+            trial = (x_try, *_SEARCHED(fun(x_try, live[todo], True)))
+            ok = trial[1] <= f_old[todo] + 1e-4 * step * slope[todo]
+            for state, value in zip((x, f, g, hess, tie), trial):  # an accepted trial is the new state
+                state[live[todo[ok]]] = value[ok]
+            todo = todo[~ok]
         moved = np.isin(np.arange(live.size), todo, invert=True)  # todo: no descent step found
-        live, x_new, f_new, g_new = live[moved], x_new[moved], f_new[moved], g_new[moved]
-        s, yv = x_new - x[live], g_new - g[live]
-        sy = rowdot(s, yv)
-        curved = sy > 1e-12 * np.sqrt(rowdot(s, s)) * np.sqrt(rowdot(yv, yv))
-        rows, sc, rho = live[curved], s[curved], (1.0 / sy[curved])[:, None, None]
-        v = eye - rho * (sc[:, :, None] * yv[curved][:, None, :])
-        h_inv[rows] = v @ h_inv[rows] @ v.transpose(0, 2, 1) + rho * (sc[:, :, None] * sc[:, None, :])
-        gain = f[live] - f_new
-        x[live], f[live], g[live] = x_new, f_new, g_new
+        live = live[moved]
+        s, gain = x[live] - x_old[moved], f_old[moved] - f[live]
         live = live[~((np.max(np.abs(s), axis=1) <= config.tol_param)
-                      & (gain <= config.tol_objective * np.fmax(1.0, np.abs(f_new))))]
+                      & (gain <= config.tol_objective * np.fmax(1.0, np.abs(f[live]))))]
     return x, f, iterations, f_start
 
 
@@ -341,7 +338,7 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
 
     counts = [len(s) for s in starts]
     bounds = np.cumsum([0] + counts)
-    x_end, f_end, iters, f_start = _lockstep_bfgs(
+    x_end, f_end, iters, f_start = _lockstep_newton(
         kernel(np.repeat(np.arange(len(contexts)), counts)), np.concatenate(starts)[:, 1:], config)
     wrapped = np.mod(x_end, TWO_PI)
     best = [lo + _first_best(f_end[lo:hi], wrapped[lo:hi], config.tol_objective)

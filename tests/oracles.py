@@ -127,49 +127,50 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     return [theta for _, theta in ranked[: config.n_multistart]]
 
 
-def bfgs_per_start(fun_grad, x0, f0, g0, config: FitConfig):
-    """BFGS with backtracking Armijo line search from one start (x0, f0, g0).
+def newton_per_start(fun, x0, config: FitConfig):
+    """Modified Newton search with backtracking Armijo line search from one start ``x0``.
 
     One start at a time, with the stops and constants of the lockstep engine
-    ``fit._lockstep_bfgs``, which must match it bit for bit.  Returns
-    (x, f, iterations).
+    ``fit._lockstep_newton``, which must match it bit for bit.  ``fun(x)`` gives
+    (value, gradient, Hessian, tie) at one point.  The direction solves the
+    Hessian with each eigenvalue replaced by its modulus, floored at
+    1e-8 max(1, max modulus); steepest descent replaces it at a tie, at a
+    non-finite Hessian and where it is not downhill.  Returns (x, f, iterations,
+    f at x0).
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = f0, g0
-    dim = x.size
-    h_inv = np.eye(dim)
-    iterations = 0
+    f, g, hess, tie = fun(x)
+    f0, iterations = f, 0
     while iterations < config.max_iters:
         iterations += 1
         if np.max(np.abs(g)) <= 1e-14 * max(1.0, abs(f)):
             break
-        direction = -h_inv @ g
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            h_inv = np.eye(dim)
+        slope = math.nan
+        if not tie and np.all(np.isfinite(hess)):
+            lam, vec = np.linalg.eigh(hess)
+            lam = np.abs(lam)
+            lam = np.maximum(lam, 1e-8 * max(1.0, float(lam.max())))
+            direction = -(vec @ ((vec.T @ g) / lam))
+            slope = float(g @ direction)
+        if not slope < 0.0:
             direction = -g
             slope = -float(g @ g)
+        if -slope <= config.tol_objective * max(1.0, abs(f)):
+            break  # the predicted gain is below the tolerance
         step = 1.0
         for _ in range(60):
             x_new = x + step * direction
-            f_new, g_new = fun_grad(x_new)
+            f_new, g_new, h_new, tie_new = fun(x_new)
             if f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break  # descent direction exhausted at this precision
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-            rho = 1.0 / sy
-            v = np.eye(dim) - rho * np.outer(s, yv)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        gain = f - f_new
-        x, f, g = x_new, f_new, g_new
+        s, gain = x_new - x, f - f_new
+        x, f, g, hess, tie = x_new, f_new, g_new, h_new, tie_new
         if np.max(np.abs(s)) <= config.tol_param and gain <= config.tol_objective * max(1.0, abs(f)):
             break
-    return x, f, iterations
+    return x, f, iterations, f0
 
 
 def newton_polish_per_fit(ctx: CriterionContext, x, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:

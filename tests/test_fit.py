@@ -1,6 +1,8 @@
 """Profiling, initialization, and the full fitter."""
 
+import dataclasses
 import importlib
+import os
 
 import numpy as np
 import pytest
@@ -11,12 +13,13 @@ from numpy.testing import assert_allclose
 import shapealign as sa
 from shapealign.criterion import CriterionContext, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_bfgs, _newton_polish, fit_batch, initialize_shifts_batch
-from shapealign.io import dumps_canonical, result_document
+from shapealign.fit import FitConfig, _lockstep_newton, _newton_polish, fit_batch, initialize_shifts_batch
+from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime
+from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth
 import oracles
-from oracles import bfgs_per_start, initialize_shifts_loop, newton_polish_per_fit, numeric_hessian
+from oracles import initialize_shifts_loop, newton_per_start, newton_polish_per_fit, numeric_hessian
 
 
 def _circ(x, y):
@@ -191,6 +194,43 @@ def test_fit_batch_spends_one_polish_budget_in_total(rng, monkeypatch):
     assert 1 <= sum(hessians) <= 8
 
 
+def _count_search_calls(monkeypatch):
+    """Record, per lockstep search the fitter runs, how many stacked kernel calls it makes."""
+    fit_module = importlib.import_module("shapealign.fit")
+    kernel, search = fit_module.shift_objective_stack, fit_module._lockstep_newton
+    calls, searches = [0], []
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        before = calls[0]
+        out = search(*args, **kwargs)
+        searches.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(fit_module, "shift_objective_stack", counting)
+    monkeypatch.setattr(fit_module, "_lockstep_newton", counted_search)
+    return searches
+
+
+def test_search_needs_few_stacked_kernel_rounds(rng, monkeypatch):
+    # the figure-2 study in its 20 five-replicate parts (ten J = 2 fits each, one
+    # search per part), then one J = 3 fit; the BFGS search this replaced took about
+    # 21 calls a part
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    study = load_study_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json"))
+    searches = _count_search_calls(monkeypatch)
+    for seed in range(study.base_seed, study.base_seed + study.replicates, 5):
+        run_study(dataclasses.replace(study, replicates=5, base_seed=seed))
+    assert len(searches) == 20 and max(searches) <= 6
+    truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=15)
+    assert sa.fit(panel, ConstraintRegime(), FitConfig()).converged
+    assert len(searches) == 21 and searches[-1] <= 6
+
+
 def test_fit_noiseless_exact_recovery(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=4)
@@ -332,7 +372,11 @@ def test_numeric_hessian_curvature_scale(rng):
 
 
 def _start_stack(rng, j, kind, config):
-    """Scan starts plus uniform random starts of three panels of one (J, m), as one stack."""
+    """Scan starts plus uniform random starts of three panels of one (J, m), as one stack.
+
+    The last row is an eigenvalue tie: J identical single-tone curves at equally
+    spaced shifts, as in :func:`_polish_batch`.
+    """
     contexts = []
     for seed in range(3):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
@@ -344,43 +388,53 @@ def _start_stack(rng, j, kind, config):
         starts += list(rng.uniform(0.0, 2 * np.pi, (3, j - 1)))
         x0 += starts
         owner += [i] * len(starts)
+    grid = sa.make_grid(61)
+    tone = sa.CurvePanel(grid=grid, y=np.tile(np.cos(grid.points), (j, 1)))
+    contexts.append(CriterionContext(tone, config.m, ConstraintRegime(kind=kind)))
+    x0.append(2 * np.pi * np.arange(1, j) / (4 if j == 2 else j))
+    owner.append(len(contexts) - 1)
     d_ac = np.stack([ctx.d_ac for ctx in contexts])
     owner = np.array(owner)
     constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
 
-    def fun_grad(xs, rows):
-        return shift_objective_stack(d_ac, owner[rows], xs, constant[rows])[:2]
+    def fun(xs, rows, hessian=False):
+        return shift_objective_stack(d_ac, owner[rows], xs, constant[rows], hessian)
 
-    return fun_grad, np.array(x0)
+    return fun, np.array(x0)
 
 
-def _assert_matches_per_start(fun_grad, x0, config):
-    x, f, iterations, f_start = _lockstep_bfgs(fun_grad, x0, config)
+def _assert_matches_per_start(fun, x0, config):
+    x, f, iterations, f_start = _lockstep_newton(fun, x0, config)
     for k in range(len(x0)):
         def one(xk, k=k):
-            values, grads = fun_grad(xk[None], np.array([k]))
-            return values[0], grads[0]
+            ev = fun(xk[None], np.array([k]), True)
+            return ev.value[0], ev.grad[0], ev.hess[0], bool(ev.tie_break[0])
 
-        f0, g0 = one(x0[k])
-        x_ref, f_ref, iters_ref = bfgs_per_start(one, x0[k], f0, g0, config)
-        assert f_start[k].tobytes() == f0.tobytes()
+        x_ref, f_ref, iters_ref, f0 = newton_per_start(one, x0[k], config)
+        assert f_start[k].tobytes() == np.float64(f0).tobytes()
         assert x[k].tobytes() == x_ref.tobytes()
         assert f[k].tobytes() == np.float64(f_ref).tobytes()
         assert iterations[k] == iters_ref
-    return iterations
+    return x, iterations
 
 
 @pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
-def test_lockstep_bfgs_matches_per_start_oracle(kind, j, rng):
+def test_lockstep_newton_matches_per_start_oracle(kind, j, rng):
     config = FitConfig(m=3)
-    fun_grad, x0 = _start_stack(rng, j, kind, config)
-    iterations = _assert_matches_per_start(fun_grad, x0, config)
+    fun, x0 = _start_stack(rng, j, kind, config)
+    _, iterations = _assert_matches_per_start(fun, x0, config)
     assert len(set(iterations)) > 1  # rows stop at different iterations
-    assert np.all(_assert_matches_per_start(fun_grad, x0, FitConfig(m=3, max_iters=1)) == 1)
+    x, iterations = _assert_matches_per_start(fun, x0, FitConfig(m=3, max_iters=1))
+    assert np.all(iterations == 1)
+    tie = fun(x0[-1:], np.array([len(x0) - 1]))
+    assert tie.tie_break[0]
+    if j > 2:  # at J = 2 the tie's gradient vanishes; elsewhere it takes a steepest-descent step
+        steps = x0[-1] - 0.5 ** np.arange(60)[:, None] * tie.grad[0]
+        assert np.any(np.all(steps == x[-1], axis=1)) and np.any(x[-1] != x0[-1])
 
 
-def test_lockstep_bfgs_line_search_exhaustion_matches_oracle(rng):
+def test_lockstep_newton_line_search_exhaustion_matches_oracle(rng):
     # every other start moves to 0 and gets a steep kink there, unseen by the
     # gradient: a step of any length, down to 2**-59, is exact and an ascent, so
     # those rows exhaust their 60 halvings in the first iteration; the others go on
@@ -389,12 +443,11 @@ def test_lockstep_bfgs_line_search_exhaustion_matches_oracle(rng):
     x0[::2] = 0.0
     weight = np.where(np.arange(len(x0)) % 2 == 0, 1e12, 0.0)
 
-    def fun_grad(xs, rows):
-        values, grads = smooth(xs, rows)
-        return values + weight[rows] * np.abs(xs).sum(axis=1), grads
+    def fun(xs, rows, hessian=False):
+        ev = smooth(xs, rows, hessian)
+        return ev._replace(value=ev.value + weight[rows] * np.abs(xs).sum(axis=1))
 
-    iterations = _assert_matches_per_start(fun_grad, x0, config)
-    x, _, _, _ = _lockstep_bfgs(fun_grad, x0, config)
+    x, iterations = _assert_matches_per_start(fun, x0, config)
     assert np.all(iterations[::2] == 1) and np.array_equal(x[::2], x0[::2])
     assert np.all(iterations[1::2] > 1)
 
