@@ -434,7 +434,8 @@ def test_lockstep_newton_matches_per_start_oracle(kind, j, rng):
         assert np.any(np.all(steps == x[-1], axis=1)) and np.any(x[-1] != x0[-1])
 
 
-def test_lockstep_newton_line_search_exhaustion_matches_oracle(rng):
+def test_lockstep_bfgs_line_search_exhaustion_matches_oracle(rng):
+    # (named for the BFGS search this test first covered; it now checks the Newton search)
     # every other start moves to 0 and gets a steep kink there, unseen by the
     # gradient: a step of any length, down to 2**-59, is exact and an ascent, so
     # those rows exhaust their 60 halvings in the first iteration; the others go on
