@@ -12,7 +12,6 @@ from .criterion import (
     CriterionContext,
     criterion_gradient,
     criterion_value,
-    phase_weight,
     profiled_coefficients,
     profiled_mean,
 )
@@ -24,7 +23,6 @@ from .fit import (
     fit,
     fit_batch,
     initialize_shifts,
-    profile_amplitude,
 )
 from .fourier import (
     DftBlock,

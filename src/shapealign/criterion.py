@@ -283,15 +283,3 @@ def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) ->
     return ShiftEvaluation(float(ev.value[0]), ev.grad[0], None if ev.hess is None or tie else ev.hess[0],
                            float(ev.energy[0]), ev.lead[0], tie)
 
-
-def phase_weight(offsets, a, a_star) -> complex:
-    """Amplitude-weighted phase average sum_j a_j a*_j e^{i x_j} / J.
-
-    Bounded by 1 in modulus whenever both scale vectors lie on the sphere;
-    equality at zero offsets is what pins the criterion's minimum to the
-    true shifts.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    a = np.asarray(a, dtype=float)
-    a_star = np.asarray(a_star, dtype=float)
-    return complex((a * a_star * np.exp(1j * offsets)).sum() / a.size)

@@ -8,25 +8,23 @@ exact Hessian at many rows of shifts, one eigendecomposition per row.
 :func:`fit_batch` fits a batch per (J, m) group (:func:`fit` is the batch
 of one), each stage in stacked calls whose rows do not interact: a
 cross-correlation grid scan whose combinations are ranked with one
-eigenvalue call; one lockstep modified-Newton search, a row per start;
-a lockstep Newton polish with the exact Hessian of each fit's best endpoint,
-which drives the gradient toward machine zero in well-conditioned cases and
-certifies the minimum; and the assembly of the estimates.
+eigenvalue call; one lockstep modified-Newton search with the exact
+Hessian, a row per start, which runs each row until its gradient vanishes
+to rounding or no step can shrink it; and the assembly of the estimates,
+whose ``converged`` certificate reads the search's last evaluation of each
+fit's best row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .criterion import (
     CriterionContext,
-    ShiftEvaluation,
     criterion_stack,
-    profiled_shift_objective,
     rowdot,
     shift_objective_stack,
 )
@@ -39,8 +37,6 @@ from .model import (
     Regime,
     project_to_constraints,
 )
-
-_SEARCHED = attrgetter("value", "grad", "hess", "tie_break")  # what the search reads of an evaluation
 
 
 @dataclass(frozen=True)
@@ -79,34 +75,6 @@ class FitConfig:
             return self.m
         m = max(1, int(math.floor(n**self.m_exponent)))
         return min(m, (n - 1) // 2)
-
-
-@dataclass
-class AmplitudeProfile:
-    """Exact scale profile at fixed shifts."""
-
-    a: np.ndarray
-    energy: float  # captured spectral energy sum_l |chat_l|^2 at the optimum
-    tie_break: bool
-
-
-def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
-    """Scales on the sphere sum a^2 = J minimizing the criterion at ``theta``.
-
-    With Q[j,k] = Re sum_{1<=|l|<=m} d_jl conj(d_kl) e^{il(theta_j-theta_k)} / J,
-    the captured energy on the sphere is a'Qa/J, so the optimum is sqrt(J)
-    times the leading unit eigenvector of Q, sign-fixed to a positive first
-    coordinate.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If Q carries no energy at all (constant curves).
-    """
-    theta = np.asarray(theta, dtype=float)
-    ev = profiled_shift_objective(ctx, theta[1:] - theta[0])  # only differences enter
-    return AmplitudeProfile(a=_sphere_scales(ev.lead[None])[0], energy=ev.energy,
-                            tie_break=ev.tie_break)
 
 
 def _sphere_scales(lead: np.ndarray) -> np.ndarray:
@@ -181,22 +149,29 @@ def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
 
 
 def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
-    """Modified Newton search with backtracking Armijo from every row of ``x0`` (K, d) in lockstep.
+    """Modified Newton search from every row of ``x0`` (K, d) in lockstep, each row to its end.
 
-    ``fun(x, rows, hessian)`` evaluates rows ``rows`` at ``x``.  The step is -H~^-1 g, H~ the
-    Hessian with eigenvalues |lambda| floored at 1e-8 max(1, max|lambda|), or -g at a tie, a
-    non-finite Hessian or an uphill step.  A row stops when its gradient vanishes, when the
-    predicted gain -g.p or both step and gain drop below their tolerances, when no descent
-    step is representable, or when the budget is spent; the fit certifies the end.  Trials
-    carry Hessians for the next round.  Returns (x, f, iterations, f at x0) per row.
+    ``fun(x, rows, hessian)`` evaluates rows ``rows`` at ``x``.  The Newton step is -H~^-1 g, H~
+    the Hessian with eigenvalues |lambda| floored at 1e-8 max(1, max|lambda|); a tie, a
+    non-finite Hessian or an uphill step leaves a row with -g instead.  A row stops when
+    max|g| <= 1e-15 max(1, |f|) or its budget is spent.  While the predicted gain -g.p exceeds
+    ``tol_objective`` max(1, |f|), a backtracking Armijo search takes the step, and the row stops
+    when no descent step is representable or when both step and gain drop below their
+    tolerances.  Below it f cannot resolve progress: the row tries its full Newton step once
+    and keeps it only if it shrinks max|g|, and stops otherwise or without a Newton step.
+    Trials carry Hessians for the next round.  Returns, per row, x, the final evaluation
+    (``fun``'s fields), the iterations and f at x0.
     """
     x = np.array(x0, dtype=float)
-    f, g, hess, tie = _SEARCHED(fun(x, np.arange(len(x)), True))
+    ev = fun(x, np.arange(len(x)), True)
+    f, g, hess, tie = ev.value, ev.grad, ev.hess, ev.tie_break  # updated in place with ``ev``
     f_start, iterations, live = f.copy(), np.zeros(len(x), dtype=int), np.arange(len(x))
     while live.size:
         live = live[iterations[live] < config.max_iters]
         iterations[live] += 1
-        live = live[~(np.max(np.abs(g[live]), axis=1) <= 1e-14 * np.fmax(1.0, np.abs(f[live])))]
+        gnorm, scale = np.max(np.abs(g[live]), axis=1), np.fmax(1.0, np.abs(f[live]))
+        keep = ~(gnorm <= 1e-15 * scale)
+        live, gnorm, scale = live[keep], gnorm[keep], scale[keep]
         gl, direction = g[live], np.full_like(g[live], np.nan)
         curved = ~tie[live] & np.isfinite(hess[live]).all(axis=(1, 2))
         lam, vec = np.linalg.eigh(hess[live[curved]])
@@ -206,69 +181,28 @@ def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
         steepest = ~(slope < 0.0)
         direction[steepest] = -gl[steepest]
         slope[steepest] = -rowdot(gl[steepest], gl[steepest])
-        keep = ~(-slope <= config.tol_objective * np.fmax(1.0, np.abs(f[live])))
-        live, gl, direction, slope = live[keep], gl[keep], direction[keep], slope[keep]
+        armijo = ~(-slope <= config.tol_objective * scale)
+        keep = armijo | ~steepest  # below the tolerance only a Newton step is tried
+        live, gnorm, direction, slope, armijo = (a[keep] for a in (live, gnorm, direction, slope, armijo))
         x_old, f_old, todo = x[live], f[live], np.arange(live.size)  # todo: rows still searching
+        moved = np.zeros(live.size, dtype=bool)
         for step in 0.5 ** np.arange(60):
             if not todo.size:
                 break
             x_try = x_old[todo] + step * direction[todo]
-            trial = (x_try, *_SEARCHED(fun(x_try, live[todo], True)))
-            ok = trial[1] <= f_old[todo] + 1e-4 * step * slope[todo]
-            for state, value in zip((x, f, g, hess, tie), trial):  # an accepted trial is the new state
-                state[live[todo[ok]]] = value[ok]
-            todo = todo[~ok]
-        moved = np.isin(np.arange(live.size), todo, invert=True)  # todo: no descent step found
-        live = live[moved]
-        s, gain = x[live] - x_old[moved], f_old[moved] - f[live]
-        live = live[~((np.max(np.abs(s), axis=1) <= config.tol_param)
+            trial = fun(x_try, live[todo], True)
+            ok = np.where(armijo[todo], trial.value <= f_old[todo] + 1e-4 * step * slope[todo],
+                          np.max(np.abs(trial.grad), axis=1) < gnorm[todo])
+            x[live[todo[ok]]] = x_try[ok]
+            for whole, part in zip(ev, trial):  # an accepted trial is the new state
+                whole[live[todo[ok]]] = part[ok]
+            moved[todo[ok]] = True
+            todo = todo[~ok & armijo[todo]]  # a Newton trial below the tolerance is made once
+        live, x_old, f_old, armijo = live[moved], x_old[moved], f_old[moved], armijo[moved]
+        s, gain = x[live] - x_old, f_old - f[live]
+        live = live[~(armijo & (np.max(np.abs(s), axis=1) <= config.tol_param)
                       & (gain <= config.tol_objective * np.fmax(1.0, np.abs(f[live]))))]
-    return x, f, iterations, f_start
-
-
-def _newton_polish(fun, x: np.ndarray, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
-    """Damped Newton refinement with the exact shift Hessian, every row of ``x`` (K, d) in lockstep.
-
-    ``fun(x, rows, hessian)`` evaluates rows ``rows`` at ``x``; each round makes one
-    call with Hessians over the rows still going.  A row accepts a step only while
-    it shrinks its gradient's max norm, and stops at a tie, a vanishing gradient, a
-    singular or non-finite Newton step, a failed 20-halving line search, or after
-    ``rounds`` Hessians.  Returns the final free shifts and their evaluations.
-    """
-    x = np.array(x, dtype=float)
-    live = np.arange(len(x))
-    final = fun(x, live, True)
-    for _ in range(rounds - 1):
-        grad = final.grad[live]
-        gnorm = np.max(np.abs(grad), axis=1)
-        going = ~(final.tie_break[live] | (gnorm <= 1e-15 * np.fmax(1.0, np.abs(final.value[live]))))
-        live, gnorm, step = live[going], gnorm[going], _newton_steps(final.hess[live[going]], -grad[going])
-        live, gnorm, step = (a[np.all(np.isfinite(step), axis=1)] for a in (live, gnorm, step))
-        t, todo = np.ones(live.size), np.arange(live.size)  # todo: rows still searching
-        for _ in range(20):
-            if not todo.size:
-                break
-            x_try = x[live[todo]] + t[todo, None] * step[todo]
-            shrunk = np.max(np.abs(fun(x_try, live[todo], False).grad), axis=1) < gnorm[todo]
-            x[live[todo[shrunk]]] = x_try[shrunk]
-            todo = todo[~shrunk]
-            t[todo] *= 0.5
-        live = np.delete(live, todo)
-        if not live.size:
-            break
-        for whole, part in zip(final, fun(x[live], live, True)):
-            whole[live] = part
-    return x, final
-
-
-def _newton_steps(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each (d, d) system of ``hess`` for its row of ``rhs``; a singular one gives NaN."""
-    try:
-        return np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # a singular system: solve the rows one at a time
-        if len(hess) == 1:
-            return np.full_like(rhs, np.nan)
-        return np.vstack([_newton_steps(hess[i:i + 1], rhs[i:i + 1]) for i in range(len(hess))])
+    return x, ev, iterations, f_start
 
 
 @dataclass
@@ -296,7 +230,7 @@ class FitResult:
 def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
     """Fit each ``(panel, regime)`` of ``jobs``, every stage stacked over the jobs of one (J, m).
 
-    Jobs that share J, m and the scan grid are scanned, searched, polished and assembled
+    Jobs that share J, m and the scan grid are scanned, searched and assembled
     together in stacked calls whose rows do not interact, so each result is bitwise the
     one :func:`fit` gives for that job alone.
     """
@@ -315,47 +249,49 @@ def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
 def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConfig()) -> FitResult:
     """Minimize the criterion over the regime's constraint set.
 
-    Levels are profiled in closed form, scales by the leading eigenvector, the
-    free shifts searched from every cross-correlation candidate, and the best
-    endpoint Newton-polished.  ``converged`` certifies a minimum: finite
-    estimates, max|g| <= 1e-8 * max(1, |f|) and a positive definite shift
-    Hessian (waived at an eigenvalue tie); the best point is returned
-    regardless.  The noise estimate is sqrt of the objective at the minimum,
+    Levels are profiled in closed form, scales by the leading eigenvector, and
+    the free shifts searched by modified Newton from every cross-correlation
+    candidate; the best endpoint is the estimate.  ``converged`` certifies a
+    minimum from the search's last evaluation there: finite estimates,
+    max|g| <= 1e-8 * max(1, |f|) and a positive definite shift Hessian
+    (waived at an eigenvalue tie); the best point is returned regardless.  The noise estimate is sqrt of the objective at the minimum,
     floored at zero (``zero_noise`` marks the floor binding).
     """
     return fit_batch([(panel, regime)], config)[0]
 
 
 def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
-    """Scan, search, polish and assemble jobs of one (J, m) and scan grid, each stage stacked."""
+    """Scan, search and assemble jobs of one (J, m) and scan grid, each stage stacked.
+
+    One search runs every start of every job; each job keeps its best row, and its
+    certificate reads that row's final evaluation, so no kernel call follows but the
+    assembly's.
+    """
     starts = initialize_shifts_batch(contexts, config)
     d_ac = np.stack([ctx.d_ac for ctx in contexts])
     constants = np.array([ctx.shift_constant for ctx in contexts])
 
-    def kernel(owner):
-        return lambda xs, rows, hessian=False: shift_objective_stack(
-            d_ac, owner[rows], xs, constants[owner[rows]], hessian)
-
     counts = [len(s) for s in starts]
-    bounds = np.cumsum([0] + counts)
-    x_end, f_end, iters, f_start = _lockstep_newton(
-        kernel(np.repeat(np.arange(len(contexts)), counts)), np.concatenate(starts)[:, 1:], config)
+    bounds, owner = np.cumsum([0] + counts), np.repeat(np.arange(len(contexts)), counts)
+    x_end, ev, iters, f_start = _lockstep_newton(
+        lambda xs, rows, hessian: shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian),
+        np.concatenate(starts)[:, 1:], config)
     wrapped = np.mod(x_end, TWO_PI)
-    best = [lo + _first_best(f_end[lo:hi], wrapped[lo:hi], config.tol_objective)
+    best = [lo + _first_best(ev.value[lo:hi], wrapped[lo:hi], config.tol_objective)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    x_best, ev = _newton_polish(kernel(np.arange(len(contexts))), x_end[best])
+    value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
 
-    theta = np.mod(np.concatenate([np.zeros((len(contexts), 1)), x_best], axis=1), TWO_PI)
+    theta = np.mod(np.concatenate([np.zeros((len(contexts), 1)), x_end[best]], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     profile = shift_objective_stack(d_ac, np.arange(len(contexts)), theta[:, 1:], constants)
     projected = [project_to_constraints(th, a, _profiled_levels(ctx, a), ctx.regime, sigma=1.0)[0]
                  for ctx, th, a in zip(contexts, theta, _sphere_scales(profile.lead))]
     objective, coeffs = criterion_stack(contexts, *(np.array([getattr(p, name) for p in projected])
                                                    for name in ("theta", "a", "upsilon")))
-    gnorm_ok = np.max(np.abs(ev.grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(ev.value))
-    certified = gnorm_ok & ev.tie_break  # the shift Hessian is checked where there is no tie
-    need = gnorm_ok & ~ev.tie_break & np.isfinite(ev.hess).all(axis=(1, 2))
-    certified[need] = np.linalg.eigvalsh(ev.hess[need])[:, 0] > 0.0
+    gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
+    certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
+    need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
+    certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
     rounded, results = np.round(np.concatenate(starts), 12), []
     for f, (ctx, params) in enumerate(zip(contexts, projected)):
         lo, hi, obj = bounds[f], bounds[f + 1], float(objective[f])

@@ -7,18 +7,17 @@ derivatives), by the most direct route available.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from shapealign.criterion import (
     CriterionContext,
-    ShiftEvaluation,
     criterion_gradient,
     criterion_value,
-    phase_weight,
     profiled_shift_objective,
 )
-from shapealign.fit import FitConfig, _profiled_levels, fit, profile_amplitude
+from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
 from shapealign.fourier import TWO_PI, ShapeSpectrum, make_grid
 from shapealign.model import (
     ConstraintRegime,
@@ -39,6 +38,47 @@ def orthogonality_kernel(t: float, n: int) -> complex:
     """
     s = np.arange(1, n + 1)
     return complex(np.exp(2j * np.pi * s * t).sum() / n)
+
+
+def phase_weight(offsets, a, a_star) -> complex:
+    """Amplitude-weighted phase average sum_j a_j a*_j e^{i x_j} / J.
+
+    Bounded by 1 in modulus whenever both scale vectors lie on the sphere;
+    equality at zero offsets is what pins the criterion's minimum to the
+    true shifts.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    a = np.asarray(a, dtype=float)
+    a_star = np.asarray(a_star, dtype=float)
+    return complex((a * a_star * np.exp(1j * offsets)).sum() / a.size)
+
+
+@dataclass
+class AmplitudeProfile:
+    """Exact scale profile at fixed shifts."""
+
+    a: np.ndarray
+    energy: float  # captured spectral energy sum_l |chat_l|^2 at the optimum
+    tie_break: bool
+
+
+def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
+    """Scales on the sphere sum a^2 = J minimizing the criterion at ``theta``.
+
+    With Q[j,k] = Re sum_{1<=|l|<=m} d_jl conj(d_kl) e^{il(theta_j-theta_k)} / J,
+    the captured energy on the sphere is a'Qa/J, so the optimum is sqrt(J)
+    times the leading unit eigenvector of Q, sign-fixed to a positive first
+    coordinate.
+
+    Raises
+    ------
+    DegenerateSpectrum
+        If Q carries no energy at all (constant curves).
+    """
+    theta = np.asarray(theta, dtype=float)
+    ev = profiled_shift_objective(ctx, theta[1:] - theta[0])  # only differences enter
+    return AmplitudeProfile(a=_sphere_scales(ev.lead[None])[0], energy=ev.energy,
+                            tie_break=ev.tie_break)
 
 
 def contrast_oracle(
@@ -128,22 +168,25 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
 
 
 def newton_per_start(fun, x0, config: FitConfig):
-    """Modified Newton search with backtracking Armijo line search from one start ``x0``.
+    """Modified Newton search from one start ``x0``, run to its end.
 
     One start at a time, with the stops and constants of the lockstep engine
     ``fit._lockstep_newton``, which must match it bit for bit.  ``fun(x)`` gives
-    (value, gradient, Hessian, tie) at one point.  The direction solves the
+    (value, gradient, Hessian, tie) at one point.  The Newton step solves the
     Hessian with each eigenvalue replaced by its modulus, floored at
     1e-8 max(1, max modulus); steepest descent replaces it at a tie, at a
-    non-finite Hessian and where it is not downhill.  Returns (x, f, iterations,
-    f at x0).
+    non-finite Hessian and where it is not downhill.  While the predicted gain
+    exceeds ``tol_objective``, a backtracking Armijo search takes the step;
+    below it only a full Newton step is tried, kept if it shrinks max|g|.
+    Returns (x, f, iterations, f at x0).
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g, hess, tie = fun(x)
     f0, iterations = f, 0
     while iterations < config.max_iters:
         iterations += 1
-        if np.max(np.abs(g)) <= 1e-14 * max(1.0, abs(f)):
+        gnorm = np.max(np.abs(g))
+        if gnorm <= 1e-15 * max(1.0, abs(f)):
             break
         slope = math.nan
         if not tie and np.all(np.isfinite(hess)):
@@ -152,11 +195,20 @@ def newton_per_start(fun, x0, config: FitConfig):
             lam = np.maximum(lam, 1e-8 * max(1.0, float(lam.max())))
             direction = -(vec @ ((vec.T @ g) / lam))
             slope = float(g @ direction)
-        if not slope < 0.0:
+        newton = slope < 0.0
+        if not newton:
             direction = -g
             slope = -float(g @ g)
         if -slope <= config.tol_objective * max(1.0, abs(f)):
-            break  # the predicted gain is below the tolerance
+            # f cannot resolve the predicted gain: one full Newton step, kept if it shrinks max|g|
+            if not newton:
+                break
+            x_new = x + direction
+            f_new, g_new, h_new, tie_new = fun(x_new)
+            if not np.max(np.abs(g_new)) < gnorm:
+                break
+            x, f, g, hess, tie = x_new, f_new, g_new, h_new, tie_new
+            continue
         step = 1.0
         for _ in range(60):
             x_new = x + step * direction
@@ -171,37 +223,6 @@ def newton_per_start(fun, x0, config: FitConfig):
         if np.max(np.abs(s)) <= config.tol_param and gain <= config.tol_objective * max(1.0, abs(f)):
             break
     return x, f, iterations, f0
-
-
-def newton_polish_per_fit(ctx: CriterionContext, x, rounds: int = 8) -> tuple[np.ndarray, ShiftEvaluation]:
-    """Damped Newton refinement with the exact shift Hessian, one fit at a time.
-
-    The rules and constants of the stacked polish ``fit._newton_polish``, which
-    must match it: steps are accepted only while they shrink the gradient's max
-    norm, and at most ``rounds`` Hessians are spent.  Returns the final free
-    shifts and their evaluation.
-    """
-    for r in range(rounds):
-        ev = profiled_shift_objective(ctx, x, hessian=True)
-        gnorm = np.max(np.abs(ev.grad))
-        if r == rounds - 1 or ev.hess is None or gnorm <= 1e-15 * max(1.0, abs(ev.value)):
-            break
-        try:
-            step = np.linalg.solve(ev.hess, -ev.grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        t = 1.0
-        for _ in range(20):
-            x_try = x + t * step
-            if np.max(np.abs(profiled_shift_objective(ctx, x_try).grad)) < gnorm:
-                x = x_try
-                break
-            t *= 0.5
-        else:
-            break
-    return x, ev
 
 
 def run_study_per_regime(config: StudyConfig) -> StudyReport:
