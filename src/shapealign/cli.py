@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .errors import ShapeAlignError
@@ -71,6 +72,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
+    if args.period_days is not None and not (math.isfinite(args.period_days) and args.period_days > 0):
+        raise _UsageError(f"--period-days must be positive and finite, got {args.period_days!r}")
     panel = read_panel(args.input)
     if args.m == "auto":
         m = None

@@ -65,7 +65,7 @@ class FitConfig:
             raise ConfigInvalid("theta_grid_size must be >= 1")
         if self.n_multistart < 1 or self.max_iters < 1:
             raise ConfigInvalid("n_multistart and max_iters must be >= 1")
-        if self.tol_objective <= 0 or self.tol_param <= 0:
+        if not (self.tol_objective > 0 and self.tol_param > 0):  # NaN fails too
             raise ConfigInvalid("tolerances must be positive")
 
     def resolve_m(self, n: int) -> int:

@@ -38,8 +38,8 @@ class ConstraintRegime:
     upsilon_max: float = 1e6  # binds only if the user supplies a prior bound
 
     def __post_init__(self):
-        if self.upsilon_max <= 0:
-            raise ConstraintViolation("upsilon_max must be strictly positive")
+        if not self.upsilon_max > 0:  # NaN fails too; inf leaves the levels unbounded
+            raise ConstraintViolation(f"upsilon_max must be strictly positive, got {self.upsilon_max!r}")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,23 @@ def test_fit_period_days_display(tmp_path):
     assert np.allclose(doc["theta_days"], expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--period-days", "0"), ("--period-days", "-5"), ("--period-days", "nan"),
+    ("--period-days", "inf"), ("--upsilon-max", "nan"), ("--upsilon-max", "0"),
+])
+def test_fit_rejects_bad_option_values(option, value, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), option, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_fit_accepts_unbounded_levels(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), "--upsilon-max", "inf"]) == 0
+
+
 def test_fit_band_guard_exit_code(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     code = main(["fit", "--input", FIXTURE_PANEL, "--m", "200", "--out", out])

@@ -40,6 +40,12 @@ def test_fit_config_validation():
     assert FitConfig().resolve_m(3) == 1          # clamped to 2m < n
 
 
+@pytest.mark.parametrize("field", ["tol_objective", "tol_param"])
+def test_fit_config_rejects_nan_tolerances(field):
+    with pytest.raises(ConfigInvalid):
+        FitConfig(**{field: float("nan")})
+
+
 def test_profile_amplitude_identical_curves():
     grid = sa.make_grid(41)
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: -0.4})
