@@ -254,8 +254,9 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     candidate; the best endpoint is the estimate.  ``converged`` certifies a
     minimum from the search's last evaluation there: finite estimates,
     max|g| <= 1e-8 * max(1, |f|) and a positive definite shift Hessian
-    (waived at an eigenvalue tie); the best point is returned regardless.  The noise estimate is sqrt of the objective at the minimum,
-    floored at zero (``zero_noise`` marks the floor binding).
+    (waived at an eigenvalue tie); the best point is returned regardless.
+    The noise estimate is sqrt of the objective at the minimum, floored at
+    zero (``zero_noise`` marks the floor binding).
     """
     return fit_batch([(panel, regime)], config)[0]
 
@@ -273,9 +274,11 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
 
     counts = [len(s) for s in starts]
     bounds, owner = np.cumsum([0] + counts), np.repeat(np.arange(len(contexts)), counts)
-    x_end, ev, iters, f_start = _lockstep_newton(
-        lambda xs, rows, hessian: shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian),
-        np.concatenate(starts)[:, 1:], config)
+
+    def kernel(xs, rows, hessian):
+        return shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian)
+
+    x_end, ev, iters, f_start = _lockstep_newton(kernel, np.concatenate(starts)[:, 1:], config)
     wrapped = np.mod(x_end, TWO_PI)
     best = [lo + _first_best(ev.value[lo:hi], wrapped[lo:hi], config.tol_objective)
             for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -33,17 +33,14 @@ def test_fit_config_validation():
         FitConfig(n_multistart=0)
     with pytest.raises(ConfigInvalid):
         FitConfig(tol_objective=0.0)
+    for field in ("tol_objective", "tol_param"):
+        with pytest.raises(ConfigInvalid):
+            FitConfig(**{field: float("nan")})
     with pytest.raises(ConfigInvalid):
         FitConfig(m=101).resolve_m(201)
     assert FitConfig(m=5).resolve_m(101) == 5
     assert FitConfig().resolve_m(201) == 3       # floor(201**0.25)
     assert FitConfig().resolve_m(3) == 1          # clamped to 2m < n
-
-
-@pytest.mark.parametrize("field", ["tol_objective", "tol_param"])
-def test_fit_config_rejects_nan_tolerances(field):
-    with pytest.raises(ConfigInvalid):
-        FitConfig(**{field: float("nan")})
 
 
 def test_profile_amplitude_identical_curves():
