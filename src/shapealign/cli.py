@@ -72,6 +72,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
+    if not 0.0 < args.level < 1.0:  # checked before the fit: an unconverged fit never reads it
+        raise _UsageError(f"--level must lie strictly in (0, 1), got {args.level!r}")
     if args.period_days is not None and not (math.isfinite(args.period_days) and args.period_days > 0):
         raise _UsageError(f"--period-days must be positive and finite, got {args.period_days!r}")
     panel = read_panel(args.input)

@@ -87,10 +87,13 @@ def test_fit_period_days_display(tmp_path):
 @pytest.mark.parametrize("option, value", [
     ("--period-days", "0"), ("--period-days", "-5"), ("--period-days", "nan"),
     ("--period-days", "inf"), ("--upsilon-max", "nan"), ("--upsilon-max", "0"),
+    ("--level", "nan"),
 ])
 def test_fit_rejects_bad_option_values(option, value, tmp_path, capsys):
+    # one iteration from one start does not converge: a bad value must not turn exit 1 into 2
     out = tmp_path / "r.json"
-    assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), option, value]) == 1
+    assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), "--max-iters", "1",
+                 "--multistart", "1", option, value]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
