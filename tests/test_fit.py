@@ -18,7 +18,6 @@ from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime
 from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth
-import oracles
 from oracles import initialize_shifts_loop, newton_per_start, numeric_hessian, profile_amplitude
 
 
