@@ -125,6 +125,9 @@ def main(argv=None) -> int:
     except ShapeAlignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:  # reads already raise ShapeAlignError, so this is an output write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

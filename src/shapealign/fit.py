@@ -7,12 +7,12 @@ free shifts, where the criterion is C - lambda_max(Q).  One stacked kernel,
 exact Hessian at many rows of shifts, one eigendecomposition per row.
 :func:`fit_batch` fits a batch per (J, m) group (:func:`fit` is the batch
 of one), each stage in stacked calls whose rows do not interact: a
-cross-correlation grid scan whose combinations are ranked with one
-eigenvalue call; one lockstep modified-Newton search with the exact
-Hessian, a row per start, which runs each row until its gradient vanishes
-to rounding or no step can shrink it; and the assembly of the estimates,
-whose ``converged`` certificate reads the search's last evaluation of each
-fit's best row.
+cross-correlation grid scan whose start candidates, linear in J, are
+ranked with one eigenvalue call; one lockstep modified-Newton search with
+the exact Hessian, a row per start, which runs each row until its gradient
+vanishes to rounding or no step can shrink it; and the assembly of the
+estimates, whose ``converged`` certificate reads the search's last
+evaluation of each fit's best row.
 """
 
 from __future__ import annotations
@@ -97,20 +97,22 @@ def initialize_shifts(ctx: CriterionContext, config: FitConfig) -> list[np.ndarr
     """Candidate shift vectors from a per-curve cross-correlation scan.
 
     For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|
-    peaks near the curve's true shift; the top grid offsets per curve are
-    combined independently (at most 1024 combinations, by summed score) and
-    the combinations re-ranked by the profiled criterion C - lambda_max(Q),
-    all with one stacked eigenvalue call.  Returns the best ``n_multistart``
-    shift vectors (theta_1 = 0), best first; raises DegenerateSpectrum if
-    the band carries no energy at all (constant curves).  The one-job case
-    of :func:`initialize_shifts_batch`.
+    peaks near the curve's true shift; k = min(n_multistart, grid) top grid
+    offsets are kept per curve.  The candidates are every free curve at its
+    best offset, then, curve by curve, each of that curve's other offsets
+    with the rest at their best: 1 + (k-1)(J-1) rows, linear in J.  They are
+    ranked by the profiled criterion C - lambda_max(Q), all with one stacked
+    eigenvalue call.  Returns the best ``n_multistart`` shift vectors
+    (theta_1 = 0), best first; raises DegenerateSpectrum if the band carries
+    no energy at all (constant curves).  The one-job case of
+    :func:`initialize_shifts_batch`.
     """
     return list(initialize_shifts_batch([ctx], config)[0])
 
 
 def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
     """:func:`initialize_shifts` for contexts of one (J, m) and scan grid: one score matmul,
-    one stable argsort per row and one eigenvalue call over every combination of every
+    one stable argsort per row and one eigenvalue call over every candidate of every
     context.  Each context's candidates (n_multistart, J) are bitwise those it gets alone.
     """
     for ctx in contexts:
@@ -118,25 +120,16 @@ def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
     j, freqs = contexts[0].n_curves, contexts[0].freqs
     grid_size = config.theta_grid_size or contexts[0].n
     k = min(config.n_multistart, grid_size)
-    per_call = max(1, 2**15 // k ** (j - 1))  # bounds the memory of the combinations
-    if len(contexts) > per_call:
-        return [starts for i in range(0, len(contexts), per_call)
-                for starts in initialize_shifts_batch(contexts[i:i + per_call], config)]
     deltas = TWO_PI * np.arange(grid_size) / grid_size
     d_ac = np.stack([ctx.d_ac for ctx in contexts])
     cross = np.conj(d_ac[:, :1]) * d_ac
     scores = np.abs(cross @ np.exp(1j * np.outer(freqs, deltas)))  # (F, J, grid)
 
     top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
-    # rows in itertools.product order: the first free curve varies slowest
-    ranks = np.stack(np.meshgrid(*[np.arange(k)] * (j - 1), indexing="ij"), axis=-1)
-    combos = top[:, np.arange(j - 1), ranks.reshape(-1, j - 1)]  # (F, K, J-1)
-    if combos.shape[1] > 1024:
-        weight = np.zeros(combos.shape[:2])
-        for c in range(j - 1):
-            weight += np.take_along_axis(scores[:, c + 1], combos[:, :, c], axis=1)
-        keep = np.argsort(-weight, axis=1, kind="stable")[:, :1024]
-        combos = np.take_along_axis(combos, keep[:, :, None], axis=1)
+    # every free curve at its best offset, then each curve's other offsets in turn
+    ranks = np.vstack([np.zeros((1, j - 1), dtype=int),
+                       np.kron(np.eye(j - 1, dtype=int), np.arange(1, k)[:, None])])
+    combos = top[:, np.arange(j - 1), ranks]  # (F, 1 + (k-1)(J-1), J-1)
 
     thetas = np.zeros(combos.shape[:2] + (j,))
     thetas[:, :, 1:] = deltas[combos]

@@ -146,6 +146,8 @@ def read_panel(path: str) -> CurvePanel:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
     if not rows:
         raise ParseError("empty file", line=1)
 
@@ -346,11 +348,9 @@ def _parse_shape(node) -> ShapeSpectrum:
     coeffs = np.zeros(2 * m + 1, dtype=complex)
     seen = set()
     for entry in entries:
-        try:
-            l = int(entry["l"])
-            c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad shape coefficient entry {entry!r}") from exc
+        l = _integer(_require(entry, "l", "shape.coeffs entry"), "shape.coeffs.l")
+        c = complex(_number(_require(entry, "re", "shape.coeffs entry"), "shape.coeffs.re"),
+                    _number(entry.get("im", 0.0), "shape.coeffs.im"))
         if abs(l) > m:
             raise ConfigInvalid(f"shape frequency {l} outside band {m}")
         if l in seen:
@@ -460,7 +460,7 @@ def load_study_config(path: str) -> StudyConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigInvalid(f"invalid JSON in {path}: {exc}") from exc
     return parse_study_config(doc)
 

@@ -5,7 +5,6 @@ package computes another way (closed form, stacked eigenvalues, exact
 derivatives), by the most direct route available.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,12 +134,13 @@ def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1
 
 
 def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.ndarray]:
-    """Start candidates by one profile and one criterion call per combination.
+    """Start candidates by one profile and one criterion call per candidate.
 
-    Same scores, candidates, pre-cut and ranking rule as
-    ``fit.initialize_shifts``, but the combinations come from
-    ``itertools.product`` and each is ranked by its own scale profile and
-    public criterion call.
+    Same scores, candidates and ranking rule as ``fit.initialize_shifts``:
+    every free curve at its best scan offset, then, curve by curve, each of
+    that curve's other top offsets with the rest at their best.  Here the
+    candidates are built one at a time and each is ranked by its own scale
+    profile and public criterion call.
     """
     j = ctx.n_curves
     grid_size = config.theta_grid_size or ctx.n
@@ -151,15 +151,15 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
 
     k = min(config.n_multistart, grid_size)
     per_curve = [np.argsort(-scores[c], kind="stable")[:k] for c in range(1, j)]
-    combos = list(itertools.product(*per_curve))
-    if len(combos) > 1024:
-        weight = [sum(scores[c + 1][idx] for c, idx in enumerate(combo)) for combo in combos]
-        order = np.argsort(-np.asarray(weight), kind="stable")[:1024]
-        combos = [combos[i] for i in order]
+    best = [int(top[0]) for top in per_curve]
+    combos = [best]
+    for c, top in enumerate(per_curve):
+        for idx in top[1:]:
+            combos.append(best[:c] + [int(idx)] + best[c + 1:])
 
     ranked = []
     for combo in combos:
-        theta = np.concatenate([[0.0], deltas[list(combo)]])
+        theta = np.concatenate([[0.0], deltas[combo]])
         amp = profile_amplitude(ctx, theta)
         value = criterion_value(ctx, theta, amp.a, _profiled_levels(ctx, amp.a))
         ranked.append((value, theta))

@@ -1,5 +1,7 @@
 """End-to-end command-line contract: outputs, exit codes, byte stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapealign as sa
 from shapealign.cli import _build_parser, main
@@ -139,6 +143,64 @@ def test_fit_non_finite_cell_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+with open(FIXTURE_PANEL, "rb") as _fh:
+    _FIXTURE_BYTES = _fh.read()
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for position, byte in edits:
+        out[position] = byte
+    return bytes(out)
+
+
+_PANEL_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.tuples(st.integers(0, len(_FIXTURE_BYTES) - 1), st.integers(0, 255)),
+             min_size=1, max_size=8).map(lambda edits: _mutate(_FIXTURE_BYTES, edits)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_PANEL_BYTES)
+def test_fit_any_panel_bytes_give_an_exit_code(tmp_path_factory, data):
+    # arbitrary bytes and byte-mutated copies of the fixture: an exit code, never a traceback
+    work = tmp_path_factory.mktemp("fuzz")
+    panel = work / "panel.csv"
+    panel.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["fit", "--input", str(panel), "--out", str(work / "r.json")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_simulate_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_bytes(json.dumps(_tiny_config_doc()).encode().replace(b"truth", b"tr\xffuth"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "fit-shape"])
+def test_output_in_missing_directory_is_an_input_error(command, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(_tiny_config_doc()))
+    argv = {
+        "fit": ["fit", "--input", FIXTURE_PANEL, "--out", missing],
+        "simulate": ["simulate", "--config", cfg_path, "--out", missing],
+        "fit-shape": ["fit", "--input", FIXTURE_PANEL, "--out", str(tmp_path / "r.json"),
+                      "--shape-out", missing],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_usage_errors_exit_code():
     assert main(["fit", "--input"]) == 1          # missing value
     assert main(["fit"]) == 1                     # missing required flags
@@ -230,11 +292,15 @@ _MALFORMED = [
     (("truth", "theta"), [0.0, "x"]),
     (("fit",), []),
     (("regimes",), 5),
+    (("shape", "coeffs", 0, "l"), 1.5),
+    (("shape", "coeffs", 0, "re"), True),
+    (("shape", "coeffs", 0, "re"), "0.5"),
+    (("shape", "coeffs", 0, "re"), "nan"),
 ]
 
 
 @pytest.mark.parametrize("path, value", _MALFORMED,
-                         ids=[".".join(path) + "=" + repr(value) for path, value in _MALFORMED])
+                         ids=[".".join(map(str, path)) + "=" + repr(value) for path, value in _MALFORMED])
 def test_simulate_rejects_malformed_config_values(tmp_path, capsys, path, value):
     doc = _tiny_config_doc()
     node = doc

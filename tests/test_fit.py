@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib
+import math
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,7 +121,7 @@ def test_initialize_shifts_grid_equivariance():
 @pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
 @pytest.mark.parametrize("j", [2, 3, 4, 6])
 def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
-    # J = 6 has 5^5 combinations, so the 1024-combination pre-cut runs
+    # J = 6 has 1 + 4 * 5 = 21 candidates; the second config keeps 3 per curve on a 24-point grid
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=30 + j)
     ctx = CriterionContext(panel, 3, ConstraintRegime(kind=kind))
@@ -132,7 +135,7 @@ def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
 
 @pytest.mark.parametrize("j", [2, 3, 4, 6])
 def test_initialize_shifts_batch_matches_loop_oracle(j, rng):
-    # A0 and A1 jobs of one (J, m) in one batch; at J = 6 the 1024-combination pre-cut runs
+    # A0 and A1 jobs of one (J, m) in one batch
     contexts = []
     for k, kind in enumerate((Regime.A0, Regime.A1, Regime.A0)):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
@@ -146,8 +149,8 @@ def test_initialize_shifts_batch_matches_loop_oracle(j, rng):
                 assert np.array_equal(got, want)
 
 
-def test_initialize_shifts_batch_in_slices_equals_lone_scans(rng):
-    # 12 jobs at J = 6 hold 12 * 5^5 combinations, more than one slice takes
+def test_initialize_shifts_batch_equals_lone_scans(rng):
+    # 12 jobs at J = 6, A0 and A1 alternating, ranked in one stacked eigenvalue call
     contexts = []
     for k in range(12):
         truth, shape = bandlimited_truth(rng, j=6, degree=3, sigma=0.5)
@@ -255,6 +258,45 @@ def test_fit_noiseless_exact_recovery(rng):
     assert np.max(np.abs(result.beta_hat.upsilon - truth.upsilon)) < 1e-10
     assert result.sigma_hat < 1e-6
     assert result.objective < 1e-12
+
+
+def test_fit_cost_stays_small_at_many_curves(rng):
+    # J = 30: the scan ranks 1 + 4 * 29 = 117 start candidates
+    truth, shape = bandlimited_truth(rng, j=30, degree=3)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=16)
+    config = FitConfig(m=3)
+    sa.fit(panel, ConstraintRegime(), config)  # warm-up
+    start = time.perf_counter()
+    result = sa.fit(panel, ConstraintRegime(), config)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        sa.fit(panel, ConstraintRegime(), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert np.max(_circ(result.beta_hat.theta, truth.theta)) < 1e-9
+    assert elapsed < 1.0
+    assert peak < 100 * 2**20
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), sigma=st.sampled_from([0.3, 1.0]),
+       c=st.floats(0.1, 10.0), b=st.floats(-100.0, 100.0))
+def test_fit_affine_invariance_property(seed, j, sigma, c, b):
+    # fitting c*y + b gives the same shifts and scales, levels c*upsilon + b and noise c*sigma
+    rng = np.random.default_rng(seed)
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=seed)
+    moved = sa.CurvePanel(grid=panel.grid, y=c * panel.y + b)
+    regime = ConstraintRegime(kind=Regime.A0, upsilon_max=math.inf)
+    base, fitted = sa.fit(panel, regime), sa.fit(moved, regime)
+    assert np.max(_circ(fitted.beta_hat.theta, base.beta_hat.theta)) <= 1e-9
+    assert np.max(np.abs(fitted.beta_hat.a - base.beta_hat.a)) <= 1e-9
+    levels = c * base.beta_hat.upsilon + b
+    assert np.max(np.abs(fitted.beta_hat.upsilon - levels)) <= 1e-9 * np.max(np.abs(levels))
+    assert abs(fitted.sigma_hat - c * base.sigma_hat) <= 1e-9 * c * base.sigma_hat
 
 
 def test_fit_monotone_multistart(rng):
