@@ -5,12 +5,13 @@ Each replicate's panel is generated once, from one truth and a derived seed
 the fits aggregate into deterministic summaries: mean bias, the empirical
 covariance of sqrt(n)-scaled errors against its closed-form target,
 shape-estimator integrated squared error, and boxplot-style quantiles.  A
-study splits its replicates into contiguous chunks, one when serial and one
-per worker of a process pool of at most SHAPEALIGN_THREADS workers (unset:
-serial, 0: one per CPU), and fits each chunk as one batch, every start of
-every fit in one lockstep search.  Batched fits equal lone ones bit for bit
-and aggregation follows replicate order, so parallelism cannot change any
-result.
+study splits its replicates into contiguous chunks, one per worker of a
+process pool that gets at least _FITS_PER_WORKER fits a worker, at most
+SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
+the usable CPUs; below two workers it runs as one chunk in this process.
+Each chunk is fitted as one batch, every start of every fit in one lockstep
+search.  Batched fits equal lone ones bit for bit and aggregation follows
+replicate order, so parallelism cannot change any result.
 """
 
 from __future__ import annotations
@@ -39,8 +40,22 @@ _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 _MAX_FAILURE_FRACTION = 0.05
 
 
+# Fits a worker needs before forking it and shipping its chunk pays off: on two
+# CPUs, 2 workers on figure-2 studies (J=2, n=201, m=5) mostly lose at 100 fits
+# each and win from 128; 256 keeps a margin for busier hosts and for spawned
+# workers, which re-import numpy (see CHANGES.md).
+_FITS_PER_WORKER = 256
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Parallel replicate cap from SHAPEALIGN_THREADS (unset: 1, 0: auto)."""
+    """Worker cap from SHAPEALIGN_THREADS (unset: 1, 0: all usable CPUs), at most the usable CPUs."""
     raw = os.environ.get("SHAPEALIGN_THREADS")
     if raw is None or raw.strip() == "":
         return 1
@@ -50,18 +65,19 @@ def worker_count() -> int:
         raise ConfigInvalid(f"SHAPEALIGN_THREADS must be an integer, got {raw!r}") from exc
     if value < 0:
         raise ConfigInvalid("SHAPEALIGN_THREADS must be >= 0")
-    return os.cpu_count() or 1 if value == 0 else value
+    cpus = _usable_cpus()
+    return cpus if value == 0 else min(value, cpus)
 
 
-def _map_ordered(fn, shared: tuple, items: list) -> list:
-    """``fn((*shared, chunk))`` over contiguous chunks of ``items``, one per worker; results in order."""
-    count = min(worker_count(), len(items))
+def _map_ordered(truth, shape, kinds, items: list) -> list:
+    """``_replicate_chunk`` over contiguous chunks of ``items``, one per worker; results in order."""
+    count = min(worker_count(), len(items), len(items) * len(kinds) // _FITS_PER_WORKER)
     if count <= 1:
-        return fn((*shared, items))
+        return _replicate_chunk((truth, shape, kinds, items))
     bounds = [len(items) * w // count for w in range(count + 1)]
-    chunks = [(*shared, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [(truth, shape, kinds, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=count) as pool:
-        return [res for part in pool.map(fn, chunks) for res in part]
+        return [res for part in pool.map(_replicate_chunk, chunks) for res in part]
 
 
 @dataclass(frozen=True)
@@ -187,7 +203,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     """Generate, fit, and aggregate; deterministic given the base seed."""
     reps = config.replicates
     items = [(n, config.base_seed + r, config.fit_config) for n in config.n_list for r in range(reps)]
-    results = _map_ordered(_replicate_chunk, (config.truth, config.shape, config.regimes), items)
+    results = _map_ordered(config.truth, config.shape, config.regimes, items)
     cells = []
     for i, n in enumerate(config.n_list):
         for k, regime_kind in enumerate(config.regimes):
@@ -294,7 +310,7 @@ def mise_curve(
     base = fit_config or FitConfig()
     ladder = [(n, max(1, int(np.ceil(n ** (1.0 / (2 * smoothness + 1)))))) for n in n_list]
     items = [(n, base_seed + r, replace(base, m=m_n)) for n, m_n in ladder for r in range(replicates)]
-    results = _map_ordered(_replicate_chunk, (truth, shape, (Regime.A0,)), items)
+    results = _map_ordered(truth, shape, (Regime.A0,), items)
     points = []
     for i, (n, m_n) in enumerate(ladder):
         kept = [s for (s,) in results[i * replicates:(i + 1) * replicates] if s["converged"]]
@@ -346,7 +362,7 @@ def compare_regimes(
     cfg = fit_config or FitConfig()
     truth_a1, shape_a1 = reparameterize_to_a1(truth, shape)
     items = [(n, base_seed + r, cfg) for r in range(replicates)]
-    results = _map_ordered(_replicate_chunk, (truth, shape, (Regime.A0, Regime.A1)), items)
+    results = _map_ordered(truth, shape, (Regime.A0, Regime.A1), items)
 
     j = truth.n_curves
     rows_a0, rows_a1 = [], []

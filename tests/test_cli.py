@@ -263,6 +263,19 @@ def test_simulate_rejects_bad_json(tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("threads", ["x", "-1"])
+def test_simulate_rejects_bad_thread_count(threads, tmp_path, capsys, monkeypatch):
+    # four fits are far below one worker's share, so the study would run serially
+    monkeypatch.setenv("SHAPEALIGN_THREADS", threads)
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(_tiny_config_doc()))
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SHAPEALIGN_THREADS")
+    assert not out.exists()
+
+
 def test_fixture_config_parses():
     fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json")
     from shapealign.io import load_study_config

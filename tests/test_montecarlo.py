@@ -1,12 +1,14 @@
 """Replication harness: determinism, seeding, aggregation, comparisons."""
 
+import os
+
 import numpy as np
 import pytest
 
 import shapealign as sa
 from shapealign import montecarlo
 from shapealign.errors import ConfigInvalid
-from shapealign.io import dumps_canonical, report_document
+from shapealign.io import dumps_canonical, load_study_config, report_document
 from shapealign.montecarlo import _replicate_chunk, worker_count
 from shapealign.model import ConstraintRegime, Regime
 from conftest import decay_shape
@@ -61,13 +63,51 @@ def test_replicates_extend_without_changing_prefix():
         assert np.array_equal(a, b)
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps the chunks in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
+def _record_pools(monkeypatch, pool=montecarlo.ProcessPoolExecutor):
+    """Worker count of every pool a study opens; each is a ``pool``."""
+    opened = []
+
+    def recording(max_workers):
+        opened.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording)
+    return opened
+
+
+def _force_three_workers(monkeypatch):
+    # a pool for any study, and three workers even on a host with fewer CPUs
+    monkeypatch.setattr(montecarlo, "_FITS_PER_WORKER", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
+    return _record_pools(monkeypatch)
+
+
 def test_parallel_matches_serial(monkeypatch):
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
     truth, shape = _small_truth()
     config = sa.StudyConfig(truth=truth, shape=shape, n_list=(41,), replicates=6,
                             base_seed=3, fit_config=sa.FitConfig(m=3))
     serial = dumps_canonical(report_document(sa.run_study(config)))
-    monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
+    opened = _force_three_workers(monkeypatch)
     parallel = dumps_canonical(report_document(sa.run_study(config)))
+    assert opened == [3]
     assert serial == parallel
 
 
@@ -108,20 +148,72 @@ def test_parallel_matches_serial_both_regimes(monkeypatch):
     monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
     config = _two_grid_config()
     serial = _canonical(sa.run_study(config))
-    monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
+    opened = _force_three_workers(monkeypatch)
     assert _canonical(sa.run_study(config)) == serial
+    assert opened == [3]
 
 
 def test_worker_count_parsing(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
     monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("SHAPEALIGN_THREADS", "4")
     assert worker_count() == 4
     monkeypatch.setenv("SHAPEALIGN_THREADS", "0")
-    assert worker_count() >= 1
+    assert worker_count() == 8
+    monkeypatch.setenv("SHAPEALIGN_THREADS", "64")
+    assert worker_count() == 8
     monkeypatch.setenv("SHAPEALIGN_THREADS", "nope")
     with pytest.raises(ConfigInvalid):
         worker_count()
+
+
+def test_usable_cpus_follow_the_affinity_set():
+    if hasattr(os, "sched_getaffinity"):
+        assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
+    assert 1 <= montecarlo._usable_cpus() <= (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("threads", ["0", "64"])
+def test_pool_never_has_more_workers_than_cpus(threads, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_FITS_PER_WORKER", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("SHAPEALIGN_THREADS", threads)
+    opened = _record_pools(monkeypatch, _InProcessPool)
+    config = _two_grid_config()
+    report = _canonical(sa.run_study(config))
+    assert opened == [3]
+    monkeypatch.delenv("SHAPEALIGN_THREADS")
+    assert report == _canonical(sa.run_study(config))
+    assert opened == [3]
+
+
+def test_pool_gets_at_least_the_fits_per_worker(monkeypatch):
+    # 2 grids x 4 replicates x 2 regimes = 16 fits: 5 per worker allows 3 workers
+    monkeypatch.setattr(montecarlo, "_FITS_PER_WORKER", 5)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    monkeypatch.setenv("SHAPEALIGN_THREADS", "0")
+    opened = _record_pools(monkeypatch, _InProcessPool)
+    sa.run_study(_two_grid_config())
+    monkeypatch.setattr(montecarlo, "_FITS_PER_WORKER", 9)
+    sa.run_study(_two_grid_config())
+    assert opened == [3]
+
+
+def test_figure2_study_opens_no_pool(monkeypatch):
+    # 200 fits are below one worker's share, so two allowed workers still mean serial
+    monkeypatch.setenv("SHAPEALIGN_THREADS", "2")
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+    def refuse(max_workers):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refuse)
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    study = load_study_config(os.path.join(fixtures, "figure2.json"))
+    assert study.replicates * len(study.regimes) < montecarlo._FITS_PER_WORKER
+    with open(os.path.join(fixtures, "figure2_report.json"), "rb") as fh:
+        assert _canonical(sa.run_study(study)).encode() == fh.read()
 
 
 def test_mise_decomposition_is_exact():
