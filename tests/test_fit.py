@@ -335,6 +335,39 @@ def test_fit_rotation_equivariance(rng):
     assert np.max(np.abs(result.beta_hat.upsilon - result2.beta_hat.upsilon)) < 1e-8
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), sigma=st.sampled_from([0.0, 0.3, 1.0]),
+       data=st.data())
+def test_fit_label_equivariance_property(seed, j, sigma, data):
+    # relabelling curves 2..J relabels every estimate the same way
+    order = [0] + data.draw(st.permutations(range(1, j)), label="order")
+    rng = np.random.default_rng(seed)
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=seed)
+    base = sa.fit(panel, ConstraintRegime(), FitConfig(m=4))
+    moved = sa.fit(sa.CurvePanel(grid=panel.grid, y=panel.y[order]), ConstraintRegime(), FitConfig(m=4))
+    assert np.max(_circ(moved.beta_hat.theta, base.beta_hat.theta[order])) < 1e-9
+    assert np.max(np.abs(moved.beta_hat.a - base.beta_hat.a[order])) < 1e-9
+    assert np.max(np.abs(moved.beta_hat.upsilon - base.beta_hat.upsilon[order])) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), sigma=st.sampled_from([0.0, 0.3, 1.0]),
+       offset=st.integers(1, 60))
+def test_fit_rotation_equivariance_property(seed, j, sigma, offset):
+    # a cyclic shift of every curve's samples moves all shifts alike, so the free
+    # shifts (relative to curve 1), the scales and the levels stay
+    rng = np.random.default_rng(seed)
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=seed)
+    base = sa.fit(panel, ConstraintRegime(), FitConfig(m=4))
+    moved = sa.fit(sa.CurvePanel(grid=panel.grid, y=np.roll(panel.y, offset, axis=1)),
+                   ConstraintRegime(), FitConfig(m=4))
+    assert np.max(_circ(moved.beta_hat.theta, base.beta_hat.theta)) < 1e-8
+    assert np.max(np.abs(moved.beta_hat.a - base.beta_hat.a)) < 1e-8
+    assert np.max(np.abs(moved.beta_hat.upsilon - base.beta_hat.upsilon)) < 1e-8
+
+
 def test_fit_self_consistency_fixed_point(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.7)
     grid = sa.make_grid(101)
