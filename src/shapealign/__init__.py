@@ -25,7 +25,6 @@ from .fit import (
     initialize_shifts,
 )
 from .fourier import (
-    DftBlock,
     SamplingGrid,
     ShapeSpectrum,
     dft,

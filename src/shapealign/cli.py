@@ -62,8 +62,8 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--period-days", type=float, default=None, dest="period_days",
                        help="also report shifts in days for this period length; "
                             "day zero is the first sample, no calendar anchoring")
-    p_fit.add_argument("--multistart", type=int, default=5)
-    p_fit.add_argument("--max-iters", type=int, default=500, dest="max_iters")
+    p_fit.add_argument("--multistart", type=int, default=FitConfig.n_multistart)
+    p_fit.add_argument("--max-iters", type=int, default=FitConfig.max_iters, dest="max_iters")
 
     p_sim = sub.add_parser("simulate", help="run a replication study from a JSON config")
     p_sim.add_argument("--config", required=True, help="study config JSON path")

@@ -5,8 +5,8 @@ have the closed form
 
     chat_l = (sum_j a_j^2)^{-1} * sum_j a_j e^{i l theta_j} d_{j,l},
 
-where d_{j,l} are per-curve DFT coefficients.  Substituting them back into
-the least-squares fit collapses, by discrete orthogonality, to
+where d_{j,l} is the panel's (J, 2m+1) DFT coefficient array.  Substituting
+them back into the least-squares fit collapses, by discrete orthogonality, to
 
     value = (1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 - sum_l |chat_l|^2,
 
@@ -16,8 +16,8 @@ levels enter only through the first sum; under A1 the l = 0 coefficient
 
 With levels and scales profiled out too, the criterion over the shifts is
 C - lambda_max(Q(theta)), Q = Re(W W^H) / J, W_jl = e^{i l theta_j} d_jl
-(1 <= |l| <= m), C a per-panel constant: :func:`profiled_shift_objective`
-gives it with its gradient and exact Hessian from one eigendecomposition.
+(1 <= |l| <= m), C a per-panel constant: :func:`shift_objective_stack` gives
+it with its gradient and exact Hessian, one eigendecomposition per row of shifts.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ EIGENVALUE_TIE = 1e-10
 class CriterionContext:
     """Immutable per-panel data needed to evaluate the criterion at band m.
 
-    ``d[j, l + m]`` caches the per-curve DFT coefficients for l = -m..m
-    (the l = 0 column holds the curve means, used only under A1);
+    ``d_ac[j, l + m]`` holds curve j's DFT coefficient for 1 <= |l| <= m,
+    and zero in the l = 0 column (the means enter through ``ybar``);
     ``mean_sq`` is (1/(nJ)) sum y^2 and ``ybar`` the per-curve means, which
     together reconstruct the residual term without touching the raw panel.
     ``shift_constant`` is C in the profiled shift criterion C - lambda_max(Q).
@@ -64,15 +64,13 @@ class CriterionContext:
             raise BandTooWide(f"band limit {self.m} violates 2*m < n for n={n}")
         # overflow is detected below and reported as NonFiniteData
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = self.panel.curve_dft(self.m)
-            self.d = np.vstack([b.coeffs for b in blocks])
+            self.d_ac = self.panel.curve_dft(self.m).copy()
             self.ybar = self.panel.y.mean(axis=1)
             self.mean_sq = float((self.panel.y**2).sum()) / (n * self.panel.n_curves)
         self.freqs = np.arange(-self.m, self.m + 1)
         if not (np.isfinite(self.mean_sq) and np.isfinite(self.ybar).all()
-                and np.isfinite(self.d).all()):
+                and np.isfinite(self.d_ac).all()):
             raise NonFiniteData("panel moments or DFT coefficients are not finite")
-        self.d_ac = self.d.copy()
         self.d_ac[:, self.m] = 0.0
         self.ac_trace = float(np.sum(np.abs(self.d_ac) ** 2)) / self.n_curves
         if self.regime.kind is Regime.A0:
@@ -120,10 +118,9 @@ def criterion_stack(contexts, theta, a, upsilon) -> tuple[np.ndarray, np.ndarray
     if np.any(ssq < np.finfo(float).tiny):
         raise DegenerateAmplitude("amplitude vector is zero")
     m = contexts[0].m
-    d, ybar, mean_sq = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d", "ybar", "mean_sq"))
+    d_ac, ybar, mean_sq = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d_ac", "ybar", "mean_sq"))
     phases = np.exp(1j * (theta[:, :, None] * contexts[0].freqs))
-    coeffs = (a[:, :, None] * phases * d).sum(axis=1) / ssq[:, None]
-    coeffs[:, m] = 0.0
+    coeffs = (a[:, :, None] * phases * d_ac).sum(axis=1) / ssq[:, None]
     energy = (np.abs(coeffs) ** 2).sum(axis=1)
     a1 = np.array([ctx.regime.kind is Regime.A1 for ctx in contexts])
     coeffs[:, m] = mean = np.where(a1, rowdot(a, ybar - upsilon) / ssq, 0.0)
@@ -177,9 +174,8 @@ def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
         raise DegenerateAmplitude("amplitude vector is zero")
 
     phases = np.exp(1j * np.outer(theta, ctx.freqs))
-    weighted = a[:, None] * phases * ctx.d          # row j: a_j e^{il theta_j} d_jl
+    weighted = a[:, None] * phases * ctx.d_ac       # row j: a_j e^{il theta_j} d_jl
     chat = weighted.sum(axis=0) / ssq
-    chat[ctx.m] = 0.0
 
     # d|chat_l|^2 / dtheta_k = 2 Re(conj(chat_l) * i l a_k e^{il theta_k} d_kl) / ssq
     il = 1j * ctx.freqs
@@ -187,7 +183,7 @@ def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
 
     # Unconstrained scale derivative; the normalization sum a^2 in chat
     # contributes the -2 a_k * energy term.
-    per_curve = phases * ctx.d
+    per_curve = phases * ctx.d_ac
     energy_ac = float(np.real(np.vdot(chat, chat)))
     denergy_da = 2.0 * (
         np.real(np.conj(chat)[None, :] * per_curve).sum(axis=1) - 2.0 * a * energy_ac
@@ -208,20 +204,20 @@ def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
 
 
 class ShiftEvaluation(NamedTuple):
-    """Profiled shift criterion at one shift vector; derivatives over theta_2..theta_J.
+    """Profiled shift criterion at K rows of shifts; derivatives over theta_2..theta_J.
 
-    ``hess`` is None if not requested, or at a tie (leading gap < EIGENVALUE_TIE);
-    ``energy``, ``lead`` are the leading eigenpair of Q (``lead``'s sign arbitrary).
-    :func:`shift_objective_stack` returns the same fields with a leading row axis,
-    and there ``hess`` is meaningless in the rows that are ties.
+    Every field has a leading row axis.  ``hess`` is None if not requested, and
+    meaningless in the rows that are ties (``tie_break``: leading gap below
+    EIGENVALUE_TIE); ``energy``, ``lead`` are the leading eigenpair of Q
+    (``lead``'s sign arbitrary).
     """
 
-    value: float
+    value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray | None
-    energy: float
+    energy: np.ndarray
     lead: np.ndarray
-    tie_break: bool
+    tie_break: np.ndarray
 
 
 def shift_objective_stack(d_ac: np.ndarray, owner, x: np.ndarray, constant,
@@ -264,22 +260,3 @@ def shift_objective_stack(d_ac: np.ndarray, owner, x: np.ndarray, constant,
     return ShiftEvaluation(value=constant - eigvals[:, -1], grad=-2.0 * (v * rv)[:, 1:] / j,
                            hess=hess, energy=eigvals[:, -1], lead=v,
                            tie_break=gap[:, -1] < EIGENVALUE_TIE)
-
-
-def profiled_shift_objective(ctx: CriterionContext, x, hessian: bool = False) -> ShiftEvaluation:
-    """Criterion at free shifts ``x`` = theta_2..theta_J (theta_1 = 0), profiled: C - lambda_max(Q).
-
-    The one-row case of :func:`shift_objective_stack`: one W, one
-    Q = Re(W W^H)/J, one eigendecomposition.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If Q carries no energy at all (constant curves).
-    """
-    ctx.require_energy()
-    ev = shift_objective_stack(ctx.d_ac[None], [0], np.atleast_2d(x), ctx.shift_constant, hessian)
-    tie = bool(ev.tie_break[0])
-    return ShiftEvaluation(float(ev.value[0]), ev.grad[0], None if ev.hess is None or tie else ev.hess[0],
-                           float(ev.energy[0]), ev.lead[0], tie)
-

@@ -93,27 +93,18 @@ def _profiled_levels(ctx: CriterionContext, a: np.ndarray) -> np.ndarray:
     return ups
 
 
-def initialize_shifts(ctx: CriterionContext, config: FitConfig) -> list[np.ndarray]:
-    """Candidate shift vectors from a per-curve cross-correlation scan.
+def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config: FitConfig) -> np.ndarray:
+    """Candidate shift vectors of F contexts of one (J, m) and scan grid, from a cross-correlation scan.
 
-    For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|
-    peaks near the curve's true shift; k = min(n_multistart, grid) top grid
-    offsets are kept per curve.  The candidates are every free curve at its
-    best offset, then, curve by curve, each of that curve's other offsets
-    with the rest at their best: 1 + (k-1)(J-1) rows, linear in J.  They are
-    ranked by the profiled criterion C - lambda_max(Q), all with one stacked
-    eigenvalue call.  Returns the best ``n_multistart`` shift vectors
-    (theta_1 = 0), best first; raises DegenerateSpectrum if the band carries
-    no energy at all (constant curves).  The one-job case of
-    :func:`initialize_shifts_batch`.
-    """
-    return list(initialize_shifts_batch([ctx], config)[0])
-
-
-def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
-    """:func:`initialize_shifts` for contexts of one (J, m) and scan grid: one score matmul,
-    one stable argsort per row and one eigenvalue call over every candidate of every
-    context.  Each context's candidates (n_multistart, J) are bitwise those it gets alone.
+    ``d_ac`` (F, J, 2m+1) and ``constants`` (F,) stack their band coefficients and shift
+    constants C.  For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|
+    peaks near the curve's true shift; k = min(n_multistart, grid) top grid offsets are
+    kept per curve.  The candidates are every free curve at its best offset, then, curve
+    by curve, each of that curve's other offsets with the rest at their best:
+    1 + (k-1)(J-1) rows, linear in J.  All are ranked by C - lambda_max(Q) with one score
+    matmul, one stable argsort per row and one eigenvalue call.  Returns (F, K, J): each
+    context's best K <= n_multistart shift vectors (theta_1 = 0), best first, bitwise
+    those it gets alone; raises DegenerateSpectrum if a band carries no energy.
     """
     for ctx in contexts:
         ctx.require_energy()
@@ -121,7 +112,6 @@ def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
     grid_size = config.theta_grid_size or contexts[0].n
     k = min(config.n_multistart, grid_size)
     deltas = TWO_PI * np.arange(grid_size) / grid_size
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
     cross = np.conj(d_ac[:, :1]) * d_ac
     scores = np.abs(cross @ np.exp(1j * np.outer(freqs, deltas)))  # (F, J, grid)
 
@@ -135,10 +125,9 @@ def initialize_shifts_batch(contexts, config: FitConfig) -> list[np.ndarray]:
     thetas[:, :, 1:] = deltas[combos]
     w = np.exp(1j * thetas[:, :, :, None] * freqs) * d_ac[:, None]
     q = (w @ w.conj().swapaxes(-1, -2)).real / j
-    constant = np.array([ctx.shift_constant for ctx in contexts])
-    values = constant[:, None] - np.linalg.eigvalsh(q)[:, :, -1]
+    values = constants[:, None] - np.linalg.eigvalsh(q)[:, :, -1]
     order = np.argsort(values, axis=1, kind="stable")[:, : config.n_multistart]
-    return list(np.take_along_axis(thetas, order[:, :, None], axis=1))
+    return np.take_along_axis(thetas, order[:, :, None], axis=1)
 
 
 def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
@@ -261,25 +250,25 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     certificate reads that row's final evaluation, so no kernel call follows but the
     assembly's.
     """
-    starts = initialize_shifts_batch(contexts, config)
     d_ac = np.stack([ctx.d_ac for ctx in contexts])
     constants = np.array([ctx.shift_constant for ctx in contexts])
-
-    counts = [len(s) for s in starts]
-    bounds, owner = np.cumsum([0] + counts), np.repeat(np.arange(len(contexts)), counts)
+    starts = initialize_shifts(contexts, d_ac, constants, config)
+    jobs, per_job, j = starts.shape
+    starts = starts.reshape(jobs * per_job, j)
+    bounds, owner = per_job * np.arange(jobs + 1), np.repeat(np.arange(jobs), per_job)
 
     def kernel(xs, rows, hessian):
         return shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian)
 
-    x_end, ev, iters, f_start = _lockstep_newton(kernel, np.concatenate(starts)[:, 1:], config)
+    x_end, ev, iters, f_start = _lockstep_newton(kernel, starts[:, 1:], config)
     wrapped = np.mod(x_end, TWO_PI)
     best = [lo + _first_best(ev.value[lo:hi], wrapped[lo:hi], config.tol_objective)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
     value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
 
-    theta = np.mod(np.concatenate([np.zeros((len(contexts), 1)), x_end[best]], axis=1), TWO_PI)
+    theta = np.mod(np.concatenate([np.zeros((jobs, 1)), x_end[best]], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
-    profile = shift_objective_stack(d_ac, np.arange(len(contexts)), theta[:, 1:], constants)
+    profile = shift_objective_stack(d_ac, np.arange(jobs), theta[:, 1:], constants)
     projected = [project_to_constraints(th, a, _profiled_levels(ctx, a), ctx.regime, sigma=1.0)[0]
                  for ctx, th, a in zip(contexts, theta, _sphere_scales(profile.lead))]
     objective, coeffs = criterion_stack(contexts, *(np.array([getattr(p, name) for p in projected])
@@ -288,7 +277,7 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    rounded, results = np.round(np.concatenate(starts), 12), []
+    rounded, results = np.round(starts, 12), []
     for f, (ctx, params) in enumerate(zip(contexts, projected)):
         lo, hi, obj = bounds[f], bounds[f + 1], float(objective[f])
         sigma_hat = math.sqrt(obj) if obj > 0.0 else 0.0
@@ -302,7 +291,7 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
             shape_hat=ShapeSpectrum(m=ctx.m, coeffs=coeffs[f]),
             objective=obj,
             iterations=int(iters[lo:hi].sum()),
-            restarts=len(starts[f]),
+            restarts=per_job,
             converged=bool(np.all(np.isfinite(params.free_values())) and math.isfinite(obj)
                            and certified[f]),
             zero_noise=obj <= 0.0,

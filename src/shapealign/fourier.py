@@ -4,9 +4,10 @@ Everything downstream relies on the discrete orthogonality of the complex
 exponentials e^{ilt} on the grid t_i = 2*pi*i/n with n odd: frequencies
 l, p with |l|, |p| < n/2 are exactly orthogonal, so truncated Fourier
 coefficients computed by direct summation are exact for band-limited
-signals.  Analysis is direct summation against a twiddle table built once
-per (n, m), O(n*m) per curve; synthesis on the grid is one inverse FFT;
-both enforce the band guard 2*m < n explicitly.
+signals.  Analysis maps a stack of real rows (J, n) to one complex
+(J, 2m+1) coefficient array by direct summation against a twiddle table
+built once per (n, m), O(n*m) per row; synthesis on the grid is one
+inverse FFT; both enforce the band guard 2*m < n explicitly.
 """
 
 from __future__ import annotations
@@ -61,26 +62,6 @@ def make_grid(n: int) -> SamplingGrid:
     return SamplingGrid(n=n, points=points)
 
 
-@dataclass(frozen=True)
-class DftBlock:
-    """Truncated discrete Fourier coefficients of one real sample vector.
-
-    ``coeffs[l + m]`` holds c_l = (1/n) * sum_s y_s e^{-i l t_s} for
-    l = -m..m.  Hermitian symmetry c_{-l} = conj(c_l) holds exactly by
-    construction for real inputs.
-    """
-
-    m: int
-    coeffs: np.ndarray = field(repr=False)
-    source_n: int = 0
-
-    def coeff(self, l: int) -> complex:
-        """Coefficient at signed frequency ``l`` (|l| <= m)."""
-        if abs(l) > self.m:
-            raise IndexError(f"frequency {l} outside band |l| <= {self.m}")
-        return complex(self.coeffs[l + self.m])
-
-
 @functools.lru_cache(maxsize=8)
 def _twiddle_table(n: int, m: int) -> np.ndarray:
     """Read-only rows e^{-i l t_s}, l = -m..m, of the n-point grid; negative rows are exact conjugates."""
@@ -93,29 +74,31 @@ def _twiddle_table(n: int, m: int) -> np.ndarray:
     return table
 
 
-def dft(samples: np.ndarray, grid: SamplingGrid, m: int) -> DftBlock:
-    """Truncated DFT of a real sample vector on ``grid``.
+def dft(samples: np.ndarray, grid: SamplingGrid, m: int) -> np.ndarray:
+    """Truncated DFT of real sample rows (..., n) on ``grid``: complex (..., 2m+1).
 
-    Direct summation against a precomputed twiddle table; with m << n a
-    full FFT buys nothing and would hide the 2*m < n aliasing guard.
+    Entry ``[..., l + m]`` holds c_l = (1/n) * sum_s y_s e^{-i l t_s}, l = -m..m,
+    and c_{-l} = conj(c_l) exactly.  Direct summation against a precomputed
+    twiddle table, one matrix-vector product per row, so a row's bits are its
+    own (one ``y @ table.T`` would sum in another order); with m << n a full
+    FFT buys nothing and would hide the 2*m < n aliasing guard.
 
     Raises
     ------
     LengthMismatch
-        If ``samples`` does not have ``grid.n`` entries.
+        If the rows do not have ``grid.n`` entries.
     BandTooWide
         If ``2*m >= grid.n``.
     """
     y = np.asarray(samples, dtype=float)
-    if y.shape != (grid.n,):
-        raise LengthMismatch(f"expected {grid.n} samples, got shape {y.shape}")
+    if y.ndim == 0 or y.shape[-1] != grid.n:
+        raise LengthMismatch(f"expected {grid.n} samples per row, got shape {y.shape}")
     m = int(m)
     if m < 1:
         raise BandTooWide(f"band limit must be >= 1, got {m}")
     if 2 * m >= grid.n:
         raise BandTooWide(f"band limit {m} violates 2*m < n for n={grid.n}")
-    coeffs = _twiddle_table(grid.n, m) @ y / grid.n
-    return DftBlock(m=m, coeffs=coeffs, source_n=grid.n)
+    return (_twiddle_table(grid.n, m) @ y[..., None])[..., 0] / grid.n
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+from io import StringIO
 
 import numpy as np
 
@@ -203,12 +204,14 @@ def read_panel(path: str) -> CurvePanel:
 def write_panel(path: str, panel: CurvePanel):
     """Emit a panel in the same CSV dialect ``read_panel`` accepts."""
     labels = panel.labels or [f"curve_{k + 1}" for k in range(panel.n_curves)]
-    lines = ["t," + ",".join(labels)]
+    header = StringIO()  # quotes a label holding a comma, quote or line break
+    csv.writer(header, lineterminator="\n").writerow(["t", *labels])
+    lines = [header.getvalue()]
     for i in range(panel.grid.n):
         cells = [format(panel.grid.points[i], ".17g")]
         cells += [format(panel.y[j, i], ".17g") for j in range(panel.n_curves)]
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
+        lines.append(",".join(cells) + "\n")
+    write_atomic(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +374,18 @@ def _parse_shape(node) -> ShapeSpectrum:
     return spec
 
 
+# Parser of each key a study config's ``fit`` block may hold; FitConfig supplies the rest.
+_FIT_KEYS = {
+    "m": lambda v: None if v in (None, "auto") else _integer(v, "fit.m"),
+    "m_exponent": lambda v: _number(v, "fit.m_exponent"),
+    "theta_grid_size": lambda v: None if v is None else _integer(v, "fit.theta_grid_size"),
+    "n_multistart": lambda v: _integer(v, "fit.n_multistart"),
+    "tol_objective": lambda v: _number(v, "fit.tol_objective"),
+    "tol_param": lambda v: _number(v, "fit.tol_param"),
+    "max_iters": lambda v: _integer(v, "fit.max_iters"),
+}
+
+
 def parse_study_config(doc: dict) -> StudyConfig:
     """Validate and canonicalize a study configuration document.
 
@@ -420,17 +435,10 @@ def parse_study_config(doc: dict) -> StudyConfig:
         raise ConfigInvalid("base_seed must be >= 0 and base_seed + replicates <= 2**128")
 
     fit_node = _object(doc.get("fit", {}), "fit")
-    m_value = fit_node.get("m", "auto")
-    grid_size = fit_node.get("theta_grid_size")
-    fit_config = FitConfig(
-        m=None if m_value in (None, "auto") else _integer(m_value, "fit.m"),
-        m_exponent=_number(fit_node.get("m_exponent", 0.25), "fit.m_exponent"),
-        theta_grid_size=None if grid_size is None else _integer(grid_size, "fit.theta_grid_size"),
-        n_multistart=_integer(fit_node.get("n_multistart", 5), "fit.n_multistart"),
-        tol_objective=_number(fit_node.get("tol_objective", 1e-12), "fit.tol_objective"),
-        tol_param=_number(fit_node.get("tol_param", 1e-9), "fit.tol_param"),
-        max_iters=_integer(fit_node.get("max_iters", 500), "fit.max_iters"),
-    )
+    for key in fit_node:
+        if key not in _FIT_KEYS:
+            raise ConfigInvalid(f"unknown key {key!r} in fit")
+    fit_config = FitConfig(**{key: parse(fit_node[key]) for key, parse in _FIT_KEYS.items() if key in fit_node})
 
     regime_names = doc.get("regimes", ["a0"])
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData, ZeroReferenceAmplitude
-from .fourier import TWO_PI, DftBlock, SamplingGrid, ShapeSpectrum, dft, evaluate_shifted_on_grid
+from .fourier import TWO_PI, SamplingGrid, ShapeSpectrum, dft, evaluate_shifted_on_grid
 from .normal import standard_normals
 
 
@@ -79,7 +79,7 @@ class ParameterSet:
             raise ConstraintViolation(f"amplitudes must satisfy sum a^2 = {j}")
         if self.a[0] <= 0.0:
             raise ConstraintViolation("reference amplitude a[0] must be positive")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:  # NaN fails too
             raise ConstraintViolation("sigma must be nonnegative")
         if self.regime.kind is Regime.A0:
             bound = self.regime.upsilon_max
@@ -106,7 +106,7 @@ def free_parameter_labels(n_curves: int, regime: ConstraintRegime) -> list[str]:
 
 @dataclass
 class CurvePanel:
-    """J curves observed on one shared grid, with cached per-curve DFTs."""
+    """J curves observed on one shared grid, with their DFT cached per band."""
 
     grid: SamplingGrid
     y: np.ndarray
@@ -124,16 +124,17 @@ class CurvePanel:
             raise NonFiniteData("panel values must be finite")
         if self.labels is not None and len(self.labels) != self.y.shape[0]:
             raise ConstraintViolation("one label per curve required")
-        self._dft_cache: dict[int, list[DftBlock]] = {}
+        self._dft_cache: dict[int, np.ndarray] = {}
 
     @property
     def n_curves(self) -> int:
         return self.y.shape[0]
 
-    def curve_dft(self, m: int) -> list[DftBlock]:
-        """Per-curve truncated DFT blocks at band ``m`` (cached)."""
+    def curve_dft(self, m: int) -> np.ndarray:
+        """Read-only (J, 2m+1) truncated DFT of the curves at band ``m``, built once per band."""
         if m not in self._dft_cache:
-            self._dft_cache[m] = [dft(row, self.grid, m) for row in self.y]
+            self._dft_cache[m] = dft(self.y, self.grid, m)
+            self._dft_cache[m].flags.writeable = False
         return self._dft_cache[m]
 
 

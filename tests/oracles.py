@@ -14,7 +14,7 @@ from shapealign.criterion import (
     CriterionContext,
     criterion_gradient,
     criterion_value,
-    profiled_shift_objective,
+    shift_objective_stack,
 )
 from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
 from shapealign.fourier import TWO_PI, ShapeSpectrum, make_grid
@@ -75,9 +75,11 @@ def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
         If Q carries no energy at all (constant curves).
     """
     theta = np.asarray(theta, dtype=float)
-    ev = profiled_shift_objective(ctx, theta[1:] - theta[0])  # only differences enter
-    return AmplitudeProfile(a=_sphere_scales(ev.lead[None])[0], energy=ev.energy,
-                            tie_break=ev.tie_break)
+    ctx.require_energy()
+    # one row of the stacked kernel; only differences of shifts enter
+    ev = shift_objective_stack(ctx.d_ac[None], [0], [theta[1:] - theta[0]], ctx.shift_constant)
+    return AmplitudeProfile(a=_sphere_scales(ev.lead)[0], energy=float(ev.energy[0]),
+                            tie_break=bool(ev.tie_break[0]))
 
 
 def contrast_oracle(
@@ -145,8 +147,7 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     j = ctx.n_curves
     grid_size = config.theta_grid_size or ctx.n
     deltas = TWO_PI * np.arange(grid_size) / grid_size
-    cross = np.conj(ctx.d[0])[None, :] * ctx.d
-    cross[:, ctx.m] = 0.0
+    cross = np.conj(ctx.d_ac[0])[None, :] * ctx.d_ac
     scores = np.abs(cross @ np.exp(1j * np.outer(ctx.freqs, deltas)))
 
     k = min(config.n_multistart, grid_size)

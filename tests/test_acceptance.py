@@ -7,6 +7,7 @@ line per criterion.  Everything is seeded and deterministic.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ def test_criterion_10_cli_contract(tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     code1 = main(["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", out1])
     code2 = main(["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", out2])
-    bytes1, bytes2 = open(out1, "rb").read(), open(out2, "rb").read()
+    bytes1, bytes2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     doc = json.loads(bytes1)
     recovered = (
         float(np.max(_circ(doc["theta"], FIXTURE_THETA))) < 1e-6

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_fit_fixture_recovers_truth(tmp_path):
     code = main(["fit", "--input", FIXTURE_PANEL, "--m", "5",
                  "--out", out, "--shape-out", shape_out])
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert np.max(np.abs(np.array(doc["theta"]) - FIXTURE_THETA)) < 1e-6
     assert np.max(np.abs(np.array(doc["a"]) - FIXTURE_A)) < 1e-6
     assert np.max(np.abs(np.array(doc["upsilon"]) - FIXTURE_UPSILON)) < 1e-8
@@ -59,7 +60,7 @@ def test_fit_fixture_recovers_truth(tmp_path):
     assert doc["diagnostics"]["converged"] is True
     assert doc["diagnostics"]["regime"] == "a0"
     assert doc["ci"]["zero_noise"] is True
-    lines = open(shape_out).read().strip().splitlines()
+    lines = Path(shape_out).read_text().strip().splitlines()
     assert lines[0] == "t,f_hat"
     assert len(lines) == 513
 
@@ -69,13 +70,13 @@ def test_fit_byte_stable_across_invocations(tmp_path):
     out2 = str(tmp_path / "r2.json")
     assert main(["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", out1]) == 0
     assert main(["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_fit_result_roundtrips_through_parse_emit(tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", out]) == 0
-    raw = open(out, "rb").read()
+    raw = Path(out).read_bytes()
     assert dumps_canonical(json.loads(raw)).encode() == raw
 
 
@@ -83,7 +84,7 @@ def test_fit_period_days_display(tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["fit", "--input", FIXTURE_PANEL, "--m", "5", "--out", out,
                  "--period-days", "365"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     expected = [t * 365 / (2 * np.pi) for t in doc["theta"]]
     assert np.allclose(doc["theta_days"], expected, rtol=0, atol=1e-12)
 
@@ -131,7 +132,7 @@ def test_fit_malformed_inputs_exit_code(tmp_path):
 
 
 def test_fit_non_finite_cell_exit_code(tmp_path, capsys):
-    lines = open(FIXTURE_PANEL).read().splitlines()
+    lines = Path(FIXTURE_PANEL).read_text().splitlines()
     for cell in ("nan", "inf", "1e308"):
         row = lines[7].split(",")
         row[2] = cell
@@ -241,8 +242,8 @@ def test_simulate_roundtrip_and_determinism(tmp_path):
     out2 = str(tmp_path / "rep2.json")
     assert main(["simulate", "--config", cfg_path, "--out", out1]) == 0
     assert main(["simulate", "--config", cfg_path, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    doc = json.loads(open(out1).read())
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    doc = json.loads(Path(out1).read_text())
     cell = doc["cells"][0]
     assert cell["replicates"] == 4
     assert cell["failures"] == 0
@@ -300,6 +301,7 @@ _MALFORMED = [
     (("fit", "theta_grid_size"), True),
     (("fit", "tol_objective"), "tiny"),
     (("fit", "tol_param"), None),
+    (("fit", "n_multistar"), 3),  # a misspelled key
     (("truth", "sigma"), [1]),
     (("truth", "upsilon_max"), "big"),
     (("truth", "theta"), [0.0, "x"]),
@@ -351,7 +353,7 @@ def test_simulate_shipped_config_end_to_end(tmp_path):
     fixture = os.path.join(fixtures, "figure2.json")
     out = str(tmp_path / "report.json")
     assert main(["simulate", "--config", fixture, "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     with open(os.path.join(fixtures, "figure2_report.json")) as fh:
         _assert_same_numbers(doc, json.load(fh))
     assert [c["regime"] for c in doc["cells"]] == ["a0", "a1"]

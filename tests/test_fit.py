@@ -9,14 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
 from shapealign.criterion import CriterionContext, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_newton, fit_batch, initialize_shifts_batch
+from shapealign.fit import FitConfig, _lockstep_newton, fit_batch, initialize_shifts
 from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime
 from shapealign.montecarlo import run_study
@@ -26,6 +26,12 @@ from oracles import initialize_shifts_loop, newton_per_start, numeric_hessian, p
 
 def _circ(x, y):
     return np.abs(np.mod(np.asarray(x) - np.asarray(y) + np.pi, 2 * np.pi) - np.pi)
+
+
+def _scan(contexts, config):
+    """Start scan of contexts of one (J, m), given the coefficient and constant stacks the fitter builds."""
+    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    return initialize_shifts(contexts, d_ac, np.array([ctx.shift_constant for ctx in contexts]), config)
 
 
 def test_fit_config_validation():
@@ -87,7 +93,7 @@ def test_initialize_shifts_near_truth(rng):
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=3)
     ctx = CriterionContext(panel, 3)
     config = FitConfig(m=3)
-    best = sa.initialize_shifts(ctx, config)[0]
+    best = _scan([ctx], config)[0][0]
     step = 2 * np.pi / 101
     assert np.all(_circ(best, truth.theta) <= step + 1e-12)
 
@@ -98,7 +104,7 @@ def test_initialize_shifts_identical_curves():
     truth = sa.ParameterSet(theta=[0.0, 0.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
     ctx = CriterionContext(panel, 3)
-    best = sa.initialize_shifts(ctx, FitConfig(m=3))[0]
+    best = _scan([ctx], FitConfig(m=3))[0][0]
     assert best[1] == 0.0
 
 
@@ -108,12 +114,12 @@ def test_initialize_shifts_grid_equivariance():
     truth = sa.ParameterSet(theta=[0.0, 1.0723], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
     ctx = CriterionContext(panel, 3)
-    best = sa.initialize_shifts(ctx, FitConfig(m=3))[0]
+    best = _scan([ctx], FitConfig(m=3))[0][0]
 
     rolled = panel.y.copy()
     rolled[1] = np.roll(panel.y[1], 1)  # curve 2 delayed by one grid step
     ctx2 = CriterionContext(sa.CurvePanel(grid=grid, y=rolled), 3)
-    best2 = sa.initialize_shifts(ctx2, FitConfig(m=3))[0]
+    best2 = _scan([ctx2], FitConfig(m=3))[0][0]
     step = 2 * np.pi / 41
     assert _circ(best2[1], best[1] + step) < 1e-9
 
@@ -126,7 +132,7 @@ def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=30 + j)
     ctx = CriterionContext(panel, 3, ConstraintRegime(kind=kind))
     for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24)):
-        batched = sa.initialize_shifts(ctx, config)
+        batched = _scan([ctx], config)[0]
         looped = initialize_shifts_loop(ctx, config)
         assert len(batched) == len(looped)
         for got, want in zip(batched, looped):
@@ -142,7 +148,7 @@ def test_initialize_shifts_batch_matches_loop_oracle(j, rng):
         panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=50 + k)
         contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=kind)))
     for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24)):
-        for ctx, batched in zip(contexts, initialize_shifts_batch(contexts, config), strict=True):
+        for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
             looped = initialize_shifts_loop(ctx, config)
             assert len(batched) == len(looped)
             for got, want in zip(batched, looped):
@@ -157,8 +163,8 @@ def test_initialize_shifts_batch_equals_lone_scans(rng):
         panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=k)
         contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=(Regime.A0, Regime.A1)[k % 2])))
     config = FitConfig(m=3)
-    for ctx, batched in zip(contexts, initialize_shifts_batch(contexts, config), strict=True):
-        assert np.array_equal(batched, sa.initialize_shifts(ctx, config))
+    for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
+        assert np.array_equal(batched, _scan([ctx], config)[0])
 
 
 def _count_hessian_calls(monkeypatch):
@@ -258,6 +264,38 @@ def test_fit_noiseless_exact_recovery(rng):
     assert np.max(np.abs(result.beta_hat.upsilon - truth.upsilon)) < 1e-10
     assert result.sigma_hat < 1e-6
     assert result.objective < 1e-12
+
+
+def _assert_recovers_noiseless_truth(seed, j, degree, m, n):
+    truth, shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=degree)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(n), seed=seed)
+    result = sa.fit(panel, ConstraintRegime(), FitConfig(m=m))
+    assert result.converged
+    assert np.max(_circ(result.beta_hat.theta, truth.theta)) <= 1e-9
+    assert np.max(np.abs(result.beta_hat.a - truth.a)) <= 1e-9
+    assert np.max(np.abs(result.beta_hat.upsilon - truth.upsilon)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 6), degree=st.integers(2, 4),
+       extra=st.integers(0, 2), n=st.sampled_from([51, 101, 201]))
+def test_fit_noiseless_exact_recovery_property(seed, j, degree, extra, n):
+    # Degree 1 is left out: with odd harmonics only, f(t + pi) = -f(t) and
+    # (theta_j + pi, -a_j) fits curve j >= 2 as well.  So are shapes whose weakest
+    # harmonic is below a tenth of the strongest: they lie close to such a symmetry,
+    # and the fit can stop at the nearly symmetric local minimum (see the next test).
+    # With them, about 1 draw in 2000 fails; without them, none of 30000 did.
+    shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=degree)[1]
+    moduli = np.abs(shape.coeffs[degree + 1:])
+    assume(moduli.min() >= 0.1 * moduli.max())
+    _assert_recovers_noiseless_truth(seed, j, degree, degree + extra, n)
+
+
+@pytest.mark.xfail(strict=True, reason="the start scan misses the true basin of a nearly symmetric shape")
+def test_fit_noiseless_recovery_of_a_nearly_odd_shape():
+    # harmonic 2 at 1.5% of the strongest: f(t + pi) is close to -f(t), and the fit
+    # converges to a local minimum (objective 1.3e-4) with curve 2 at (theta_2 + pi, -a_2)
+    _assert_recovers_noiseless_truth(seed=585, j=6, degree=3, m=3, n=101)
 
 
 def test_fit_cost_stays_small_at_many_curves(rng):
@@ -473,7 +511,7 @@ def _start_stack(rng, j, kind, config):
         contexts.append(CriterionContext(panel, config.m, ConstraintRegime(kind=kind)))
     x0, owner = [], []
     for i, ctx in enumerate(contexts):
-        starts = [theta[1:] for theta in sa.initialize_shifts(ctx, config)]
+        starts = [theta[1:] for theta in _scan([ctx], config)[0]]
         starts += list(rng.uniform(0.0, 2 * np.pi, (3, j - 1)))
         x0 += starts
         owner += [i] * len(starts)
@@ -592,7 +630,7 @@ def _polish_batch(rng, j):
     contexts.append(CriterionContext(tone, 3, ConstraintRegime(kind=Regime.A1)))
     x0, owner = [], []
     for i, ctx in enumerate(contexts[:-1]):
-        best = sa.initialize_shifts(ctx, FitConfig(m=3))[0][1:]
+        best = _scan([ctx], FitConfig(m=3))[0][0][1:]
         x0 += [best, best + rng.normal(0.0, 1e-3, j - 1), rng.uniform(0.0, 2 * np.pi, j - 1)]
         owner += [i] * 3
     x0.append(2 * np.pi * np.arange(1, j) / (4 if j == 2 else j))

@@ -41,19 +41,19 @@ def test_make_grid_large():
 def test_dft_constant():
     grid = sa.make_grid(15)
     block = sa.dft(np.full(15, 3.25), grid, 4)
-    assert abs(block.coeff(0) - 3.25) < 1e-14
+    assert abs(block[4] - 3.25) < 1e-14
     for l in range(1, 5):
-        assert abs(block.coeff(l)) < 1e-14
+        assert abs(block[l + 4]) < 1e-14
 
 
 def test_dft_pure_tone_exact():
     grid = sa.make_grid(11)
     block = sa.dft(np.cos(grid.points), grid, 5)
-    assert abs(block.coeff(1) - 0.5) < 1e-15
-    assert abs(block.coeff(-1) - 0.5) < 1e-15
+    assert abs(block[1 + 5] - 0.5) < 1e-15
+    assert abs(block[-1 + 5] - 0.5) < 1e-15
     for l in [0, 2, 3, 4, 5]:
         if l != 1:
-            assert abs(block.coeff(l)) < 1e-15
+            assert abs(block[l + 5]) < 1e-15
 
 
 def test_dft_matches_direct_summation_oracle(rng):
@@ -66,14 +66,14 @@ def test_dft_matches_direct_summation_oracle(rng):
         acc = 0.0 + 0.0j
         for s in range(n):
             acc += samples[s] * np.exp(-1j * l * grid.points[s])
-        assert abs(block.coeff(l) - acc / n) < 1e-12
+        assert abs(block[l + m] - acc / n) < 1e-12
 
 
 def test_dft_hermitian_symmetry_is_exact(rng):
     grid = sa.make_grid(31)
     block = sa.dft(rng.normal(size=31), grid, 10)
     for l in range(1, 11):
-        assert block.coeff(-l) == np.conj(block.coeff(l))
+        assert block[10 - l] == np.conj(block[10 + l])
 
 
 def test_dft_shares_one_read_only_twiddle_table_per_grid_and_band(rng):
@@ -84,7 +84,17 @@ def test_dft_shares_one_read_only_twiddle_table_per_grid_and_band(rng):
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
     samples = rng.normal(size=31)
-    assert sa.dft(samples, sa.make_grid(31), 4).coeffs.tobytes() == (table @ samples / 31).tobytes()
+    assert sa.dft(samples, sa.make_grid(31), 4).tobytes() == (table @ samples / 31).tobytes()
+
+
+@pytest.mark.parametrize("n, m, j", [(11, 3, 2), (31, 4, 3), (201, 5, 7), (2001, 11, 20), (20001, 17, 30)])
+def test_dft_of_stacked_rows_equals_per_row_calls_bitwise(n, m, j, rng):
+    grid = sa.make_grid(n)
+    rows = 10.0 * rng.normal(size=(j, n))
+    stacked = sa.dft(rows, grid, m)
+    assert stacked.shape == (j, 2 * m + 1) and stacked.dtype == complex
+    assert stacked.tobytes() == np.array([sa.dft(row, grid, m) for row in rows]).tobytes()
+    assert sa.dft(rows[None], grid, m)[0].tobytes() == stacked.tobytes()  # any leading axes
 
 
 def test_dft_guards():
@@ -93,6 +103,10 @@ def test_dft_guards():
         sa.dft(np.zeros(11), grid, 6)  # 2*6 >= 11
     with pytest.raises(LengthMismatch):
         sa.dft(np.zeros(10), grid, 3)
+    with pytest.raises(LengthMismatch):
+        sa.dft(np.zeros((3, 10)), grid, 3)
+    with pytest.raises(LengthMismatch):
+        sa.dft(1.0, grid, 3)
 
 
 def test_orthogonality_kernel_values():
@@ -140,7 +154,7 @@ def test_shift_covariance(rng):
     shifted = sa.evaluate_spectrum(spec, grid.points - delta)
     block = sa.dft(shifted, grid, m)
     for l in range(-m, m + 1):
-        assert abs(block.coeff(l) - np.exp(-1j * l * delta) * spec.coeff(l)) < 1e-10
+        assert abs(block[l + m] - np.exp(-1j * l * delta) * spec.coeff(l)) < 1e-10
 
 
 def test_evaluate_spectrum_cosine():

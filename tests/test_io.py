@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shapealign.errors import (
     ParseError,
     RaggedColumns,
 )
+from shapealign.fit import FitConfig
 from shapealign.io import (
     dumps_canonical,
     parse_study_config,
@@ -136,6 +138,19 @@ def test_panel_roundtrip(tmp_path, rng):
     assert np.array_equal(back.y, panel.y)
 
 
+def test_panel_roundtrip_quotes_labels_that_need_it(tmp_path, rng):
+    grid = sa.make_grid(11)
+    path = tmp_path / "panel.csv"
+    write_panel(str(path), sa.CurvePanel(grid=grid, y=rng.normal(size=(3, 11)), labels=["x", "y", "z"]))
+    assert path.read_bytes().startswith(b"t,x,y,z\n")  # a header that needs no quoting keeps its bytes
+    panel = sa.CurvePanel(grid=grid, y=rng.normal(size=(3, 11)), labels=["x,y", 'say "hi"', "plain"])
+    write_panel(str(path), panel)
+    assert path.read_text().splitlines()[0] == 't,"x,y","say ""hi""",plain'
+    back = read_panel(str(path))
+    assert back.labels == panel.labels
+    assert np.array_equal(back.y, panel.y)
+
+
 def test_canonical_json_roundtrip_bytes():
     doc = {
         "theta": [0.0, 0.8000000000000001],
@@ -160,9 +175,9 @@ def test_canonical_json_17_digits():
 def test_write_atomic_no_partial(tmp_path):
     path = str(tmp_path / "out.json")
     write_atomic(path, "hello\n")
-    assert open(path).read() == "hello\n"
+    assert Path(path).read_text() == "hello\n"
     write_atomic(path, "world\n")
-    assert open(path).read() == "world\n"
+    assert Path(path).read_text() == "world\n"
     assert not (tmp_path / "out.json.tmp").exists()
 
 
@@ -217,6 +232,12 @@ def test_parse_study_config_rejects_bad_inputs():
     doc["shape"]["coeffs"][1]["l"] = 9
     with pytest.raises(ConfigInvalid):
         parse_study_config(doc)
+
+
+def test_parse_study_config_fit_block_takes_fit_config_defaults():
+    assert parse_study_config(_config_doc(fit={})).fit_config == FitConfig()
+    parsed = parse_study_config(_config_doc(fit={"m": "auto", "n_multistart": 3})).fit_config
+    assert parsed == FitConfig(n_multistart=3)
 
 
 def test_parse_study_config_one_sided_shape_completion():

@@ -32,6 +32,9 @@ def test_parameter_set_validation():
     with pytest.raises(ConstraintViolation):
         sa.ParameterSet(theta=theta, a=a, upsilon=[0.5, 1.0], sigma=1.0,
                         regime=ConstraintRegime(kind=Regime.A1))
+    for sigma in (-1.0, float("nan")):  # NaN would draw a noiseless panel
+        with pytest.raises(ConstraintViolation):
+            sa.ParameterSet(theta=theta, a=a, upsilon=[0.0, 1.0], sigma=sigma)
 
 
 def test_generate_noiseless_cosine_identity():
@@ -88,7 +91,7 @@ def test_generate_shift_covariance_of_dft():
             expected = truth.a[j] * np.exp(-1j * l * truth.theta[j]) * shape.coeff(l)
             if l == 0:
                 expected += truth.upsilon[j]
-            assert abs(block.coeff(l) - expected) < 1e-10
+            assert abs(block[l + 3] - expected) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +112,7 @@ def test_generate_shift_covariance_of_dft_property(seed, j, degree, half, c0):
         expected = truth.a[k] * np.exp(-1j * ls * truth.theta[k]) * coeffs
         expected[degree] += truth.upsilon[k]
         block = sa.dft(panel.y[k], grid, degree)
-        assert np.max(np.abs(block.coeffs - expected)) <= 1e-12 * max(1.0, scale)
+        assert np.max(np.abs(block - expected)) <= 1e-12 * max(1.0, scale)
 
 
 def test_center_shape_noop_and_parabola():
@@ -218,7 +221,10 @@ def test_panel_dft_cache_matches_dft():
     rng = np.random.default_rng(0)
     panel = sa.CurvePanel(grid=grid, y=rng.normal(size=(2, 31)))
     blocks = panel.curve_dft(5)
+    assert blocks.shape == (2, 11) and not blocks.flags.writeable
+    with pytest.raises(ValueError):
+        blocks[0, 0] = 0.0
     for j in range(2):
         fresh = sa.dft(panel.y[j], grid, 5)
-        assert np.max(np.abs(blocks[j].coeffs - fresh.coeffs)) < 1e-12
+        assert np.max(np.abs(blocks[j] - fresh)) < 1e-12
     assert panel.curve_dft(5) is blocks  # cached
