@@ -17,6 +17,7 @@ evaluation of each fit's best row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +94,15 @@ def _profiled_levels(ctx: CriterionContext, a: np.ndarray) -> np.ndarray:
     return ups
 
 
+@functools.lru_cache(maxsize=8)
+def _phase_table(m: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only scan offsets delta_k = 2 pi k / grid and (2m+1, grid) phases e^{i l delta_k}, l = -m..m."""
+    deltas = TWO_PI * np.arange(grid_size) / grid_size
+    table = np.exp(1j * np.outer(np.arange(-m, m + 1), deltas))
+    deltas.flags.writeable = table.flags.writeable = False
+    return deltas, table
+
+
 def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config: FitConfig) -> np.ndarray:
     """Candidate shift vectors of F contexts of one (J, m) and scan grid, from a cross-correlation scan.
 
@@ -111,9 +121,9 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     j, freqs = contexts[0].n_curves, contexts[0].freqs
     grid_size = config.theta_grid_size or contexts[0].n
     k = min(config.n_multistart, grid_size)
-    deltas = TWO_PI * np.arange(grid_size) / grid_size
+    deltas, phases = _phase_table(contexts[0].m, grid_size)
     cross = np.conj(d_ac[:, :1]) * d_ac
-    scores = np.abs(cross @ np.exp(1j * np.outer(freqs, deltas)))  # (F, J, grid)
+    scores = np.abs(cross @ phases)  # (F, J, grid)
 
     top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
     # every free curve at its best offset, then each curve's other offsets in turn
@@ -148,42 +158,54 @@ def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
     ev = fun(x, np.arange(len(x)), True)
     f, g, hess, tie = ev.value, ev.grad, ev.hess, ev.tie_break  # updated in place with ``ev``
     f_start, iterations, live = f.copy(), np.zeros(len(x), dtype=int), np.arange(len(x))
-    while live.size:
-        live = live[iterations[live] < config.max_iters]
+    halvings = 0.5 ** np.arange(60)  # the line search's step lengths
+    for _ in range(config.max_iters):  # rows live after the last round stop on their budget
         iterations[live] += 1
-        gnorm, scale = np.max(np.abs(g[live]), axis=1), np.fmax(1.0, np.abs(f[live]))
-        keep = ~(gnorm <= 1e-15 * scale)
-        live, gnorm, scale = live[keep], gnorm[keep], scale[keep]
-        gl, direction = g[live], np.full_like(g[live], np.nan)
-        curved = ~tie[live] & np.isfinite(hess[live]).all(axis=(1, 2))
-        lam, vec = np.linalg.eigh(hess[live[curved]])
+        xl, fl, gl, hl = x[live], f[live], g[live], hess[live]
+        gnorm, scale = np.abs(gl).max(axis=1), np.fmax(1.0, np.abs(fl))
+        flat = gnorm <= 1e-15 * scale  # stop: the gradient vanished to rounding
+        keep = ~flat if flat.any() else slice(None)  # a slice gathers nothing
+        live, xl, fl, gl, hl, gnorm, scale = (a[keep] for a in (live, xl, fl, gl, hl, gnorm, scale))
+        if not live.size:
+            break
+        curved = ~tie[live] & np.isfinite(hl).all(axis=(1, 2))
+        newton = curved if not curved.all() else slice(None)
+        lam, vec = np.linalg.eigh(hl[newton])
         lam = np.fmax(np.abs(lam), 1e-8 * np.fmax(1.0, np.abs(lam).max(axis=1, keepdims=True)))[:, :, None]
-        direction[curved] = -(vec @ (vec.transpose(0, 2, 1) @ gl[curved][:, :, None] / lam))[:, :, 0]
+        direction = np.full_like(gl, np.nan)
+        direction[newton] = -(vec @ (vec.transpose(0, 2, 1) @ gl[newton][:, :, None] / lam))[:, :, 0]
         slope = rowdot(gl, direction)
         steepest = ~(slope < 0.0)
-        direction[steepest] = -gl[steepest]
-        slope[steepest] = -rowdot(gl[steepest], gl[steepest])
+        if steepest.any():
+            direction[steepest] = -gl[steepest]
+            slope[steepest] = -rowdot(gl[steepest], gl[steepest])
         armijo = ~(-slope <= config.tol_objective * scale)
-        keep = armijo | ~steepest  # below the tolerance only a Newton step is tried
-        live, gnorm, direction, slope, armijo = (a[keep] for a in (live, gnorm, direction, slope, armijo))
-        x_old, f_old, todo = x[live], f[live], np.arange(live.size)  # todo: rows still searching
-        moved = np.zeros(live.size, dtype=bool)
-        for step in 0.5 ** np.arange(60):
-            if not todo.size:
+        stalled = ~armijo & steepest  # stop: below the tolerance only a Newton step is tried
+        keep = ~stalled if stalled.any() else slice(None)
+        search = [a[keep] for a in (live, xl, fl, direction, slope, armijo, gnorm)]  # rows still searching
+        survivors = np.zeros(len(x), dtype=bool)
+        for step in halvings:  # stop: rows still searching after the last halving have no descent step
+            rows, x_old, f_old, direction, slope, armijo, gnorm = search
+            if not rows.size:
                 break
-            x_try = x_old[todo] + step * direction[todo]
-            trial = fun(x_try, live[todo], True)
-            ok = np.where(armijo[todo], trial.value <= f_old[todo] + 1e-4 * step * slope[todo],
-                          np.max(np.abs(trial.grad), axis=1) < gnorm[todo])
-            x[live[todo[ok]]] = x_try[ok]
+            x_try = x_old + step * direction
+            trial = fun(x_try, rows, True)
+            ok = np.where(armijo, trial.value <= f_old + 1e-4 * step * slope,
+                          np.abs(trial.grad).max(axis=1) < gnorm)
+            took = ok if not ok.all() else slice(None)
+            target, f_new = rows[took], trial.value[took]
+            x[target] = x_try[took]
             for whole, part in zip(ev, trial):  # an accepted trial is the new state
-                whole[live[todo[ok]]] = part[ok]
-            moved[todo[ok]] = True
-            todo = todo[~ok & armijo[todo]]  # a Newton trial below the tolerance is made once
-        live, x_old, f_old, armijo = live[moved], x_old[moved], f_old[moved], armijo[moved]
-        s, gain = x[live] - x_old, f_old - f[live]
-        live = live[~(armijo & (np.max(np.abs(s), axis=1) <= config.tol_param)
-                      & (gain <= config.tol_objective * np.fmax(1.0, np.abs(f[live]))))]
+                whole[target] = part[took]
+            settled = armijo[took] & (np.abs(x_try[took] - x_old[took]).max(axis=1) <= config.tol_param) & (
+                f_old[took] - f_new <= config.tol_objective * np.fmax(1.0, np.abs(f_new)))  # stop: both small
+            survivors[target[~settled]] = True
+            rejected = ~ok & ~armijo  # stop: the one Newton trial did not shrink max|g|
+            retry = ~(ok | rejected)
+            if not retry.any():
+                break
+            search = [a[retry] for a in search]
+        live = np.flatnonzero(survivors)
     return x, ev, iterations, f_start
 
 
@@ -322,9 +344,4 @@ def estimate_shape(result: FitResult, allow_unconverged: bool = False):
     """
     if not result.converged and not allow_unconverged:
         raise ConfigInvalid("fit did not converge; pass allow_unconverged=True to override")
-    spec = result.shape_hat
-
-    def evaluator(t):
-        return evaluate_spectrum(spec, t)
-
-    return spec, evaluator
+    return result.shape_hat, functools.partial(evaluate_spectrum, result.shape_hat)

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -41,26 +42,26 @@ _GRID_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 
 def _render_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, np.floating)):  # most values: ahead of the rest of the dispatch
         v = float(value)
         if math.isnan(v) or math.isinf(v):
             return "null"
         if v == 0.0:
             v = 0.0  # "-0" would re-parse as the integer 0
         return format(v, ".17g")
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _is_scalar(value) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str, np.integer, np.floating))
+    return isinstance(value, (float, bool, int, str, np.integer, np.floating)) or value is None
 
 
 def dumps_canonical(doc) -> str:
@@ -136,10 +137,10 @@ def write_atomic(path: str, text: str):
 def read_panel(path: str) -> CurvePanel:
     """Parse a curve panel from CSV.
 
-    Header row required.  If the first column is named ``t`` it must hold
-    the equidistant grid 2*pi*i/n (radians, within 1e-9); otherwise every
-    column is a curve and the grid is implied by the row count.  The row
-    count must be odd and every cell a finite number.
+    Header row required, labels kept verbatim.  A first column named ``t``,
+    whitespace aside, must hold the equidistant grid 2*pi*i/n (radians, within
+    1e-9); otherwise every column is a curve and the row count, which must be
+    odd, implies the grid.  Every cell must be a finite number, whitespace aside.
     """
     try:
         # utf-8-sig: tolerate a byte-order mark without corrupting the header
@@ -152,40 +153,44 @@ def read_panel(path: str) -> CurvePanel:
     if not rows:
         raise ParseError("empty file", line=1)
 
-    header = [cell.strip() for cell in rows[0]]
+    header, body = rows[0], rows[1:]
     width = len(header)
     if width < 2:
         raise ParseError("need at least two columns", line=1)
-    has_time = header[0] == "t"
+    has_time = header[0].strip() == "t"
     n_curves = width - (1 if has_time else 0)
     if n_curves < 2:
         raise ParseError("need at least two curve columns", line=1)
 
-    data = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            raise ParseError("blank line inside table", line=line_no)
-        if len(row) != width:
-            raise RaggedColumns(f"line {line_no}: {len(row)} cells, expected {width}")
+    table = None  # one float() pass over the body; the cell loop only where it fails
+    if all(len(row) == width for row in body):
+        with contextlib.suppress(ValueError):
+            table = np.array(list(map(float, chain.from_iterable(body))))
+    if table is None or not np.isfinite(table).all():
+        # the first bad row or cell in reading order; str.strip, unlike float(), trims U+001C..U+001F
         values = []
-        for col_no, cell in enumerate(row, start=1):
-            cell = cell.strip()
-            if cell == "":
-                raise ParseError("missing cell", line=line_no, column=col_no)
-            try:
-                values.append(float(cell))
-            except ValueError as exc:
-                raise ParseError(f"bad number {cell!r}", line=line_no, column=col_no) from exc
-            if not math.isfinite(values[-1]):
-                raise ParseError(f"non-finite number {cell!r}", line=line_no, column=col_no)
-        data.append(values)
-
-    n = len(data)
+        for line_no, row in enumerate(body, start=2):
+            if not row:
+                raise ParseError("blank line inside table", line=line_no)
+            if len(row) != width:
+                raise RaggedColumns(f"line {line_no}: {len(row)} cells, expected {width}")
+            for col_no, cell in enumerate(row, start=1):
+                cell = cell.strip()
+                if cell == "":
+                    raise ParseError("missing cell", line=line_no, column=col_no)
+                try:
+                    values.append(float(cell))
+                except ValueError as exc:
+                    raise ParseError(f"bad number {cell!r}", line=line_no, column=col_no) from exc
+                if not math.isfinite(values[-1]):
+                    raise ParseError(f"non-finite number {cell!r}", line=line_no, column=col_no)
+        table = np.array(values)
+    n = len(body)
     if n < 3:
         raise GridMismatch(f"need at least 3 rows, got {n}")
     if n % 2 == 0:
         raise GridMismatch("n must be odd")
-    table = np.asarray(data, dtype=float)
+    table = table.reshape(n, width)
     grid = make_grid(n)
     if has_time:
         defect = float(np.max(np.abs(table[:, 0] - grid.points)))

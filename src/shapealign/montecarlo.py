@@ -17,7 +17,6 @@ replicate order, so parallelism cannot change any result.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 
@@ -76,6 +75,7 @@ def _map_ordered(truth, shape, kinds, items: list) -> list:
         return _replicate_chunk((truth, shape, kinds, items))
     bounds = [len(items) * w // count for w in range(count + 1)]
     chunks = [(truth, shape, kinds, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
     with ProcessPoolExecutor(max_workers=count) as pool:
         return [res for part in pool.map(_replicate_chunk, chunks) for res in part]
 

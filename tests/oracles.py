@@ -5,6 +5,7 @@ package computes another way (closed form, stacked eigenvalues, exact
 derivatives), by the most direct route available.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -16,10 +17,12 @@ from shapealign.criterion import (
     criterion_value,
     shift_objective_stack,
 )
+from shapealign.errors import GridMismatch, ParseError, RaggedColumns
 from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
 from shapealign.fourier import TWO_PI, ShapeSpectrum, make_grid
 from shapealign.model import (
     ConstraintRegime,
+    CurvePanel,
     ParameterSet,
     Regime,
     generate_panel,
@@ -253,3 +256,53 @@ def run_study_per_regime(config: StudyConfig) -> StudyReport:
         regimes=tuple(config.regimes),
         cells=cells,
     )
+
+
+def read_panel_cells(path: str) -> CurvePanel:
+    """Panel CSV parsed cell by cell: each cell stripped, checked and converted on its own.
+
+    Same file rules, errors and messages as ``io.read_panel``, which parses the body in
+    one pass and must match this bit for bit; labels are kept verbatim here as there.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError("empty file", line=1)
+    header = rows[0]
+    width = len(header)
+    if width < 2:
+        raise ParseError("need at least two columns", line=1)
+    has_time = header[0].strip() == "t"
+    if width - (1 if has_time else 0) < 2:
+        raise ParseError("need at least two curve columns", line=1)
+    data = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            raise ParseError("blank line inside table", line=line_no)
+        if len(row) != width:
+            raise RaggedColumns(f"line {line_no}: {len(row)} cells, expected {width}")
+        values = []
+        for col_no, cell in enumerate(row, start=1):
+            cell = cell.strip()
+            if cell == "":
+                raise ParseError("missing cell", line=line_no, column=col_no)
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise ParseError(f"bad number {cell!r}", line=line_no, column=col_no) from exc
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"non-finite number {cell!r}", line=line_no, column=col_no)
+        data.append(values)
+    n = len(data)
+    if n < 3:
+        raise GridMismatch(f"need at least 3 rows, got {n}")
+    if n % 2 == 0:
+        raise GridMismatch("n must be odd")
+    table = np.asarray(data, dtype=float)
+    grid = make_grid(n)
+    if not has_time:
+        return CurvePanel(grid=grid, y=table.T, labels=header)
+    defect = float(np.max(np.abs(table[:, 0] - grid.points)))
+    if defect > 1e-9:
+        raise GridMismatch(f"time column deviates from the equidistant grid by {defect:.3e}")
+    return CurvePanel(grid=grid, y=table[:, 1:].T, labels=header[1:])

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext, shift_objective_stack
+from shapealign.criterion import CriterionContext, ShiftEvaluation, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_newton, fit_batch, initialize_shifts
+from shapealign.fit import FitConfig, _lockstep_newton, _phase_table, fit_batch, initialize_shifts
 from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime
 from shapealign.montecarlo import run_study
@@ -165,6 +165,16 @@ def test_initialize_shifts_batch_equals_lone_scans(rng):
     config = FitConfig(m=3)
     for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
         assert np.array_equal(batched, _scan([ctx], config)[0])
+
+
+def test_scan_phase_table_is_one_read_only_array_per_band_and_grid():
+    deltas, table = _phase_table(3, 201)
+    assert _phase_table(3, 201)[1] is table and table.shape == (7, 201)
+    for cached in (deltas, table):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    assert deltas.tobytes() == (2 * np.pi * np.arange(201) / 201).tobytes()
+    assert table.tobytes() == np.exp(1j * np.outer(np.arange(-3, 4), deltas)).tobytes()
 
 
 def _count_hessian_calls(monkeypatch):
@@ -583,6 +593,34 @@ def test_lockstep_bfgs_line_search_exhaustion_matches_oracle(rng):
     x, iterations = _assert_matches_per_start(fun, x0, config)
     assert np.all(iterations[::2] == 1) and np.array_equal(x[::2], x0[::2])
     assert np.all(iterations[1::2] > 1)
+
+
+def test_lockstep_newton_round_of_mixed_rows_matches_oracle():
+    # f_k(x) = c_k |x|^2 / 2 + 1 with Hessian h_k c_k I (NaN: none), exact in binary, so that the
+    # first round has every kind of row: 0 takes its full step, 1 backtracks to a step of 1/8,
+    # 2 is below the Armijo tolerance and its Newton trial is kept, 3 is too and its trial is
+    # rejected, and 4 descends by steepest descent until it retires at max_iters
+    c = np.array([1.0, 2.0, 1.0, 1.0, 0.1])
+    h = np.array([1.0, 0.125, 1.0, 0.25, np.nan])
+    x0 = np.array([[1.0, -2.0], [0.5, 1.0], [2.0**-23, -(2.0**-22)], [2.0**-23, 0.0], [3.0, 1.0]])
+    calls = []
+
+    def fun(xs, rows, hessian=False):
+        calls.append(rows.tolist())
+        value = 0.5 * c[rows] * np.sum(xs * xs, axis=1) + 1.0
+        hess = (h[rows] * c[rows])[:, None, None] * np.eye(2)
+        return ShiftEvaluation(value=value, grad=c[rows, None] * xs, hess=hess, energy=-value,
+                               lead=2.0 * xs, tie_break=np.zeros(len(rows), dtype=bool))
+
+    config = FitConfig(max_iters=3)
+    x, iterations = _assert_matches_per_start(fun, x0, config)
+    assert calls[1:5] == [[0, 1, 2, 3, 4], [1], [1], [1]]  # one round: all five trials, then 1's halvings
+    assert iterations.tolist() == [2, 2, 2, 1, 3]
+    assert np.all(x[:3] == 0.0) and np.array_equal(x[3], x0[3]) and np.all(x[4] != 0.0)
+    ev = _lockstep_newton(fun, x0, config)[1]
+    fresh = fun(x, np.arange(len(x0)), True)
+    for whole, part in zip(ev, fresh):  # every field of the evaluation is written back
+        assert whole.tobytes() == part.tobytes()
 
 
 _BATCH_GRIDS = (21, 41, 81, 257)   # resolved bands m = 2, 2, 3, 4

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapealign as sa
 from shapealign.criterion import CriterionContext
@@ -24,6 +26,7 @@ from shapealign.io import (
     write_atomic,
     write_panel,
 )
+from oracles import read_panel_cells
 
 
 def _write(tmp_path, name, text):
@@ -149,6 +152,69 @@ def test_panel_roundtrip_quotes_labels_that_need_it(tmp_path, rng):
     back = read_panel(str(path))
     assert back.labels == panel.labels
     assert np.array_equal(back.y, panel.y)
+
+
+def test_panel_roundtrip_keeps_padded_labels_verbatim(tmp_path, rng):
+    grid = sa.make_grid(11)
+    path = str(tmp_path / "panel.csv")
+    panel = sa.CurvePanel(grid=grid, y=rng.normal(size=(3, 11)), labels=[" x", "y ", "\tt "])
+    write_panel(path, panel)
+    back = read_panel(path)
+    assert back.labels == panel.labels
+    assert np.array_equal(back.y, panel.y)
+    # a header cell is trimmed only to recognise the time column
+    Path(path).write_text(Path(path).read_text().replace("t,", " t ,", 1))
+    assert read_panel(path).labels == panel.labels
+
+
+# Cell padding that str.strip and float() both trim.
+_PADS = ("", "", " ", "  ", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2003", "\u3000")
+# str.strip also trims U+001C..U+001F, where float() fails.
+_ODD_NUMBERS = ("nan", "-inf", "Infinity", "1e400", "-1e400", "1_0", "+.5e-3", "-0", "1e-400", "\u0661\u0662",
+                "\x1c2.5", "-3\x1f", "\x1dnan")
+_BAD_CELLS = ("", " ", "\t ", "abc", "1 2", "0x10", "1e", ".", "--1", "1__0")
+
+
+@st.composite
+def _panel_text(draw):
+    """A panel CSV text: padded cells, a few odd or bad ones, and perhaps a ragged or blank row."""
+    n, curves = draw(st.sampled_from([3, 5, 7] * 3 + [0, 1, 2, 4])), draw(st.integers(2, 3))
+    with_time = draw(st.booleans())
+    number = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([repr(v), format(v, ".17g"), format(v, ".3e")]))
+    rows = [([format(2 * np.pi * i / n, ".17g")] if with_time else []) + [draw(number) for _ in range(curves)]
+            for i in range(n)]
+    if n:
+        width = len(rows[0])
+        # none, odd numbers (finite or not), bad cells, or both
+        for cells in draw(st.sampled_from([(), (_ODD_NUMBERS,), (_BAD_CELLS,), (_ODD_NUMBERS, _BAD_CELLS)])):
+            odd = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1), st.sampled_from(cells))
+            for i, k, cell in draw(st.lists(odd, min_size=1, max_size=2)):
+                rows[i][k] = cell
+        i, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(["none"] * 5 + ["short", "long", "blank"]))
+        rows[i] = {"short": rows[i][:-1], "long": rows[i] + ["1"], "blank": []}.get(kind, rows[i])
+    pad = st.sampled_from(_PADS)
+    header = ([draw(st.sampled_from(["t", " t", "t\t", "x"]))] if with_time else []) + [
+        draw(pad) + f"c{k}" + draw(pad) for k in range(curves)]
+    lines = [",".join(header)] + [",".join(draw(pad) + c + draw(pad) for c in row) for row in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(read, path):
+    try:
+        panel = read(path)
+    except Exception as exc:  # the outcome compared: type and message of any error
+        return type(exc), str(exc)
+    return panel.y.shape, panel.y.tobytes(), panel.grid.n, panel.labels
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_panel_text())
+def test_read_panel_matches_cell_by_cell_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("panel") / "p.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(read_panel, str(path)) == _outcome(read_panel_cells, str(path))
 
 
 def test_canonical_json_roundtrip_bytes():

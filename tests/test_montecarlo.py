@@ -1,6 +1,9 @@
 """Replication harness: determinism, seeding, aggregation, comparisons."""
 
+import concurrent.futures
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,7 +82,7 @@ class _InProcessPool:
         return map(fn, chunks)
 
 
-def _record_pools(monkeypatch, pool=montecarlo.ProcessPoolExecutor):
+def _record_pools(monkeypatch, pool=concurrent.futures.ProcessPoolExecutor):
     """Worker count of every pool a study opens; each is a ``pool``."""
     opened = []
 
@@ -87,7 +90,7 @@ def _record_pools(monkeypatch, pool=montecarlo.ProcessPoolExecutor):
         opened.append(max_workers)
         return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     return opened
 
 
@@ -208,12 +211,22 @@ def test_figure2_study_opens_no_pool(monkeypatch):
     def refuse(max_workers):
         raise AssertionError("a pool was opened")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     study = load_study_config(os.path.join(fixtures, "figure2.json"))
     assert study.replicates * len(study.regimes) < montecarlo._FITS_PER_WORKER
     with open(os.path.join(fixtures, "figure2_report.json"), "rb") as fh:
         assert _canonical(sa.run_study(study)).encode() == fh.read()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a study large enough for a pool imports concurrent.futures; a fit never does
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, shapealign.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"
 
 
 def test_mise_decomposition_is_exact():
