@@ -17,7 +17,6 @@ evaluation of each fit's best row.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,15 +93,6 @@ def _profiled_levels(ctx: CriterionContext, a: np.ndarray) -> np.ndarray:
     return ups
 
 
-@functools.lru_cache(maxsize=8)
-def _phase_table(m: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only scan offsets delta_k = 2 pi k / grid and (2m+1, grid) phases e^{i l delta_k}, l = -m..m."""
-    deltas = TWO_PI * np.arange(grid_size) / grid_size
-    table = np.exp(1j * np.outer(np.arange(-m, m + 1), deltas))
-    deltas.flags.writeable = table.flags.writeable = False
-    return deltas, table
-
-
 def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config: FitConfig) -> np.ndarray:
     """Candidate shift vectors of F contexts of one (J, m) and scan grid, from a cross-correlation scan.
 
@@ -121,9 +111,9 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     j, freqs = contexts[0].n_curves, contexts[0].freqs
     grid_size = config.theta_grid_size or contexts[0].n
     k = min(config.n_multistart, grid_size)
-    deltas, phases = _phase_table(contexts[0].m, grid_size)
+    deltas = TWO_PI * np.arange(grid_size) / grid_size
     cross = np.conj(d_ac[:, :1]) * d_ac
-    scores = np.abs(cross @ phases)  # (F, J, grid)
+    scores = np.abs(cross @ np.exp(1j * np.outer(freqs, deltas)))  # (F, J, grid)
 
     top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
     # every free curve at its best offset, then each curve's other offsets in turn
@@ -344,4 +334,9 @@ def estimate_shape(result: FitResult, allow_unconverged: bool = False):
     """
     if not result.converged and not allow_unconverged:
         raise ConfigInvalid("fit did not converge; pass allow_unconverged=True to override")
-    return result.shape_hat, functools.partial(evaluate_spectrum, result.shape_hat)
+    spec = result.shape_hat
+
+    def evaluator(t):
+        return evaluate_spectrum(spec, t)
+
+    return spec, evaluator

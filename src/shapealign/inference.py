@@ -12,7 +12,6 @@ shape's mean; that covariance is assembled by :func:`a1_covariance`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,12 +197,6 @@ class ConfidenceReport:
     zero_noise: bool
 
 
-@functools.lru_cache(maxsize=8, typed=True)  # typed: a float32 level computes in float32
-def _two_sided_quantile(level: float) -> float:
-    """z with P(|Z| <= z) = ``level``, computed once per level (and its type) and process."""
-    return float(inverse_normal_cdf(0.5 * (1.0 + level)))
-
-
 def confidence_intervals(result, level: float) -> ConfidenceReport:
     """Per-parameter normal confidence intervals from the plug-in covariance.
 
@@ -232,7 +225,7 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
         blocks = a1_covariance(params.a, result.shape_hat, result.sigma_hat)
         cov = blocks.covariance(result.n) if not zero_noise else np.zeros_like(blocks.gamma)
 
-    z = _two_sided_quantile(np.asarray(level)[()])  # a hashable scalar of the level's own type
+    z = float(inverse_normal_cdf(0.5 * (1.0 + level)))
     estimates = params.free_values()
     labels = free_parameter_labels(j, params.regime)
     intervals = []

@@ -18,6 +18,7 @@ import os
 import tempfile
 from io import StringIO
 from itertools import chain
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def _render_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return encode_basestring(value)  # json.dumps(value, ensure_ascii=False) without its wrappers
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -78,7 +79,7 @@ def dumps_canonical(doc) -> str:
                 return
             pieces.append("{\n")
             for i, (key, item) in enumerate(value.items()):
-                pieces.append(f"{pad}  {json.dumps(str(key))}: ")
+                pieces.append(f"{pad}  {encode_basestring_ascii(str(key))}: ")  # json.dumps(str(key))
                 emit(item, depth + 1)
                 pieces.append(",\n" if i < len(value) - 1 else "\n")
             pieces.append(pad + "}")

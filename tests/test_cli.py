@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import shapealign as sa
 from shapealign.cli import _build_parser, main
-from shapealign.io import dumps_canonical, write_atomic, write_panel
-from conftest import bandlimited_truth
+from shapealign.io import dumps_canonical, write_atomic
 
 FIXTURE_PANEL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_panel.csv")
 
@@ -234,28 +233,6 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
         assert (tmp_path / f"same-{name}").read_bytes() == (tmp_path / f"fresh-{name}").read_bytes()
     assert not (tmp_path / "same-bad.json").exists() and not (tmp_path / "fresh-bad.json").exists()
     assert len(errors) == 1 and "--m" in errors[0]
-
-
-def test_fits_sharing_a_grid_or_a_band_give_the_same_bytes_in_either_order(tmp_path, rng):
-    # each order in a fresh process, so every per-process cache (scan phases, DFT twiddles,
-    # normal quantiles) starts empty; a cache keyed on the grid or the band alone mixes them up
-    jobs = []
-    for k, (n, m, level) in enumerate(((101, 3, 0.9), (101, 4, 0.95), (257, 3, 0.8))):
-        truth, shape = bandlimited_truth(rng, j=3, degree=2, sigma=0.3)
-        write_panel(str(tmp_path / f"{k}.csv"), sa.generate_panel(truth, shape, sa.make_grid(n), seed=n))
-        jobs.append(["fit", "--input", str(tmp_path / f"{k}.csv"), "--m", str(m), "--level", str(level)])
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = "import json, sys; from shapealign.cli import main; [main(argv) for argv in json.loads(sys.argv[1])]"
-
-    def outputs(order, tag):
-        argvs = [jobs[k] + ["--out", str(tmp_path / f"{tag}{k}.json")] for k in order]
-        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, check=True, timeout=120)
-        return [(tmp_path / f"{tag}{k}.json").read_bytes() for k in range(len(jobs))]
-
-    first = outputs([0, 1, 2], "a")
-    assert all(json.loads(doc)["diagnostics"]["converged"] for doc in first)
-    assert first == outputs([2, 1, 0], "b")
 
 
 def test_simulate_roundtrip_and_determinism(tmp_path):

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import shapealign as sa
 from shapealign.criterion import CriterionContext, ShiftEvaluation, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_newton, _phase_table, fit_batch, initialize_shifts
+from shapealign.fit import FitConfig, _lockstep_newton, fit_batch, initialize_shifts
 from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime
 from shapealign.montecarlo import run_study
@@ -165,16 +165,6 @@ def test_initialize_shifts_batch_equals_lone_scans(rng):
     config = FitConfig(m=3)
     for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
         assert np.array_equal(batched, _scan([ctx], config)[0])
-
-
-def test_scan_phase_table_is_one_read_only_array_per_band_and_grid():
-    deltas, table = _phase_table(3, 201)
-    assert _phase_table(3, 201)[1] is table and table.shape == (7, 201)
-    for cached in (deltas, table):
-        with pytest.raises(ValueError):
-            cached[0] = 0.0
-    assert deltas.tobytes() == (2 * np.pi * np.arange(201) / 201).tobytes()
-    assert table.tobytes() == np.exp(1j * np.outer(np.arange(-3, 4), deltas)).tobytes()
 
 
 def _count_hessian_calls(monkeypatch):

@@ -153,17 +153,6 @@ def test_interval_arithmetic():
     assert theta_iv.circular
 
 
-def test_interval_quantile_follows_the_level_and_its_type():
-    # the quantile is cached per process; each level, float32 and 0-d array levels too, keeps
-    # the z its own arithmetic gives, whatever was cached before it
-    fit = _tone_fit()
-    se = float(np.sqrt(sa.confidence_intervals(fit, 0.5).covariance[0, 0]))
-    level32 = np.float32(0.95)  # its z in float32 arithmetic differs from the float64 one
-    for level in (float(level32), level32, np.array(level32), np.array(float(level32)), float(level32)):
-        z = float(sa.inverse_normal_cdf(0.5 * (1.0 + level)))
-        assert sa.confidence_intervals(fit, level).intervals[0].half_width == z * se
-
-
 def test_interval_monotone_in_level():
     fit = _tone_fit()
     widths = [

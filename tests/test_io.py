@@ -238,6 +238,14 @@ def test_canonical_json_17_digits():
     assert "0.10000000000000001" in text
 
 
+@settings(max_examples=300, deadline=None)
+@given(key=st.text(), value=st.text())
+def test_canonical_json_quotes_text_as_json_dumps(key, value):
+    # keys ASCII-escaped, string values kept as UTF-8, control characters and surrogates escaped
+    text = dumps_canonical({key: value})
+    assert text == f"{{\n  {json.dumps(key)}: {json.dumps(value, ensure_ascii=False)}\n}}\n"
+
+
 def test_write_atomic_no_partial(tmp_path):
     path = str(tmp_path / "out.json")
     write_atomic(path, "hello\n")
