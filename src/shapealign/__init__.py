@@ -47,6 +47,7 @@ from .model import (
     Regime,
     center_shape,
     generate_panel,
+    generate_panels,
     project_to_constraints,
     reparameterize_to_a1,
 )

@@ -18,7 +18,7 @@ evaluation of each fit's best row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +28,13 @@ from .criterion import (
     rowdot,
     shift_objective_stack,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, ZeroReferenceAmplitude
 from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum
 from .model import (
     ConstraintRegime,
     CurvePanel,
     ParameterSet,
     Regime,
-    project_to_constraints,
 )
 
 
@@ -83,13 +82,14 @@ def _sphere_scales(lead: np.ndarray) -> np.ndarray:
     return np.sqrt(lead.shape[1]) * np.where(first < 0, -lead, lead)
 
 
-def _profiled_levels(ctx: CriterionContext, a: np.ndarray) -> np.ndarray:
-    """Exact level profile given scales, regime-aware."""
-    if ctx.regime.kind is Regime.A0:
-        bound = ctx.regime.upsilon_max
-        return np.clip(ctx.ybar, -bound, bound)
-    ups = ctx.ybar - a * (ctx.ybar[0] / a[0])
-    ups[0] = 0.0
+def _profiled_levels(contexts, a: np.ndarray) -> np.ndarray:
+    """Exact level profiles (F, J) of F contexts given their scales (F, J), regime-aware per row."""
+    ybar = np.array([ctx.ybar for ctx in contexts])
+    bound = np.array([[ctx.regime.upsilon_max] for ctx in contexts])
+    a1 = np.array([ctx.regime.kind is Regime.A1 for ctx in contexts])
+    ups = np.clip(ybar, -bound, bound)
+    ups[a1] = ybar[a1] - a[a1] * (ybar[a1, :1] / a[a1, :1])
+    ups[a1, 0] = 0.0
     return ups
 
 
@@ -214,7 +214,6 @@ class FitResult:
     tie_break: bool
     n: int
     m: int
-    start_profile: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
 
     @property
     def regime(self) -> ConstraintRegime:
@@ -272,7 +271,7 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     def kernel(xs, rows, hessian):
         return shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian)
 
-    x_end, ev, iters, f_start = _lockstep_newton(kernel, starts[:, 1:], config)
+    x_end, ev, iters, _ = _lockstep_newton(kernel, starts[:, 1:], config)
     wrapped = np.mod(x_end, TWO_PI)
     best = [lo + _first_best(ev.value[lo:hi], wrapped[lo:hi], config.tol_objective)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -281,37 +280,35 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     theta = np.mod(np.concatenate([np.zeros((jobs, 1)), x_end[best]], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     profile = shift_objective_stack(d_ac, np.arange(jobs), theta[:, 1:], constants)
-    projected = [project_to_constraints(th, a, _profiled_levels(ctx, a), ctx.regime, sigma=1.0)[0]
-                 for ctx, th, a in zip(contexts, theta, _sphere_scales(profile.lead))]
-    objective, coeffs = criterion_stack(contexts, *(np.array([getattr(p, name) for p in projected])
-                                                   for name in ("theta", "a", "upsilon")))
+    # project_to_constraints row-wise, levels from the scales before their rescaling; the
+    # sign rule of _sphere_scales already leaves a_1 >= 0, so no row needs a flip
+    a = _sphere_scales(profile.lead)
+    if np.any(a[:, 0] == 0.0):
+        raise ZeroReferenceAmplitude("reference amplitude is zero after rescaling")
+    upsilon = _profiled_levels(contexts, a)
+    ssq = rowdot(a, a)
+    a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)
+    objective, coeffs = criterion_stack(contexts, theta, a, upsilon)
+    finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
     gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
     certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    rounded, results = np.round(starts, 12), []
-    for f, (ctx, params) in enumerate(zip(contexts, projected)):
-        lo, hi, obj = bounds[f], bounds[f + 1], float(objective[f])
+    iterations, results = iters.reshape(jobs, per_job).sum(axis=1).tolist(), []
+    for f, (ctx, obj) in enumerate(zip(contexts, objective.tolist())):
         sigma_hat = math.sqrt(obj) if obj > 0.0 else 0.0
-        params = ParameterSet(
-            theta=params.theta, a=params.a, upsilon=params.upsilon,
-            sigma=sigma_hat, regime=ctx.regime,
-        )
         results.append(FitResult(
-            beta_hat=params,
+            beta_hat=ParameterSet(theta=theta[f], a=a[f], upsilon=upsilon[f], sigma=sigma_hat, regime=ctx.regime),
             sigma_hat=sigma_hat,
             shape_hat=ShapeSpectrum(m=ctx.m, coeffs=coeffs[f]),
             objective=obj,
-            iterations=int(iters[lo:hi].sum()),
+            iterations=iterations[f],
             restarts=per_job,
-            converged=bool(np.all(np.isfinite(params.free_values())) and math.isfinite(obj)
-                           and certified[f]),
+            converged=bool(finite[f] and certified[f]),
             zero_noise=obj <= 0.0,
             tie_break=bool(profile.tie_break[f]),
             n=ctx.n,
             m=ctx.m,
-            start_profile=[(tuple(theta0), float(f0))
-                           for theta0, f0 in zip(rounded[lo:hi], f_start[lo:hi])],
         ))
     return results
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData, ZeroReferenceAmplitude
 from .fourier import TWO_PI, SamplingGrid, ShapeSpectrum, dft, evaluate_shifted_on_grid
-from .normal import standard_normals
+from .normal import seeded_normals
 
 
 class Regime(enum.Enum):
@@ -144,11 +144,20 @@ def generate_panel(
     grid: SamplingGrid,
     seed: int,
 ) -> CurvePanel:
-    """Draw one synthetic panel from the model with Gaussian noise.
+    """Draw one synthetic panel from the model with Gaussian noise: :func:`generate_panels` of one seed."""
+    return generate_panels(truth, shape, grid, [seed])[0]
 
-    The shape's mean term (if any) is folded into the per-curve levels
-    before evaluation, so algebraically equivalent (shape, level) splits
-    generate identical panels.  Identical seeds give identical bits.
+
+def generate_panels(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGrid, seeds) -> list[CurvePanel]:
+    """Draw one synthetic panel per seed from the model with Gaussian noise.
+
+    The truth and band are checked and the noiseless curves evaluated once;
+    each seed draws its own Philox stream, and one quantile call maps them
+    all, so panel k is bitwise the panel of seed k alone, and no two
+    panels share memory.  The shape's mean term (if any) is folded into the
+    per-curve levels before evaluation, so algebraically equivalent (shape,
+    level) splits generate identical panels.  Identical seeds give
+    identical bits.
     """
     truth.validate()
     if 2 * shape.m >= grid.n:
@@ -159,8 +168,10 @@ def generate_panel(
     level = truth.upsilon + truth.a * c0
     y = truth.a[:, None] * base + level[:, None]
     if truth.sigma > 0:
-        y += truth.sigma * standard_normals(seed, y.shape)
-    return CurvePanel(grid=grid, y=y)
+        ys = y + truth.sigma * seeded_normals(seeds, y.size).reshape((len(seeds),) + y.shape)
+    else:
+        ys = np.repeat(y[None], len(seeds), axis=0)
+    return [CurvePanel(grid=grid, y=row) for row in ys]
 
 
 def center_shape(spec: ShapeSpectrum) -> tuple[ShapeSpectrum, float]:

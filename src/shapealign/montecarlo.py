@@ -9,8 +9,9 @@ study splits its replicates into contiguous chunks, one per worker of a
 process pool that gets at least _FITS_PER_WORKER fits a worker, at most
 SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
 the usable CPUs; below two workers it runs as one chunk in this process.
-Each chunk is fitted as one batch, every start of every fit in one lockstep
-search.  Batched fits equal lone ones bit for bit and aggregation follows
+Each chunk's panels of one grid size are generated in one pass and fitted
+as one batch, every start of every fit in one lockstep search.  Batched
+panels and fits equal lone ones bit for bit and aggregation follows
 replicate order, so parallelism cannot change any result.
 """
 
@@ -31,7 +32,7 @@ from .model import (
     ParameterSet,
     Regime,
     free_parameter_labels,
-    generate_panel,
+    generate_panels,
     reparameterize_to_a1,
 )
 
@@ -40,9 +41,9 @@ _MAX_FAILURE_FRACTION = 0.05
 
 
 # Fits a worker needs before forking it and shipping its chunk pays off: on two
-# CPUs, 2 workers on figure-2 studies (J=2, n=201, m=5) mostly lose at 100 fits
-# each and win from 128; 256 keeps a margin for busier hosts and for spawned
-# workers, which re-import numpy (see CHANGES.md).
+# CPUs, 2 workers on figure-2 studies (J=2, n=201, m=5) lose at 64-128 fits each,
+# about tie at 192 and win at 256 in 5 of 6 sweeps, by about 20%; spawned workers,
+# which re-import numpy, need more (see CHANGES.md).
 _FITS_PER_WORKER = 256
 
 
@@ -113,15 +114,15 @@ class StudyConfig:
 def _replicate_chunk(args) -> list[tuple[dict, ...]]:
     """One summary per regime kind for each ``(n, seed, config)`` of a chunk.
 
-    Each panel is generated once; the chunk's fits that share a config run as
-    one batch, and the later kinds reuse the panel's DFT.
+    Each run of equal grid size and config is generated in one pass and
+    fitted as one batch, and the later kinds reuse each panel's DFT.
     """
     truth, shape, kinds, chunk = args
     regimes = [ConstraintRegime(kind=kind, upsilon_max=truth.regime.upsilon_max) for kind in kinds]
-    panels = [(generate_panel(truth, shape, make_grid(n), seed), config) for n, seed, config in chunk]
     summaries = []
-    for config, group in groupby(panels, key=lambda item: item[1]):
-        jobs = [(panel, regime) for panel, _ in group for regime in regimes]
+    for (n, config), run in groupby(chunk, key=lambda item: (item[0], item[2])):
+        panels = generate_panels(truth, shape, make_grid(n), [seed for _, seed, _ in run])
+        jobs = [(panel, regime) for panel in panels for regime in regimes]
         fits = [_summarize(result) for result in fit_batch(jobs, config)]
         summaries += [tuple(fits[i:i + len(kinds)]) for i in range(0, len(fits), len(kinds))]
     return summaries
@@ -138,10 +139,11 @@ def _summarize(result: FitResult) -> dict:
 
 
 def _circular_errors(free_est, free_truth, n_shift):
+    """Rows of estimate errors, the first ``n_shift`` columns wrapped to (-pi, pi]."""
     err = np.asarray(free_est, dtype=float) - np.asarray(free_truth, dtype=float)
-    wrapped = np.mod(err[:n_shift] + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.mod(err[..., :n_shift] + np.pi, 2.0 * np.pi) - np.pi
     wrapped[wrapped == -np.pi] = np.pi  # branch (-pi, pi]
-    err[:n_shift] = wrapped
+    err[..., :n_shift] = wrapped
     return err
 
 
@@ -231,8 +233,7 @@ def _aggregate(n, regime_kind, ref_truth, ref_shape, summaries) -> StudyCell:
     kept = [s for s in summaries if s["converged"]]
     failures = len(summaries) - len(kept)
     estimates = np.vstack([s["free"] for s in kept]) if kept else np.zeros((0, truth_free.size))
-    errors = np.vstack([_circular_errors(row, truth_free, n_shift) for row in estimates]) \
-        if kept else estimates
+    errors = _circular_errors(estimates, truth_free, n_shift)
     scaled = np.sqrt(n) * errors
 
     if len(kept) >= 2:
@@ -396,9 +397,7 @@ def compare_regimes(
         for k in range(s)
     ])
 
-    err_a1 = np.vstack([
-        _circular_errors(row, truth_a1.free_values(), s) for row in est_a1
-    ])
+    err_a1 = _circular_errors(est_a1, truth_a1.free_values(), s)
     emp_diag = np.var(np.sqrt(n) * err_a1, axis=0, ddof=1)
     theory_diag = truth.sigma**2 * np.diag(gamma)
 

@@ -85,7 +85,11 @@ def standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     u = ((w >> 11) + 0.5) * 2^-53 (so u is never 0 or 1) and then through
     the inverse CDF.  Identical seed and shape give identical bits.
     """
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    words = gen.integers(0, 2**64, size=int(np.prod(shape)), dtype=np.uint64)
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return inverse_normal_cdf(u).reshape(shape)
+    return seeded_normals([seed], int(np.prod(shape)))[0].reshape(shape)
+
+
+def seeded_normals(seeds, size: int) -> np.ndarray:
+    """Rows (len(seeds), size) of ``standard_normals`` draws, one Philox stream a seed, one quantile call."""
+    words = np.array([np.random.Philox(key=int(seed)).random_raw(size) for seed in seeds], dtype=np.uint64)
+    u = ((words.reshape(len(seeds), size) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return inverse_normal_cdf(u)

@@ -17,18 +17,18 @@ from shapealign.criterion import (
     criterion_value,
     shift_objective_stack,
 )
-from shapealign.errors import GridMismatch, ParseError, RaggedColumns
+from shapealign.errors import ConstraintViolation, GridMismatch, ParseError, RaggedColumns
 from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
-from shapealign.fourier import TWO_PI, ShapeSpectrum, make_grid
+from shapealign.fourier import TWO_PI, ShapeSpectrum, evaluate_shifted_on_grid, make_grid
 from shapealign.model import (
     ConstraintRegime,
     CurvePanel,
     ParameterSet,
     Regime,
-    generate_panel,
     reparameterize_to_a1,
 )
 from shapealign.montecarlo import StudyConfig, StudyReport, _aggregate, _summarize
+from shapealign.normal import inverse_normal_cdf
 
 
 def orthogonality_kernel(t: float, n: int) -> complex:
@@ -165,7 +165,7 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     for combo in combos:
         theta = np.concatenate([[0.0], deltas[combo]])
         amp = profile_amplitude(ctx, theta)
-        value = criterion_value(ctx, theta, amp.a, _profiled_levels(ctx, amp.a))
+        value = criterion_value(ctx, theta, amp.a, _profiled_levels([ctx], amp.a[None])[0])
         ranked.append((value, theta))
     ranked.sort(key=lambda item: item[0])
     return [theta for _, theta in ranked[: config.n_multistart]]
@@ -229,11 +229,35 @@ def newton_per_start(fun, x0, config: FitConfig):
     return x, f, iterations, f0
 
 
+def generate_panel_per_seed(truth: ParameterSet, shape: ShapeSpectrum, grid, seed: int) -> CurvePanel:
+    """One synthetic panel by its own curve evaluation, Philox draw and quantile call.
+
+    The noise is the seed's Philox stream drawn through ``Generator.integers``
+    over the full 64-bit range, mapped to u = ((w >> 11) + 0.5) * 2^-53 and
+    through the quantile, as ``model.generate_panels`` must give it bit for bit.
+    """
+    truth.validate()
+    if 2 * shape.m >= grid.n:
+        raise ConstraintViolation(f"shape band {shape.m} violates 2*m < n for n={grid.n}")
+    c0 = shape.c0
+    ac = shape.centered() if c0 != 0.0 else shape
+    base = evaluate_shifted_on_grid(ac, grid, truth.theta)
+    level = truth.upsilon + truth.a * c0
+    y = truth.a[:, None] * base + level[:, None]
+    if truth.sigma > 0:
+        gen = np.random.Generator(np.random.Philox(key=int(seed)))
+        words = gen.integers(0, 2**64, size=y.size, dtype=np.uint64)
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        y += truth.sigma * inverse_normal_cdf(u).reshape(y.shape)
+    return CurvePanel(grid=grid, y=y)
+
+
 def run_study_per_regime(config: StudyConfig) -> StudyReport:
     """Study by one generate-then-fit loop per (grid size, regime) cell.
 
     Same seeds, fits and aggregation as ``montecarlo.run_study``, but every
-    replicate panel is generated afresh for each regime, one cell at a time.
+    replicate panel is generated afresh, by :func:`generate_panel_per_seed`,
+    for each regime, one cell at a time.
     """
     cells = []
     for n in config.n_list:
@@ -241,8 +265,8 @@ def run_study_per_regime(config: StudyConfig) -> StudyReport:
             regime = ConstraintRegime(kind=kind, upsilon_max=config.truth.regime.upsilon_max)
             summaries = []
             for r in range(config.replicates):
-                panel = generate_panel(config.truth, config.shape, make_grid(n),
-                                       config.base_seed + r)
+                panel = generate_panel_per_seed(config.truth, config.shape, make_grid(n),
+                                                config.base_seed + r)
                 summaries.append(_summarize(fit(panel, regime, config.fit_config)))
             if kind is Regime.A0:
                 ref_truth, ref_shape = config.truth, config.shape

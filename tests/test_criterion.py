@@ -274,7 +274,7 @@ def test_shift_kernel_matches_criterion_and_gradient(kind, j, rng):
         theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, j - 1)])
         ev = _one_row(ctx, theta[1:])
         a = profile_amplitude(ctx, theta).a
-        ups = _profiled_levels(ctx, a)
+        ups = _profiled_levels([ctx], a[None])[0]
         value = sa.criterion_value(ctx, theta, a, ups)
         grad = sa.criterion_gradient(ctx, theta, a, ups)[: j - 1]
         assert ev.hess is None

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import shapealign as sa
 from shapealign.criterion import CriterionContext, ShiftEvaluation, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_newton, fit_batch, initialize_shifts
+from shapealign.fit import FitConfig, _lockstep_newton, _profiled_levels, fit_batch, initialize_shifts
 from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime
 from shapealign.montecarlo import run_study
@@ -340,8 +340,14 @@ def test_fit_affine_invariance_property(seed, j, sigma, c, b):
 def test_fit_monotone_multistart(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=3, sigma=1.0)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=5)
-    result = sa.fit(panel, ConstraintRegime(), FitConfig(m=4))
-    for _, start_value in result.start_profile:
+    config = FitConfig(m=4)
+    result = sa.fit(panel, ConstraintRegime(), config)
+    ctx = sa.CriterionContext(panel, 4, ConstraintRegime())
+    starts = initialize_shifts([ctx], ctx.d_ac[None], np.array([ctx.shift_constant]), config)[0]
+    assert len(starts) == config.n_multistart
+    for theta in starts:  # the criterion at each start, scales and levels profiled
+        a = profile_amplitude(ctx, theta).a
+        start_value = sa.criterion_value(ctx, theta, a, _profiled_levels([ctx], a[None])[0])
         assert result.objective <= start_value + 1e-12
 
 
@@ -632,7 +638,6 @@ def test_fit_batch_equals_lone_fits_property(seed, jobs):
         alone = sa.fit(panel, regime, config)
         assert (dumps_canonical(result_document(together, None))
                 == dumps_canonical(result_document(alone, None)))
-        assert together.start_profile == alone.start_profile
 
 
 # Hessian multiplier per panel of the polish batch: as computed, flipped (the

@@ -1,5 +1,7 @@
 """Parameter constraints, synthetic generation, centering, projection."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ import shapealign as sa
 from shapealign.errors import ConstraintViolation, DegenerateAmplitude
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth, boxplot_truth, parabola_spectrum
+from oracles import generate_panel_per_seed
 
 
 def _valid_theta_a():
@@ -113,6 +116,32 @@ def test_generate_shift_covariance_of_dft_property(seed, j, degree, half, c0):
         expected[degree] += truth.upsilon[k]
         block = sa.dft(panel.y[k], grid, degree)
         assert np.max(np.abs(block - expected)) <= 1e-12 * max(1.0, scale)
+
+
+_EDGE_SEEDS = (0, 1, 2**64 - 1, 2**64, 2**128 - 2, 2**128 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1), j=st.integers(2, 6), half=st.integers(1, 60),
+       degree=st.integers(1, 8), noisy=st.booleans(),
+       seeds=st.lists(st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2**128 - 1), min_size=1, max_size=8))
+def test_generate_panels_equal_per_seed_oracle_property(draw, j, half, degree, noisy, seeds):
+    # one batch of seeds, duplicates and the ends of Philox's 128-bit key range
+    # included, gives each seed's own panel bit for bit, and no two panels alias
+    rng = np.random.default_rng(draw)
+    degree = min(degree, half)
+    truth, ac = bandlimited_truth(rng, j=j, degree=degree, sigma=rng.uniform(0.1, 3.0) if noisy else 0.0)
+    coeffs = ac.coeffs.copy()
+    coeffs[degree] = rng.uniform(-2.0, 2.0)  # a shape mean, folded into the levels
+    shape = sa.ShapeSpectrum(m=degree, coeffs=coeffs)
+    grid = sa.make_grid(2 * half + 1)
+    panels = sa.generate_panels(truth, shape, grid, seeds)
+    assert len(panels) == len(seeds)
+    for seed, panel in zip(seeds, panels):
+        assert panel.y.tobytes() == generate_panel_per_seed(truth, shape, grid, seed).y.tobytes()
+    assert sa.generate_panel(truth, shape, grid, seeds[0]).y.tobytes() == panels[0].y.tobytes()
+    for p, q in combinations(panels, 2):
+        assert not np.shares_memory(p.y, q.y)
 
 
 def test_center_shape_noop_and_parabola():

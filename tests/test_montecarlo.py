@@ -133,18 +133,20 @@ def test_study_matches_per_regime_loop(monkeypatch):
 
 def test_study_generates_each_replicate_once(monkeypatch):
     monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
-    seeds = []
-    generate = montecarlo.generate_panel
+    pairs, calls = [], []
+    generate = montecarlo.generate_panels
 
-    def counting(truth, shape, grid, seed):
-        seeds.append((grid.n, seed))
-        return generate(truth, shape, grid, seed)
+    def counting(truth, shape, grid, seeds):
+        calls.append(grid.n)
+        pairs.extend((grid.n, seed) for seed in seeds)
+        return generate(truth, shape, grid, seeds)
 
-    monkeypatch.setattr(montecarlo, "generate_panel", counting)
+    monkeypatch.setattr(montecarlo, "generate_panels", counting)
     config = _two_grid_config()
     sa.run_study(config)
-    assert len(seeds) == config.replicates * len(config.n_list)
-    assert len(set(seeds)) == len(seeds)
+    assert len(pairs) == config.replicates * len(config.n_list)
+    assert len(set(pairs)) == len(pairs)
+    assert calls == list(config.n_list)  # one pass per grid size of the serial chunk
 
 
 def test_parallel_matches_serial_both_regimes(monkeypatch):

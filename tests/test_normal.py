@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import shapealign as sa
@@ -48,3 +50,18 @@ def test_normals_moments():
     assert abs(draws.mean()) < 0.01
     assert abs(draws.std() - 1.0) < 0.01
     assert np.all(np.isfinite(draws))
+
+
+# uniforms of the central branch, of both tails and of the far tail (r > 5, p < e^-25)
+_UNIFORMS = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.floats(0.0, 0.075, exclude_min=True), st.floats(0.925, 1.0, exclude_max=True),
+                      st.floats(0.0, 1e-11, exclude_min=True), st.floats(1.0 - 1e-11, 1.0, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.lists(_UNIFORMS, min_size=1, max_size=20), min_size=1, max_size=8))
+def test_inverse_cdf_of_a_batch_equals_per_part_property(parts):
+    # panels of many seeds map their uniforms in one call: each value keeps its bits
+    whole = sa.inverse_normal_cdf(np.concatenate([np.array(part) for part in parts]))
+    each = np.concatenate([sa.inverse_normal_cdf(np.array(part)) for part in parts])
+    assert whole.tobytes() == each.tobytes()
