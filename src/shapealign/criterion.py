@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BandTooWide, DegenerateAmplitude, DegenerateSpectrum, NonFiniteData
+from .errors import BandTooWide, DegenerateAmplitude, DegenerateSpectrum
 from .fourier import ShapeSpectrum
 from .model import ConstraintRegime, CurvePanel, Regime
 
@@ -44,7 +44,9 @@ class CriterionContext:
     and zero in the l = 0 column (the means enter through ``ybar``);
     ``mean_sq`` is (1/(nJ)) sum y^2 and ``ybar`` the per-curve means, which
     together reconstruct the residual term without touching the raw panel.
-    ``shift_constant`` is C in the profiled shift criterion C - lambda_max(Q).
+    These are the panel's read-only :meth:`CurvePanel.band` arrays, shared by
+    the contexts of every regime, so a second regime costs only its
+    ``shift_constant``, C in the profiled shift criterion C - lambda_max(Q).
 
     Raises
     ------
@@ -62,17 +64,8 @@ class CriterionContext:
             raise BandTooWide(f"band limit must be >= 1, got {self.m}")
         if 2 * self.m >= n:
             raise BandTooWide(f"band limit {self.m} violates 2*m < n for n={n}")
-        # overflow is detected below and reported as NonFiniteData
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.d_ac = self.panel.curve_dft(self.m).copy()
-            self.ybar = self.panel.y.mean(axis=1)
-            self.mean_sq = float((self.panel.y**2).sum()) / (n * self.panel.n_curves)
+        self.d_ac, self.ybar, self.mean_sq, self.ac_trace = self.panel.band(self.m)
         self.freqs = np.arange(-self.m, self.m + 1)
-        if not (np.isfinite(self.mean_sq) and np.isfinite(self.ybar).all()
-                and np.isfinite(self.d_ac).all()):
-            raise NonFiniteData("panel moments or DFT coefficients are not finite")
-        self.d_ac[:, self.m] = 0.0
-        self.ac_trace = float(np.sum(np.abs(self.d_ac) ** 2)) / self.n_curves
         if self.regime.kind is Regime.A0:
             bound = self.regime.upsilon_max
             self.shift_constant = self.residual_term(np.clip(self.ybar, -bound, bound))

@@ -12,7 +12,10 @@ ranked with one eigenvalue call; one lockstep modified-Newton search with
 the exact Hessian, a row per start, which runs each row until its gradient
 vanishes to rounding or no step can shrink it; and the assembly of the
 estimates, whose ``converged`` certificate reads the search's last
-evaluation of each fit's best row.
+evaluation of each fit's best row.  The regime enters the shift criterion
+only through C, so jobs of one panel with bitwise-equal C (A0 and A1 unless
+the A0 box binds) are one shift problem: scanned, searched, picked and
+certified once, with only the levels and estimates formed per job.
 """
 
 from __future__ import annotations
@@ -257,44 +260,58 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
 def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     """Scan, search and assemble jobs of one (J, m) and scan grid, each stage stacked.
 
-    One search runs every start of every job; each job keeps its best row, and its
-    certificate reads that row's final evaluation, so no kernel call follows but the
-    assembly's.
+    Jobs whose contexts share one coefficient array and, bit for bit, one shift
+    constant pose one shift problem: one panel under A1 and under A0 with a level box
+    that does not bind.  The scan, the search, the best-endpoint pick, the profile and
+    the certificate run once per problem; only the levels, the rescaled scales, the
+    criterion and the result run once per job.  One search runs every start of every
+    problem; each problem keeps its best row, and its certificate reads that row's
+    final evaluation, so no kernel call follows but the assembly's.
     """
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
-    constants = np.array([ctx.shift_constant for ctx in contexts])
-    starts = initialize_shifts(contexts, d_ac, constants, config)
-    jobs, per_job, j = starts.shape
-    starts = starts.reshape(jobs * per_job, j)
-    bounds, owner = per_job * np.arange(jobs + 1), np.repeat(np.arange(jobs), per_job)
+    problems, index, of = [], {}, []
+    for ctx in contexts:
+        key = (id(ctx.d_ac), ctx.shift_constant.hex())
+        if key not in index:
+            index[key] = len(problems)
+            problems.append(ctx)
+        of.append(index[key])
+    of = np.array(of) if len(problems) < len(contexts) else slice(None)  # a slice gathers nothing
+    d_ac = np.stack([ctx.d_ac for ctx in problems])
+    constants = np.array([ctx.shift_constant for ctx in problems])
+    starts = initialize_shifts(problems, d_ac, constants, config)
+    count, per_problem, j = starts.shape
+    owner = np.repeat(np.arange(count), per_problem)
 
     def kernel(xs, rows, hessian):
         return shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian)
 
-    x_end, ev, iters, _ = _lockstep_newton(kernel, starts[:, 1:], config)
-    wrapped = np.mod(x_end, TWO_PI)
-    best = [lo + _first_best(ev.value[lo:hi], wrapped[lo:hi], config.tol_objective)
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    x_end, ev, iters, _ = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
+    best = per_problem * np.arange(count) + _best_starts(
+        ev.value.reshape(count, per_problem), np.mod(x_end, TWO_PI).reshape(count, per_problem, j - 1),
+        config.tol_objective)
     value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
 
-    theta = np.mod(np.concatenate([np.zeros((jobs, 1)), x_end[best]], axis=1), TWO_PI)
+    theta = np.mod(np.concatenate([np.zeros((count, 1)), x_end[best]], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
-    profile = shift_objective_stack(d_ac, np.arange(jobs), theta[:, 1:], constants)
+    profile = shift_objective_stack(d_ac, np.arange(count), theta[:, 1:], constants)
     # project_to_constraints row-wise, levels from the scales before their rescaling; the
     # sign rule of _sphere_scales already leaves a_1 >= 0, so no row needs a flip
     a = _sphere_scales(profile.lead)
     if np.any(a[:, 0] == 0.0):
         raise ZeroReferenceAmplitude("reference amplitude is zero after rescaling")
+    gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
+    certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
+    need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
+    certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
+    iterations = iters.reshape(count, per_problem).sum(axis=1)[of].tolist()
+    theta, a, certified, tie_break = theta[of], a[of], certified[of], profile.tie_break[of]
+
     upsilon = _profiled_levels(contexts, a)
     ssq = rowdot(a, a)
     a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)
     objective, coeffs = criterion_stack(contexts, theta, a, upsilon)
     finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
-    gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
-    certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
-    need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
-    certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    iterations, results = iters.reshape(jobs, per_job).sum(axis=1).tolist(), []
+    results = []
     for f, (ctx, obj) in enumerate(zip(contexts, objective.tolist())):
         sigma_hat = math.sqrt(obj) if obj > 0.0 else 0.0
         results.append(FitResult(
@@ -303,23 +320,32 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
             shape_hat=ShapeSpectrum(m=ctx.m, coeffs=coeffs[f]),
             objective=obj,
             iterations=iterations[f],
-            restarts=per_job,
+            restarts=per_problem,
             converged=bool(finite[f] and certified[f]),
             zero_noise=obj <= 0.0,
-            tie_break=bool(profile.tie_break[f]),
+            tie_break=bool(tie_break[f]),
             n=ctx.n,
             m=ctx.m,
         ))
     return results
 
 
-def _first_best(f_end: np.ndarray, wrapped: np.ndarray, tol: float) -> int:
-    """Index of the best endpoint: least value beyond ``tol``, then least wrapped shifts."""
-    best = 0  # the first of equals in start order
-    for k in range(1, len(f_end)):
-        if (f_end[k] < f_end[best] - tol
-                or (abs(f_end[k] - f_end[best]) <= tol and tuple(wrapped[k]) < tuple(wrapped[best]))):
-            best = k
+def _best_starts(values: np.ndarray, wrapped: np.ndarray, tol: float) -> np.ndarray:
+    """Each problem's best start (P,) from its K endpoint values (P, K) and wrapped shifts (P, K, J-1).
+
+    The starts are walked in order, all problems at once: start k displaces the best
+    so far if its value is less by more than ``tol``, or within ``tol`` and its wrapped
+    shifts are less as a tuple, so the first of equals stays.
+    """
+    rows, best = np.arange(len(values)), np.zeros(len(values), dtype=int)
+    for k in range(1, values.shape[1]):
+        f, w, f_best, w_best = values[:, k], wrapped[:, k], values[rows, best], wrapped[rows, best]
+        # tuple order: less at the first coordinate that differs, where NaN differs from everything
+        less, differ = w < w_best, w != w_best
+        lex_less = less[:, -1]
+        for i in range(w.shape[1] - 2, -1, -1):
+            lex_less = less[:, i] | (~differ[:, i] & lex_less)
+        best[(f < f_best - tol) | ((np.abs(f - f_best) <= tol) & lex_less)] = k
     return best
 
 

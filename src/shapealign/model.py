@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,9 +105,22 @@ def free_parameter_labels(n_curves: int, regime: ConstraintRegime) -> list[str]:
     return labels
 
 
+class PanelBand(NamedTuple):
+    """A panel's read-only arrays at band m, which the contexts of every regime share.
+
+    ``d_ac`` is the (J, 2m+1) DFT with its l = 0 column zeroed, ``ybar`` the
+    curve means, ``mean_sq`` (1/(nJ)) sum y^2 and ``ac_trace`` sum |d_ac|^2 / J.
+    """
+
+    d_ac: np.ndarray
+    ybar: np.ndarray
+    mean_sq: float
+    ac_trace: float
+
+
 @dataclass
 class CurvePanel:
-    """J curves observed on one shared grid, with their DFT cached per band."""
+    """J curves observed on one shared grid, with their DFT and band arrays cached per band."""
 
     grid: SamplingGrid
     y: np.ndarray
@@ -125,6 +139,7 @@ class CurvePanel:
         if self.labels is not None and len(self.labels) != self.y.shape[0]:
             raise ConstraintViolation("one label per curve required")
         self._dft_cache: dict[int, np.ndarray] = {}
+        self._band_cache: dict[int, PanelBand] = {}
 
     @property
     def n_curves(self) -> int:
@@ -136,6 +151,26 @@ class CurvePanel:
             self._dft_cache[m] = dft(self.y, self.grid, m)
             self._dft_cache[m].flags.writeable = False
         return self._dft_cache[m]
+
+    def band(self, m: int) -> PanelBand:
+        """Read-only :class:`PanelBand` at band ``m``, built once per band.
+
+        Raises NonFiniteData, and caches nothing, if the moments or the DFT
+        coefficients overflow to non-finite values.
+        """
+        if m not in self._band_cache:
+            # overflow is detected below and reported as NonFiniteData
+            with np.errstate(over="ignore", invalid="ignore"):
+                d_ac = self.curve_dft(m).copy()
+                ybar = self.y.mean(axis=1)
+                mean_sq = float((self.y**2).sum()) / (self.grid.n * self.n_curves)
+            if not (np.isfinite(mean_sq) and np.isfinite(ybar).all() and np.isfinite(d_ac).all()):
+                raise NonFiniteData("panel moments or DFT coefficients are not finite")
+            d_ac[:, m] = 0.0
+            ac_trace = float(np.sum(np.abs(d_ac) ** 2)) / self.n_curves
+            d_ac.flags.writeable = ybar.flags.writeable = False
+            self._band_cache[m] = PanelBand(d_ac, ybar, mean_sq, ac_trace)
+        return self._band_cache[m]
 
 
 def generate_panel(

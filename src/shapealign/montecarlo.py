@@ -10,7 +10,8 @@ process pool that gets at least _FITS_PER_WORKER fits a worker, at most
 SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
 the usable CPUs; below two workers it runs as one chunk in this process.
 Each chunk's panels of one grid size are generated in one pass and fitted
-as one batch, every start of every fit in one lockstep search.  Batched
+as one batch, every start of every shift problem in one lockstep search; a
+panel's A0 and A1 fits are one shift problem unless the A0 box binds.  Batched
 panels and fits equal lone ones bit for bit and aggregation follows
 replicate order, so parallelism cannot change any result.
 """
@@ -115,7 +116,8 @@ def _replicate_chunk(args) -> list[tuple[dict, ...]]:
     """One summary per regime kind for each ``(n, seed, config)`` of a chunk.
 
     Each run of equal grid size and config is generated in one pass and
-    fitted as one batch, and the later kinds reuse each panel's DFT.
+    fitted as one batch, in which the kinds share each panel's band arrays
+    and, where their shift constants agree, its shift search.
     """
     truth, shape, kinds, chunk = args
     regimes = [ConstraintRegime(kind=kind, upsilon_max=truth.regime.upsilon_max) for kind in kinds]

@@ -229,6 +229,19 @@ def newton_per_start(fun, x0, config: FitConfig):
     return x, f, iterations, f0
 
 
+def first_best(f_end: np.ndarray, wrapped: np.ndarray, tol: float) -> int:
+    """Index of one fit's best endpoint, one start at a time: least value beyond ``tol``, then least wrapped shifts.
+
+    The first of equals in start order wins; the wrapped shifts compare as Python tuples.
+    """
+    best = 0
+    for k in range(1, len(f_end)):
+        if (f_end[k] < f_end[best] - tol
+                or (abs(f_end[k] - f_end[best]) <= tol and tuple(wrapped[k]) < tuple(wrapped[best]))):
+            best = k
+    return best
+
+
 def generate_panel_per_seed(truth: ParameterSet, shape: ShapeSpectrum, grid, seed: int) -> CurvePanel:
     """One synthetic panel by its own curve evaluation, Philox draw and quantile call.
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import shapealign as sa
 from shapealign.cli import _build_parser, main
-from shapealign.io import dumps_canonical, write_atomic
+from shapealign.io import dumps_canonical, write_atomic, write_panel
 
 FIXTURE_PANEL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_panel.csv")
 
@@ -87,6 +87,19 @@ def test_fit_period_days_display(tmp_path):
     doc = json.loads(Path(out).read_text())
     expected = [t * 365 / (2 * np.pi) for t in doc["theta"]]
     assert np.allclose(doc["theta_days"], expected, rtol=0, atol=1e-12)
+
+
+def test_fit_period_days_near_the_float_limit_stays_finite(tmp_path):
+    # a shift above about 1.8 rad times 1e308 overflows, so the conversion divides by 2 pi first
+    shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: -0.4, 3: 0.2})
+    truth = sa.ParameterSet(theta=[0.0, 2.5, 4.0], a=[1.0, 1.2, np.sqrt(3 - 2.44)], upsilon=[1.0, -2.0, 0.5],
+                            sigma=0.1)
+    panel_path, out = str(tmp_path / "panel.csv"), str(tmp_path / "r.json")
+    write_panel(panel_path, sa.generate_panel(truth, shape, sa.make_grid(101), seed=3))
+    assert main(["fit", "--input", panel_path, "--out", out, "--period-days", "1e308"]) == 0
+    doc = json.loads(Path(out).read_text())
+    assert max(doc["theta"]) > 1.8 and None not in doc["theta_days"]
+    assert np.allclose(np.array(doc["theta_days"]) / 1e308, np.array(doc["theta"]) / (2 * np.pi), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,7 +1,11 @@
 """Criterion value/gradient identities against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapealign as sa
 from shapealign.criterion import (
@@ -22,6 +26,37 @@ def _context(panel, m, kind=Regime.A0):
 def _one_row(ctx, x, hessian=False):
     """The stacked shift kernel at one row of free shifts ``x`` of ``ctx``."""
     return shift_objective_stack(ctx.d_ac[None], [0], np.atleast_2d(x), ctx.shift_constant, hessian)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 6),
+       levels=st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=6),
+       sigma=st.sampled_from([0.0, 0.3]), n=st.sampled_from([21, 201]))
+def test_shift_constant_is_one_for_both_regimes_property(seed, j, levels, sigma, n):
+    # under a box that does not bind, C_A0 = mean_sq + (s - 2s)/J and C_A1 = mean_sq - s/J
+    # (s = ybar.ybar) are equal bit for bit, so both regimes pose one shift problem
+    rng = np.random.default_rng(seed)
+    truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
+    truth = dataclasses.replace(truth, upsilon=np.array(levels[:j]))
+    panel = sa.generate_panel(truth, shape, sa.make_grid(n), seed=seed)
+    a0, a1 = (_context(panel, 3, kind) for kind in (Regime.A0, Regime.A1))
+    assert np.abs(a0.ybar).max() < a0.regime.upsilon_max
+    assert a0.shift_constant.hex() == a1.shift_constant.hex()
+    assert a0.d_ac is a1.d_ac
+
+
+def test_contexts_share_the_band_arrays_read_only():
+    # the regimes' contexts of one panel share its band arrays, so neither may write them
+    panel = sa.CurvePanel(grid=sa.make_grid(31), y=np.random.default_rng(2).normal(size=(3, 31)))
+    a0, a1 = _context(panel, 4), _context(panel, 4, Regime.A1)
+    assert a0.d_ac is a1.d_ac and a0.ybar is a1.ybar
+    before = a0.d_ac.copy(), a0.ybar.copy()
+    for ctx in (a0, a1):
+        with pytest.raises(ValueError):
+            ctx.d_ac[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ctx.ybar[0] = 1.0
+    assert np.array_equal(a0.d_ac, before[0]) and np.array_equal(a0.ybar, before[1])
 
 
 def _random_valid_point(rng, j, kind=Regime.A0):

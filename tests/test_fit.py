@@ -16,12 +16,19 @@ from numpy.testing import assert_allclose
 import shapealign as sa
 from shapealign.criterion import CriterionContext, ShiftEvaluation, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
-from shapealign.fit import FitConfig, _lockstep_newton, _profiled_levels, fit_batch, initialize_shifts
+from shapealign.fit import (
+    FitConfig,
+    _best_starts,
+    _lockstep_newton,
+    _profiled_levels,
+    fit_batch,
+    initialize_shifts,
+)
 from shapealign.io import dumps_canonical, load_study_config, result_document
-from shapealign.model import ConstraintRegime, Regime
+from shapealign.model import ConstraintRegime, Regime, generate_panels
 from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth
-from oracles import initialize_shifts_loop, newton_per_start, numeric_hessian, profile_amplitude
+from oracles import first_best, initialize_shifts_loop, newton_per_start, numeric_hessian, profile_amplitude
 
 
 def _circ(x, y):
@@ -252,6 +259,90 @@ def test_figure2_part_needs_few_stacked_kernel_calls_in_all(monkeypatch):
         before = len(calls)
         run_study(dataclasses.replace(study, replicates=5, base_seed=seed))
         assert 1 <= len(calls) - before <= 7
+
+
+def _record_problem_rows(monkeypatch):
+    """Record the problems each start scan ranks and the rows of each kernel call inside a search."""
+    fit_module = importlib.import_module("shapealign.fit")
+    kernel, scan, search = fit_module.shift_objective_stack, fit_module.initialize_shifts, fit_module._lockstep_newton
+    scanned, searched, inside = [], [], [False]
+
+    def counting(d_ac, owner, x, constant, hessian=False):
+        if inside[0]:
+            searched[-1].append(len(x))
+        return kernel(d_ac, owner, x, constant, hessian)
+
+    def counted_scan(contexts, d_ac, constants, config):
+        scanned.append(len(d_ac))
+        return scan(contexts, d_ac, constants, config)
+
+    def counted_search(*args, **kwargs):
+        searched.append([])
+        inside[0] = True
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(fit_module, "shift_objective_stack", counting)
+    monkeypatch.setattr(fit_module, "initialize_shifts", counted_scan)
+    monkeypatch.setattr(fit_module, "_lockstep_newton", counted_search)
+    return scanned, searched
+
+
+def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkeypatch):
+    # the A0 box of figure2.json does not bind, so a panel poses one shift problem
+    # under both regimes: a five-replicate part scans 5 problems, not 10, and its
+    # full search calls carry 5 x 5 starts, not 10 x 5; a box that binds every
+    # panel (curve means near 5.0 and 4.5 against 1) leaves every job its own problem
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    study = load_study_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json"))
+    scanned, searched = _record_problem_rows(monkeypatch)
+    run_study(dataclasses.replace(study, replicates=5))
+    assert scanned == [5] and len(searched) == 1
+    assert searched[0][0] == max(searched[0]) == 25
+    panels = generate_panels(study.truth, study.shape, sa.make_grid(201), range(study.base_seed, study.base_seed + 5))
+    jobs = [(panel, ConstraintRegime(kind=kind, upsilon_max=1.0)) for panel in panels for kind in study.regimes]
+    scanned, searched = _record_problem_rows(monkeypatch)
+    fit_batch(jobs, study.fit_config)
+    assert scanned == [10] and len(searched) == 1
+    assert searched[0][0] == max(searched[0]) == 50
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), order=st.permutations(range(5)),
+       repeat=st.integers(0, 3))
+def test_fit_batch_shared_problems_equal_lone_fits_property(seed, j, order, repeat):
+    # one panel under A0, A1 and a binding A0 box, another panel, and one job twice,
+    # in any order: jobs that share a shift problem still get their lone bits
+    rng = np.random.default_rng(seed)
+    panels = []
+    for k in range(2):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.3)
+        panels.append(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k))
+    box = 0.5 * float(np.abs(panels[0].y.mean(axis=1)).max())  # binds at the largest curve mean
+    jobs = [(panels[0], ConstraintRegime()), (panels[0], ConstraintRegime(kind=Regime.A1)),
+            (panels[0], ConstraintRegime(upsilon_max=box)), (panels[1], ConstraintRegime(kind=Regime.A1))]
+    jobs.append(jobs[repeat])
+    batch = [jobs[i] for i in order]
+    config = FitConfig()
+    for (panel, regime), together in zip(batch, fit_batch(batch, config), strict=True):
+        alone = sa.fit(panel, regime, config)
+        assert (dumps_canonical(result_document(together, None))
+                == dumps_canonical(result_document(alone, None)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), problems=st.integers(1, 5), starts=st.integers(1, 6), free=st.integers(1, 3))
+def test_best_starts_equal_the_per_fit_loop_property(data, problems, starts, free):
+    # values tie within and beyond the tolerance, shifts tie exactly, and NaN compares as in a tuple
+    values = np.array(data.draw(st.lists(st.sampled_from([0.25, 0.25 + 5e-13, 0.25 - 5e-13, 0.25 + 3e-12, 1.0, np.nan]),
+                                         min_size=problems * starts, max_size=problems * starts)))
+    wrapped = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, 3.0, np.nan]),
+                                          min_size=problems * starts * free, max_size=problems * starts * free)))
+    values, wrapped = values.reshape(problems, starts), wrapped.reshape(problems, starts, free)
+    expected = [first_best(values[p], wrapped[p], 1e-12) for p in range(problems)]
+    assert _best_starts(values, wrapped, 1e-12).tolist() == expected
 
 
 def test_fit_noiseless_exact_recovery(rng):

@@ -257,3 +257,17 @@ def test_panel_dft_cache_matches_dft():
         fresh = sa.dft(panel.y[j], grid, 5)
         assert np.max(np.abs(blocks[j] - fresh)) < 1e-12
     assert panel.curve_dft(5) is blocks  # cached
+
+
+def test_panel_band_cache_zeroes_the_mean_column_read_only():
+    grid = sa.make_grid(31)
+    panel = sa.CurvePanel(grid=grid, y=np.random.default_rng(1).normal(size=(3, 31)) + 4.0)
+    band = panel.band(5)
+    assert panel.band(5) is band  # cached
+    expected = panel.curve_dft(5).copy()
+    expected[:, 5] = 0.0
+    assert np.array_equal(band.d_ac, expected)
+    assert np.array_equal(band.ybar, panel.y.mean(axis=1))
+    assert band.mean_sq == float((panel.y**2).sum()) / (31 * 3)
+    assert band.ac_trace == float(np.sum(np.abs(expected) ** 2)) / 3
+    assert not (band.d_ac.flags.writeable or band.ybar.flags.writeable)
