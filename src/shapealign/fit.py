@@ -11,11 +11,12 @@ cross-correlation grid scan whose start candidates, linear in J, are
 ranked with one eigenvalue call; one lockstep modified-Newton search with
 the exact Hessian, a row per start, which runs each row until its gradient
 vanishes to rounding or no step can shrink it; and the assembly of the
-estimates, whose ``converged`` certificate reads the search's last
-evaluation of each fit's best row.  The regime enters the shift criterion
-only through C, so jobs of one panel with bitwise-equal C (A0 and A1 unless
-the A0 box binds) are one shift problem: scanned, searched, picked and
-certified once, with only the levels and estimates formed per job.
+estimates, whose scales, tie flag and ``converged`` certificate read the
+search's last evaluation of each fit's best row.  The regime enters the
+shift criterion only through C, so jobs of one panel with bitwise-equal C
+(A0 and A1 unless the A0 box binds) are one shift problem: scanned,
+searched, picked and certified once, with only the levels and estimates
+formed per job.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .criterion import (
     shift_objective_stack,
 )
 from .errors import ConfigInvalid, ZeroReferenceAmplitude
-from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum
+from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum, phase_table
 from .model import (
     ConstraintRegime,
     CurvePanel,
@@ -100,9 +101,10 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     """Candidate shift vectors of F contexts of one (J, m) and scan grid, from a cross-correlation scan.
 
     ``d_ac`` (F, J, 2m+1) and ``constants`` (F,) stack their band coefficients and shift
-    constants C.  For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|
-    peaks near the curve's true shift; k = min(n_multistart, grid) top grid offsets are
-    kept per curve.  The candidates are every free curve at its best offset, then, curve
+    constants C.  For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|, its
+    phases the DFT's cached table read backwards (:func:`fourier.phase_table`), peaks near
+    the curve's true shift; k = min(n_multistart, grid) top grid offsets are kept per
+    curve.  The candidates are every free curve at its best offset, then, curve
     by curve, each of that curve's other offsets with the rest at their best:
     1 + (k-1)(J-1) rows, linear in J.  All are ranked by C - lambda_max(Q) with one score
     matmul, one stable argsort per row and one eigenvalue call.  Returns (F, K, J): each
@@ -116,12 +118,12 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     k = min(config.n_multistart, grid_size)
     deltas = TWO_PI * np.arange(grid_size) / grid_size
     cross = np.conj(d_ac[:, :1]) * d_ac
-    scores = np.abs(cross @ np.exp(1j * np.outer(freqs, deltas)))  # (F, J, grid)
+    scores = np.abs(cross @ phase_table(grid_size, contexts[0].m))  # (F, J, grid)
 
     top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
     # every free curve at its best offset, then each curve's other offsets in turn
-    ranks = np.vstack([np.zeros((1, j - 1), dtype=int),
-                       np.kron(np.eye(j - 1, dtype=int), np.arange(1, k)[:, None])])
+    ranks = np.zeros((1 + (k - 1) * (j - 1), j - 1), dtype=int)
+    ranks[np.arange(1, len(ranks)), np.repeat(np.arange(j - 1), k - 1)] = np.tile(np.arange(1, k), j - 1)
     combos = top[:, np.arange(j - 1), ranks]  # (F, 1 + (k-1)(J-1), J-1)
 
     thetas = np.zeros(combos.shape[:2] + (j,))
@@ -130,7 +132,7 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     q = (w @ w.conj().swapaxes(-1, -2)).real / j
     values = constants[:, None] - np.linalg.eigvalsh(q)[:, :, -1]
     order = np.argsort(values, axis=1, kind="stable")[:, : config.n_multistart]
-    return np.take_along_axis(thetas, order[:, :, None], axis=1)
+    return thetas[np.arange(len(thetas))[:, None], order]
 
 
 def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
@@ -265,8 +267,10 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     that does not bind.  The scan, the search, the best-endpoint pick, the profile and
     the certificate run once per problem; only the levels, the rescaled scales, the
     criterion and the result run once per job.  One search runs every start of every
-    problem; each problem keeps its best row, and its certificate reads that row's
-    final evaluation, so no kernel call follows but the assembly's.
+    problem; each problem keeps its best row, whose final evaluation gives the
+    certificate and, where wrapping its shifts into [0, 2*pi) leaves their bits alone,
+    the scale profile and tie flag.  Rows whose wrap changed a bit are profiled again,
+    in one kernel call; when no row wrapped, no kernel call follows the search.
     """
     problems, index, of = [], {}, []
     for ctx in contexts:
@@ -291,12 +295,18 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
         config.tol_objective)
     value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
 
-    theta = np.mod(np.concatenate([np.zeros((count, 1)), x_end[best]], axis=1), TWO_PI)
+    x_best = x_end[best]
+    theta = np.mod(np.concatenate([np.zeros((count, 1)), x_best], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
-    profile = shift_objective_stack(d_ac, np.arange(count), theta[:, 1:], constants)
+    # the profile at the wrapped shifts is the search's last evaluation, unless the wrap changed bits
+    lead, tie_break = ev.lead[best], tie.copy()
+    moved = (theta[:, 1:].view(np.int64) != x_best.view(np.int64)).any(axis=1)
+    if moved.any():
+        profile = shift_objective_stack(d_ac, np.flatnonzero(moved), theta[moved, 1:], constants[moved])
+        lead[moved], tie_break[moved] = profile.lead, profile.tie_break
     # project_to_constraints row-wise, levels from the scales before their rescaling; the
     # sign rule of _sphere_scales already leaves a_1 >= 0, so no row needs a flip
-    a = _sphere_scales(profile.lead)
+    a = _sphere_scales(lead)
     if np.any(a[:, 0] == 0.0):
         raise ZeroReferenceAmplitude("reference amplitude is zero after rescaling")
     gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
@@ -304,7 +314,7 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
     iterations = iters.reshape(count, per_problem).sum(axis=1)[of].tolist()
-    theta, a, certified, tie_break = theta[of], a[of], certified[of], profile.tie_break[of]
+    theta, a, certified, tie_break = theta[of], a[of], certified[of], tie_break[of]
 
     upsilon = _profiled_levels(contexts, a)
     ssq = rowdot(a, a)

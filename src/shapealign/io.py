@@ -142,19 +142,39 @@ def read_panel(path: str) -> CurvePanel:
     whitespace aside, must hold the equidistant grid 2*pi*i/n (radians, within
     1e-9); otherwise every column is a curve and the row count, which must be
     odd, implies the grid.  Every cell must be a finite number, whitespace aside.
+    Records end at \r\n, \r or \n.  The header is read with ``csv``; so is a body
+    holding a quote, a NUL or an over-long line, and any other body is split at
+    line ends and commas directly, to the records ``csv`` gives.
     """
     try:
         # utf-8-sig: tolerate a byte-order mark without corrupting the header
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                fh.seek(0)
+                for _ in fh:  # raise as a line-by-line read does, the position counted in the failing chunk
+                    pass
+                raise
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    if not rows:
+    stream = StringIO(text, newline="")  # csv's records end at \r\n, \r or \n, as in a file opened so
+    records = csv.reader(stream)
+    header = next(records, None)
+    if header is None:
         raise ParseError("empty file", line=1)
+    rest = text[stream.tell():]
+    lines = rest.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # nothing follows the last line end
+    limit = csv.field_size_limit()
+    if '"' in rest or "\0" in rest or (len(rest) > limit and max(map(len, lines)) > limit):
+        body = list(records)  # quoting, a NUL or an over-long field: csv reads it, or raises
+    else:
+        body = [line.split(",") if line else [] for line in lines]  # a blank line is an empty record
 
-    header, body = rows[0], rows[1:]
     width = len(header)
     if width < 2:
         raise ParseError("need at least two columns", line=1)

@@ -120,7 +120,7 @@ class PanelBand(NamedTuple):
 
 @dataclass
 class CurvePanel:
-    """J curves observed on one shared grid, with their DFT and band arrays cached per band."""
+    """J curves observed on one shared grid, with their band arrays cached per band."""
 
     grid: SamplingGrid
     y: np.ndarray
@@ -138,19 +138,11 @@ class CurvePanel:
             raise NonFiniteData("panel values must be finite")
         if self.labels is not None and len(self.labels) != self.y.shape[0]:
             raise ConstraintViolation("one label per curve required")
-        self._dft_cache: dict[int, np.ndarray] = {}
         self._band_cache: dict[int, PanelBand] = {}
 
     @property
     def n_curves(self) -> int:
         return self.y.shape[0]
-
-    def curve_dft(self, m: int) -> np.ndarray:
-        """Read-only (J, 2m+1) truncated DFT of the curves at band ``m``, built once per band."""
-        if m not in self._dft_cache:
-            self._dft_cache[m] = dft(self.y, self.grid, m)
-            self._dft_cache[m].flags.writeable = False
-        return self._dft_cache[m]
 
     def band(self, m: int) -> PanelBand:
         """Read-only :class:`PanelBand` at band ``m``, built once per band.
@@ -161,7 +153,7 @@ class CurvePanel:
         if m not in self._band_cache:
             # overflow is detected below and reported as NonFiniteData
             with np.errstate(over="ignore", invalid="ignore"):
-                d_ac = self.curve_dft(m).copy()
+                d_ac = dft(self.y, self.grid, m)
                 ybar = self.y.mean(axis=1)
                 mean_sq = float((self.y**2).sum()) / (self.grid.n * self.n_curves)
             if not (np.isfinite(mean_sq) and np.isfinite(ybar).all() and np.isfinite(d_ac).all()):

@@ -71,8 +71,11 @@ def inverse_normal_cdf(p) -> float | np.ndarray:
         r = np.sqrt(-np.log(np.minimum(p_arr[tails], 1.0 - p_arr[tails])))
         near = r <= 5.0
         val = np.empty_like(r)
-        val[near] = _poly(_C, r[near] - 1.6) / _poly(_D, r[near] - 1.6)
-        val[~near] = _poly(_E, r[~near] - 5.0) / _poly(_F, r[~near] - 5.0)
+        if near.any():
+            val[near] = _poly(_C, r[near] - 1.6) / _poly(_D, r[near] - 1.6)
+        if not near.all():
+            far = ~near
+            val[far] = _poly(_E, r[far] - 5.0) / _poly(_F, r[far] - 5.0)
         z[tails] = np.sign(q[tails]) * val
 
     return float(z) if np.isscalar(p) or p_arr.ndim == 0 else z

@@ -86,7 +86,7 @@ def test_profiled_coefficients_identical_curves():
     panel = sa.generate_panel(truth, shape, grid, seed=0)
     ctx = _context(panel, 4)
     spec = sa.profiled_coefficients(ctx, [0.0, 0.0], [1.0, 1.0])
-    d1 = panel.curve_dft(4)[0]
+    d1 = sa.dft(panel.y, grid, 4)[0]
     for l in range(-4, 5):
         if l == 0:
             continue

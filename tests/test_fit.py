@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext, ShiftEvaluation, shift_objective_stack
+from shapealign.criterion import CriterionContext, ShiftEvaluation, rowdot, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
 from shapealign.fit import (
     FitConfig,
     _best_starts,
     _lockstep_newton,
     _profiled_levels,
+    _sphere_scales,
     fit_batch,
     initialize_shifts,
 )
@@ -138,7 +139,9 @@ def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=30 + j)
     ctx = CriterionContext(panel, 3, ConstraintRegime(kind=kind))
-    for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24)):
+    # scan grids of n points, of fewer (even) points and of more (even) points than the panel's 61
+    for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24),
+                   FitConfig(m=3, theta_grid_size=100)):
         batched = _scan([ctx], config)[0]
         looped = initialize_shifts_loop(ctx, config)
         assert len(batched) == len(looped)
@@ -210,6 +213,54 @@ def test_fit_batch_spends_one_polish_budget_in_total(rng, monkeypatch):
     results = fit_batch(jobs, FitConfig(m=3))
     assert all(result.converged for result in results)
     assert 1 <= sum(hessians) <= 8
+
+
+def test_lone_fit_without_a_wrap_profiles_at_the_search_evaluation(rng, monkeypatch):
+    # shifts far from 0: the endpoints lie in [0, 2*pi), so the assembly reads the
+    # search's last evaluation and asks the kernel for no Hessian-free profile
+    truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
+    truth = dataclasses.replace(truth, theta=np.array([0.0, 1.5, 4.0]))
+    panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=3)
+    hessians = _count_hessian_calls(monkeypatch)
+    result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
+    assert result.converged
+    assert hessians and all(hessians)
+
+
+def _wrapping_jobs(seed, j, n, offsets, sigma):
+    """Two panels, under A0 and A1, whose true shifts lie within one grid step of 0, on either side."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for k in range(2):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
+        theta = np.mod(np.concatenate([[0.0], offsets[k * 4:k * 4 + j - 1]]) * 2 * np.pi / n, 2 * np.pi)
+        theta[theta >= 2 * np.pi] = 0.0
+        panel = sa.generate_panel(dataclasses.replace(truth, theta=theta), shape, sa.make_grid(n), seed=k)
+        jobs += [(panel, ConstraintRegime()), (panel, ConstraintRegime(kind=Regime.A1))]
+    return jobs
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), n=st.sampled_from([31, 51, 201]),
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), sigma=st.sampled_from([0.0, 0.01, 0.3]))
+def test_fit_profile_equals_a_fresh_profile_at_the_reported_shifts_property(seed, j, n, offsets, sigma):
+    # endpoints just below 0 wrap to just below 2*pi, or to 0, and change bits; the rest
+    # keep them: either way scales and tie flag are those of the profile at the reported shifts
+    jobs = _wrapping_jobs(seed, j, n, np.array(offsets), sigma)
+    config = FitConfig(m=3)
+    for (panel, regime), result in zip(jobs, fit_batch(jobs, config), strict=True):
+        ctx = CriterionContext(panel, 3, regime)
+        theta = result.beta_hat.theta
+        profile = shift_objective_stack(ctx.d_ac[None], np.zeros(1, dtype=int), theta[None, 1:],
+                                        np.array([ctx.shift_constant]))
+        a = _sphere_scales(profile.lead)
+        ssq = rowdot(a, a)
+        a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)[0]
+        assert result.beta_hat.a.tobytes() == a.tobytes()
+        assert result.tie_break == bool(profile.tie_break[0])
+        alone = sa.fit(panel, regime, config)
+        assert (dumps_canonical(result_document(result, None))
+                == dumps_canonical(result_document(alone, None)))
 
 
 def _count_search_calls(monkeypatch):

@@ -177,7 +177,12 @@ _BAD_CELLS = ("", " ", "\t ", "abc", "1 2", "0x10", "1e", ".", "--1", "1__0")
 
 @st.composite
 def _panel_text(draw):
-    """A panel CSV text: padded cells, a few odd or bad ones, and perhaps a ragged or blank row."""
+    """A panel CSV text: padded cells, a few odd or bad ones, perhaps a ragged or blank row, perhaps quoting.
+
+    Line ends are LF, CRLF or lone CR.  Quoted body cells, one of which may hold a comma, and
+    header labels quoted around a comma or a line break reach both of the reader's paths.
+    """
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     n, curves = draw(st.sampled_from([3, 5, 7] * 3 + [0, 1, 2, 4])), draw(st.integers(2, 3))
     with_time = draw(st.booleans())
     number = st.floats(allow_nan=False, allow_infinity=False).flatmap(
@@ -193,11 +198,23 @@ def _panel_text(draw):
                 rows[i][k] = cell
         i, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(["none"] * 5 + ["short", "long", "blank"]))
         rows[i] = {"short": rows[i][:-1], "long": rows[i] + ["1"], "blank": []}.get(kind, rows[i])
+    quoted = set()  # body cells written inside quotes, padding and all
+    if n and draw(st.booleans()):
+        for i, k, comma in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, width - 1), st.booleans()),
+                                         min_size=1, max_size=3)):
+            if k < len(rows[i]):
+                quoted.add((i, k))
+                if comma:
+                    rows[i][k] = "1,5"
     pad = st.sampled_from(_PADS)
+    label = st.sampled_from(["plain"] * 4 + ["comma", "line"])
     header = ([draw(st.sampled_from(["t", " t", "t\t", "x"]))] if with_time else []) + [
-        draw(pad) + f"c{k}" + draw(pad) for k in range(curves)]
-    lines = [",".join(header)] + [",".join(draw(pad) + c + draw(pad) for c in row) for row in rows]
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+        {"comma": f'"c{k},x"', "line": f'"c{k}{newline}x"'}.get(draw(label), draw(pad) + f"c{k}" + draw(pad))
+        for k in range(curves)]
+    cells = [[draw(pad) + c + draw(pad) for c in row] for row in rows]
+    for i, k in quoted:
+        cells[i][k] = f'"{cells[i][k]}"'
+    lines = [",".join(header)] + [",".join(row) for row in cells]
     return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 

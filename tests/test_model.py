@@ -245,29 +245,20 @@ def test_a1_reparameterization_matches_generic():
     assert np.max(np.abs(p0.y - p1.y)) < 1e-12
 
 
-def test_panel_dft_cache_matches_dft():
-    grid = sa.make_grid(31)
-    rng = np.random.default_rng(0)
-    panel = sa.CurvePanel(grid=grid, y=rng.normal(size=(2, 31)))
-    blocks = panel.curve_dft(5)
-    assert blocks.shape == (2, 11) and not blocks.flags.writeable
-    with pytest.raises(ValueError):
-        blocks[0, 0] = 0.0
-    for j in range(2):
-        fresh = sa.dft(panel.y[j], grid, 5)
-        assert np.max(np.abs(blocks[j] - fresh)) < 1e-12
-    assert panel.curve_dft(5) is blocks  # cached
-
-
 def test_panel_band_cache_zeroes_the_mean_column_read_only():
     grid = sa.make_grid(31)
     panel = sa.CurvePanel(grid=grid, y=np.random.default_rng(1).normal(size=(3, 31)) + 4.0)
     band = panel.band(5)
     assert panel.band(5) is band  # cached
-    expected = panel.curve_dft(5).copy()
+    assert band.d_ac.shape == (3, 11)
+    expected = sa.dft(panel.y, grid, 5)
+    for j in range(3):  # each row is the DFT of its curve alone, up to rounding
+        assert np.max(np.abs(expected[j] - sa.dft(panel.y[j], grid, 5))) < 1e-12
     expected[:, 5] = 0.0
     assert np.array_equal(band.d_ac, expected)
     assert np.array_equal(band.ybar, panel.y.mean(axis=1))
     assert band.mean_sq == float((panel.y**2).sum()) / (31 * 3)
     assert band.ac_trace == float(np.sum(np.abs(expected) ** 2)) / 3
     assert not (band.d_ac.flags.writeable or band.ybar.flags.writeable)
+    with pytest.raises(ValueError):
+        band.d_ac[0, 0] = 0.0
