@@ -245,6 +245,21 @@ def test_a1_reparameterization_matches_generic():
     assert np.max(np.abs(p0.y - p1.y)) < 1e-12
 
 
+def test_panel_dft_cache_matches_dft():
+    grid = sa.make_grid(31)
+    rng = np.random.default_rng(0)
+    panel = sa.CurvePanel(grid=grid, y=rng.normal(size=(2, 31)))
+    blocks = panel.band(5).d_ac
+    assert blocks.shape == (2, 11) and not blocks.flags.writeable
+    with pytest.raises(ValueError):
+        blocks[0, 0] = 0.0
+    for j in range(2):  # each row is the DFT of its curve alone, mean column zeroed
+        fresh = sa.dft(panel.y[j], grid, 5)
+        fresh[5] = 0.0
+        assert np.max(np.abs(blocks[j] - fresh)) < 1e-12
+    assert panel.band(5).d_ac is blocks  # cached
+
+
 def test_panel_band_cache_zeroes_the_mean_column_read_only():
     grid = sa.make_grid(31)
     panel = sa.CurvePanel(grid=grid, y=np.random.default_rng(1).normal(size=(3, 31)) + 4.0)
