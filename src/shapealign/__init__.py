@@ -39,6 +39,7 @@ from .inference import (
     a1_covariance,
     confidence_intervals,
     efficiency_blocks,
+    scaled_covariance,
 )
 from .model import (
     ConstraintRegime,

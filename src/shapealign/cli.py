@@ -85,7 +85,6 @@ def _cmd_fit(args) -> int:
         except ValueError:
             raise _UsageError(f"--m must be an integer or 'auto', got {args.m!r}")
     config = FitConfig(m=m, n_multistart=args.multistart, max_iters=args.max_iters)
-    config.resolve_m(panel.grid.n)  # surface "2m < n violated" before fitting
     regime = ConstraintRegime(kind=Regime(args.regime), upsilon_max=args.upsilon_max)
 
     result = fit(panel, regime, config)

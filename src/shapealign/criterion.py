@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BandTooWide, DegenerateAmplitude, DegenerateSpectrum
+from .errors import DegenerateAmplitude, DegenerateSpectrum
 from .fourier import ShapeSpectrum
 from .model import ConstraintRegime, CurvePanel, Regime
 
@@ -42,14 +42,18 @@ class CriterionContext:
 
     ``d_ac[j, l + m]`` holds curve j's DFT coefficient for 1 <= |l| <= m,
     and zero in the l = 0 column (the means enter through ``ybar``);
-    ``mean_sq`` is (1/(nJ)) sum y^2 and ``ybar`` the per-curve means, which
-    together reconstruct the residual term without touching the raw panel.
+    ``mean_sq`` is (1/(nJ)) sum y^2 and ``ybar`` the per-curve means.
     These are the panel's read-only :meth:`CurvePanel.band` arrays, shared by
     the contexts of every regime, so a second regime costs only its
-    ``shift_constant``, C in the profiled shift criterion C - lambda_max(Q).
+    ``shift_constant``, C in the profiled shift criterion C - lambda_max(Q):
+    the residual (1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2, formed from those
+    moments, at the profiled levels, ybar clipped to the box under A0 and
+    ybar itself under A1.
 
     Raises
     ------
+    BandTooWide
+        If m < 1 or 2*m >= n.
     NonFiniteData
         If the moments or the DFT coefficients overflow to non-finite values.
     """
@@ -59,18 +63,11 @@ class CriterionContext:
     regime: ConstraintRegime = field(default_factory=ConstraintRegime)
 
     def __post_init__(self):
-        n = self.panel.grid.n
-        if self.m < 1:
-            raise BandTooWide(f"band limit must be >= 1, got {self.m}")
-        if 2 * self.m >= n:
-            raise BandTooWide(f"band limit {self.m} violates 2*m < n for n={n}")
         self.d_ac, self.ybar, self.mean_sq, self.ac_trace = self.panel.band(self.m)
         self.freqs = np.arange(-self.m, self.m + 1)
-        if self.regime.kind is Regime.A0:
-            bound = self.regime.upsilon_max
-            self.shift_constant = self.residual_term(np.clip(self.ybar, -bound, bound))
-        else:
-            self.shift_constant = self.mean_sq - float(self.ybar @ self.ybar) / self.n_curves
+        bound = self.regime.upsilon_max
+        ups = np.clip(self.ybar, -bound, bound) if self.regime.kind is Regime.A0 else self.ybar
+        self.shift_constant = self.mean_sq + float(ups @ ups - 2.0 * (ups @ self.ybar)) / self.n_curves
 
     @property
     def n_curves(self) -> int:
@@ -86,11 +83,6 @@ class CriterionContext:
         # so anything at (eps*scale)^2 in the trace is noise, not signal
         if self.ac_trace <= 1e-26 * max(1.0, self.mean_sq):
             raise DegenerateSpectrum("no spectral energy in the selected band")
-
-    def residual_term(self, upsilon: np.ndarray) -> float:
-        """(1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 via cached moments."""
-        j = self.n_curves
-        return self.mean_sq + float(upsilon @ upsilon - 2.0 * (upsilon @ self.ybar)) / j
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

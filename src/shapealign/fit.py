@@ -33,7 +33,7 @@ from .criterion import (
     shift_objective_stack,
 )
 from .errors import ConfigInvalid, ZeroReferenceAmplitude
-from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum, phase_table
+from .fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_spectrum
 from .model import (
     ConstraintRegime,
     CurvePanel,
@@ -101,9 +101,9 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     """Candidate shift vectors of F contexts of one (J, m) and scan grid, from a cross-correlation scan.
 
     ``d_ac`` (F, J, 2m+1) and ``constants`` (F,) stack their band coefficients and shift
-    constants C.  For each curve j >= 2 the score |sum_l conj(d_1l) d_jl e^{il*delta}|, its
-    phases the DFT's cached table read backwards (:func:`fourier.phase_table`), peaks near
-    the curve's true shift; k = min(n_multistart, grid) top grid offsets are kept per
+    constants C.  For each curve j >= 2 the score |sum_l d_1l conj(d_jl) e^{-il*delta}|, the
+    modulus of sum_l conj(d_1l) d_jl e^{il*delta} on the DFT's cached twiddle table, peaks
+    near the curve's true shift; k = min(n_multistart, grid) top grid offsets are kept per
     curve.  The candidates are every free curve at its best offset, then, curve
     by curve, each of that curve's other offsets with the rest at their best:
     1 + (k-1)(J-1) rows, linear in J.  All are ranked by C - lambda_max(Q) with one score
@@ -117,8 +117,7 @@ def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config:
     grid_size = config.theta_grid_size or contexts[0].n
     k = min(config.n_multistart, grid_size)
     deltas = TWO_PI * np.arange(grid_size) / grid_size
-    cross = np.conj(d_ac[:, :1]) * d_ac
-    scores = np.abs(cross @ phase_table(grid_size, contexts[0].m))  # (F, J, grid)
+    scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, contexts[0].m))  # (F, J, grid)
 
     top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
     # every free curve at its best offset, then each curve's other offsets in turn
@@ -147,12 +146,12 @@ def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
     tolerances.  Below it f cannot resolve progress: the row tries its full Newton step once
     and keeps it only if it shrinks max|g|, and stops otherwise or without a Newton step.
     Trials carry Hessians for the next round.  Returns, per row, x, the final evaluation
-    (``fun``'s fields), the iterations and f at x0.
+    (``fun``'s fields) and the iterations.
     """
     x = np.array(x0, dtype=float)
     ev = fun(x, np.arange(len(x)), True)
     f, g, hess, tie = ev.value, ev.grad, ev.hess, ev.tie_break  # updated in place with ``ev``
-    f_start, iterations, live = f.copy(), np.zeros(len(x), dtype=int), np.arange(len(x))
+    iterations, live = np.zeros(len(x), dtype=int), np.arange(len(x))
     halvings = 0.5 ** np.arange(60)  # the line search's step lengths
     for _ in range(config.max_iters):  # rows live after the last round stop on their budget
         iterations[live] += 1
@@ -201,7 +200,7 @@ def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
                 break
             search = [a[retry] for a in search]
         live = np.flatnonzero(survivors)
-    return x, ev, iterations, f_start
+    return x, ev, iterations
 
 
 @dataclass
@@ -289,7 +288,7 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     def kernel(xs, rows, hessian):
         return shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian)
 
-    x_end, ev, iters, _ = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
+    x_end, ev, iters = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
     best = per_problem * np.arange(count) + _best_starts(
         ev.value.reshape(count, per_problem), np.mod(x_end, TWO_PI).reshape(count, per_problem, j - 1),
         config.tol_objective)

@@ -64,25 +64,12 @@ def make_grid(n: int) -> SamplingGrid:
 
 @functools.lru_cache(maxsize=8)
 def _twiddle_table(n: int, m: int) -> np.ndarray:
-    """Read-only rows e^{-i l t_s}, l = -m..m, t_s = 2*pi*s/n for any n >= 1; negative rows are exact conjugates."""
+    """Read-only rows e^{-i l t_s}, l = -m..m, t_s = 2*pi*s/n, any n >= 1 (scan grids too); row -l is conj(row l)."""
     pos = np.exp(-1j * np.outer(np.arange(1, m + 1), TWO_PI * np.arange(n) / n))
     table = np.empty((2 * m + 1, n), dtype=complex)
     table[m + 1:] = pos
     table[m] = 1.0
     table[:m] = np.conj(pos[::-1])
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=8)
-def phase_table(size: int, m: int) -> np.ndarray:
-    """Read-only rows e^{i l delta_g}, l = -m..m, at the ``size`` offsets delta_g = 2*pi*g/size.
-
-    The twiddle table of :func:`dft` read backwards (row l is its row -l), copied
-    contiguous once, as a matmul would copy the reversed view on every call; ``size``
-    may be even, or larger or smaller than the panel's n.
-    """
-    table = np.ascontiguousarray(_twiddle_table(size, m)[::-1])
     table.flags.writeable = False
     return table
 

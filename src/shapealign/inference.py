@@ -61,9 +61,6 @@ class EfficiencyBlocks:
     def n_curves(self) -> int:
         return self.a.size
 
-    def covariance(self, n: int) -> np.ndarray:
-        return self.sigma**2 * self.h_inv / n
-
     def identity_residual(self) -> float:
         eye = np.eye(self.h.shape[0])
         return float(np.max(np.abs(self.h @ self.h_inv - eye)))
@@ -131,9 +128,6 @@ class A1CovarianceBlocks:
     a: np.ndarray
     sigma: float
 
-    def covariance(self, n: int) -> np.ndarray:
-        return self.sigma**2 * self.gamma / n
-
     def identity_residual(self) -> float:
         eye = np.eye(self.b.shape[0])
         return float(np.max(np.abs(self.b @ self.b_inv - eye)))
@@ -178,6 +172,16 @@ def a1_covariance(a, shape: ShapeSpectrum, sigma: float) -> A1CovarianceBlocks:
     return A1CovarianceBlocks(gamma=gamma, b=b, b_inv=b_inv, c0=c0, a=a, sigma=float(sigma))
 
 
+def scaled_covariance(a, shape: ShapeSpectrum, sigma: float, regime: Regime) -> np.ndarray:
+    """Covariance of the sqrt(n)-scaled errors: sigma^2 H^{-1} under A0, sigma^2 Gamma under A1.
+
+    ``shape`` is the regime's shape: centered under A0, its mean included under A1.
+    """
+    if regime is Regime.A0:
+        return sigma**2 * efficiency_blocks(a, shape, sigma).h_inv
+    return sigma**2 * a1_covariance(a, shape, sigma).gamma
+
+
 @dataclass
 class ParameterInterval:
     name: str
@@ -216,15 +220,7 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
         raise NotConverged("cannot build intervals from an unconverged fit")
     params = result.beta_hat
     j = params.n_curves
-    zero_noise = result.sigma_hat == 0.0
-
-    if params.regime.kind is Regime.A0:
-        blocks = efficiency_blocks(params.a, result.shape_hat, result.sigma_hat)
-        cov = blocks.covariance(result.n) if not zero_noise else np.zeros_like(blocks.h)
-    else:
-        blocks = a1_covariance(params.a, result.shape_hat, result.sigma_hat)
-        cov = blocks.covariance(result.n) if not zero_noise else np.zeros_like(blocks.gamma)
-
+    cov = scaled_covariance(params.a, result.shape_hat, result.sigma_hat, params.regime.kind) / result.n
     z = float(inverse_normal_cdf(0.5 * (1.0 + level)))
     estimates = params.free_values()
     labels = free_parameter_labels(j, params.regime)
@@ -241,5 +237,5 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
         intervals.append(ParameterInterval(name, float(est), hw, lo, hi, circular))
 
     return ConfidenceReport(
-        level=level, intervals=intervals, covariance=cov, labels=labels, zero_noise=zero_noise,
+        level=level, intervals=intervals, covariance=cov, labels=labels, zero_noise=result.sigma_hat == 0.0,
     )

@@ -142,38 +142,29 @@ def read_panel(path: str) -> CurvePanel:
     whitespace aside, must hold the equidistant grid 2*pi*i/n (radians, within
     1e-9); otherwise every column is a curve and the row count, which must be
     odd, implies the grid.  Every cell must be a finite number, whitespace aside.
-    Records end at \r\n, \r or \n.  The header is read with ``csv``; so is a body
-    holding a quote, a NUL or an over-long line, and any other body is split at
-    line ends and commas directly, to the records ``csv`` gives.
+    Records end at \r\n, \r or \n.  A file holding a quote anywhere is read with ``csv``;
+    any other is split at line ends and commas directly, to the records ``csv`` gives.
     """
     try:
-        # utf-8-sig: tolerate a byte-order mark without corrupting the header
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError:
-                fh.seek(0)
-                for _ in fh:  # raise as a line-by-line read does, the position counted in the failing chunk
-                    pass
-                raise
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")  # a byte-order mark is not a label
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # its position is the byte offset in the file
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    stream = StringIO(text, newline="")  # csv's records end at \r\n, \r or \n, as in a file opened so
-    records = csv.reader(stream)
-    header = next(records, None)
-    if header is None:
-        raise ParseError("empty file", line=1)
-    rest = text[stream.tell():]
-    lines = rest.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # nothing follows the last line end
-    limit = csv.field_size_limit()
-    if '"' in rest or "\0" in rest or (len(rest) > limit and max(map(len, lines)) > limit):
-        body = list(records)  # quoting, a NUL or an over-long field: csv reads it, or raises
+    if '"' in text:
+        try:  # csv's records end at \r\n, \r or \n, as in a file opened with newline=""
+            rows = list(csv.reader(StringIO(text, newline="")))
+        except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+            raise ParseError(f"{path} is not valid CSV: {exc}") from exc
     else:
-        body = [line.split(",") if line else [] for line in lines]  # a blank line is an empty record
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":
+            lines.pop()  # nothing follows the last line end
+        rows = [line.split(",") if line else [] for line in lines]  # a blank line is an empty record
+    if not rows:
+        raise ParseError("empty file", line=1)
+    header, body = rows[0], rows[1:]
 
     width = len(header)
     if width < 2:

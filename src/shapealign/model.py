@@ -189,8 +189,7 @@ def generate_panels(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGri
     truth.validate()
     if 2 * shape.m >= grid.n:
         raise ConstraintViolation(f"shape band {shape.m} violates 2*m < n for n={grid.n}")
-    c0 = shape.c0
-    ac = shape.centered() if c0 != 0.0 else shape
+    ac, c0 = center_shape(shape)
     base = evaluate_shifted_on_grid(ac, grid, truth.theta)
     level = truth.upsilon + truth.a * c0
     y = truth.a[:, None] * base + level[:, None]

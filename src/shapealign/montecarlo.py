@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigInvalid
 from .fit import FitConfig, FitResult, fit_batch
 from .fourier import ShapeSpectrum, make_grid
-from .inference import a1_covariance, efficiency_blocks
+from .inference import a1_covariance, scaled_covariance
 from .model import (
     ConstraintRegime,
     ParameterSet,
@@ -194,15 +194,6 @@ class StudyReport:
     cells: list[StudyCell]
 
 
-def _theory_covariance(truth: ParameterSet, shape: ShapeSpectrum, regime: Regime) -> np.ndarray:
-    """Covariance target for sqrt(n)-scaled errors; truth/shape already
-    expressed under the given regime."""
-    if regime is Regime.A0:
-        blocks = efficiency_blocks(truth.a, shape, truth.sigma)
-        return truth.sigma**2 * blocks.h_inv
-    return truth.sigma**2 * a1_covariance(truth.a, shape, truth.sigma).gamma
-
-
 def run_study(config: StudyConfig) -> StudyReport:
     """Generate, fit, and aggregate; deterministic given the base seed."""
     reps = config.replicates
@@ -244,7 +235,7 @@ def _aggregate(n, regime_kind, ref_truth, ref_shape, summaries) -> StudyCell:
     else:
         emp_cov = np.full((truth_free.size, truth_free.size), np.nan)
 
-    theory = _theory_covariance(ref_truth, ref_shape, regime_kind)
+    theory = scaled_covariance(ref_truth.a, ref_shape, ref_truth.sigma, regime_kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(np.abs(theory) > 1e-12, emp_cov / theory, np.nan)
 

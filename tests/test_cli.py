@@ -1,6 +1,7 @@
 """End-to-end command-line contract: outputs, exit codes, byte stability."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -115,6 +116,27 @@ def test_fit_rejects_bad_option_values(option, value, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+def test_fit_rejects_a_quoted_cell_beyond_the_csv_field_limit(tmp_path, capsys):
+    rows = Path(FIXTURE_PANEL).read_text().splitlines()
+    rows[1] = '"0.' + "0" * csv.field_size_limit() + '"' + rows[1][rows[1].index(","):]  # a valid number, too long
+    panel, out = tmp_path / "panel.csv", tmp_path / "r.json"
+    panel.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--input", str(panel), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_fit_zero_noise_a1_renders_covariance_and_half_widths_as_zero(tmp_path):
+    # sigma_hat = 0 times Gamma is -0.0 where Gamma is negative; the document writes each as 0
+    out = tmp_path / "r.json"
+    assert main(["fit", "--input", FIXTURE_PANEL, "--regime", "a1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_int=str, parse_float=str)  # every number as the text written
+    assert doc["ci"]["zero_noise"] is True
+    assert {cell for row in doc["covariance"]["matrix"] for cell in row} == {"0"}
+    assert {iv["half_width"] for iv in doc["ci"]["parameters"]} == {"0"}
 
 
 def test_fit_accepts_unbounded_levels(tmp_path):

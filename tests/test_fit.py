@@ -679,14 +679,13 @@ def _start_stack(rng, j, kind, config):
 
 
 def _assert_matches_per_start(fun, x0, config):
-    x, ev, iterations, f_start = _lockstep_newton(fun, x0, config)
+    x, ev, iterations = _lockstep_newton(fun, x0, config)
     for k in range(len(x0)):
         def one(xk, k=k):
             ev = fun(xk[None], np.array([k]), True)
             return ev.value[0], ev.grad[0], ev.hess[0], bool(ev.tie_break[0])
 
-        x_ref, f_ref, iters_ref, f0 = newton_per_start(one, x0[k], config)
-        assert f_start[k].tobytes() == np.float64(f0).tobytes()
+        x_ref, f_ref, iters_ref, _ = newton_per_start(one, x0[k], config)
         assert x[k].tobytes() == x_ref.tobytes()
         assert ev.value[k].tobytes() == np.float64(f_ref).tobytes()
         assert iterations[k] == iters_ref

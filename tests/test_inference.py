@@ -58,9 +58,10 @@ def test_level_block_is_identity(rng):
 def test_covariance_scales_with_noise(rng):
     a = sphere_scales(rng, 3)
     spec = random_hermitian_spectrum(rng, 3)
-    cov1 = sa.efficiency_blocks(a, spec, sigma=1.0).covariance(100)
-    cov2 = sa.efficiency_blocks(a, spec, sigma=2.0).covariance(100)
-    assert np.array_equal(cov2, 4.0 * cov1)
+    for regime in Regime:
+        cov1 = sa.scaled_covariance(a, spec, 1.0, regime)
+        cov2 = sa.scaled_covariance(a, spec, 2.0, regime)
+        assert np.array_equal(cov2, 4.0 * cov1)
 
 
 def test_plug_in_stability(rng):

@@ -131,6 +131,18 @@ def test_read_panel_tolerates_bom_and_crlf(tmp_path):
     assert panel.grid.n == 21
 
 
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+def test_read_panel_reports_a_utf8_error_at_its_file_offset(tmp_path, bom):
+    # past the first 8 KB of the file, and after a byte-order mark, the position is the byte offset
+    data = bytearray((bom + _panel_csv(2999)).encode("utf-8"))
+    offset = len(bom.encode("utf-8")) + 18006
+    data[offset] = 0xFF
+    path = tmp_path / "p.csv"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match=f"not valid UTF-8: .* position {offset}: invalid start byte"):
+        read_panel(str(path))
+
+
 def test_panel_roundtrip(tmp_path, rng):
     grid = sa.make_grid(31)
     panel = sa.CurvePanel(grid=grid, y=rng.normal(size=(3, 31)), labels=["x", "y", "z"])
