@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateAmplitude, DegenerateSpectrum
 from .fourier import ShapeSpectrum
-from .model import ConstraintRegime, CurvePanel, Regime
+from .model import ConstraintRegime, CurvePanel, Regime, rowdot
 
 # Leading-eigenvalue gap below which the scale profile is a tie: the
 # eigenvector, and with it the shift Hessian, is not determined.
@@ -38,17 +38,11 @@ EIGENVALUE_TIE = 1e-10
 
 @dataclass
 class CriterionContext:
-    """Immutable per-panel data needed to evaluate the criterion at band m.
+    """One panel's data for the criterion at band m under one regime: a one-row view of what the fitter stacks.
 
-    ``d_ac[j, l + m]`` holds curve j's DFT coefficient for 1 <= |l| <= m,
-    and zero in the l = 0 column (the means enter through ``ybar``);
-    ``mean_sq`` is (1/(nJ)) sum y^2 and ``ybar`` the per-curve means.
-    These are the panel's read-only :meth:`CurvePanel.band` arrays, shared by
-    the contexts of every regime, so a second regime costs only its
-    ``shift_constant``, C in the profiled shift criterion C - lambda_max(Q):
-    the residual (1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2, formed from those
-    moments, at the profiled levels, ybar clipped to the box under A0 and
-    ybar itself under A1.
+    ``d_ac``, ``ybar``, ``mean_sq`` and ``ac_trace`` are the panel's read-only :meth:`CurvePanel.band`
+    arrays (``d_ac[j, l + m]`` is curve j's DFT coefficient for 1 <= |l| <= m, zero at l = 0: the
+    means enter through ``ybar``); ``shift_constant`` is :func:`shift_constants` of the panel.
 
     Raises
     ------
@@ -65,9 +59,9 @@ class CriterionContext:
     def __post_init__(self):
         self.d_ac, self.ybar, self.mean_sq, self.ac_trace = self.panel.band(self.m)
         self.freqs = np.arange(-self.m, self.m + 1)
-        bound = self.regime.upsilon_max
-        ups = np.clip(self.ybar, -bound, bound) if self.regime.kind is Regime.A0 else self.ybar
-        self.shift_constant = self.mean_sq + float(ups @ ups - 2.0 * (ups @ self.ybar)) / self.n_curves
+        self.a1 = self.regime.kind is Regime.A1
+        self.shift_constant = float(shift_constants(self.ybar[None], self.mean_sq, np.array([self.a1]),
+                                                    np.array([self.regime.upsilon_max]))[0])
 
     @property
     def n_curves(self) -> int:
@@ -79,41 +73,50 @@ class CriterionContext:
 
     def require_energy(self):
         """Raise DegenerateSpectrum if the band carries no energy (constant curves)."""
-        # rounding residue of the coefficients of pure-level data is ~eps*scale,
-        # so anything at (eps*scale)^2 in the trace is noise, not signal
-        if self.ac_trace <= 1e-26 * max(1.0, self.mean_sq):
-            raise DegenerateSpectrum("no spectral energy in the selected band")
+        require_energy(self.ac_trace, self.mean_sq)
 
 
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products by matmul: each row's bits are those of its 1-D ``a @ b``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+def require_energy(ac_trace, mean_sq):
+    """Raise DegenerateSpectrum if any band of traces ``ac_trace`` and moments ``mean_sq`` carries no energy."""
+    # rounding residue of the coefficients of pure-level data is ~eps*scale,
+    # so anything at (eps*scale)^2 in the trace is noise, not signal
+    if (ac_trace <= 1e-26 * np.fmax(1.0, mean_sq)).any():
+        raise DegenerateSpectrum("no spectral energy in the selected band")
 
 
-def criterion_stack(contexts, theta, a, upsilon) -> tuple[np.ndarray, np.ndarray]:
-    """Criterion values (F,) and shape coefficients (F, 2m+1) of F contexts of one (J, m).
+def residual(mean_sq, ybar: np.ndarray, upsilon: np.ndarray) -> np.ndarray:
+    """(1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 of F rows, from their moments: (F,)."""
+    return mean_sq + (rowdot(upsilon, upsilon) - 2.0 * rowdot(upsilon, ybar)) / ybar.shape[1]
 
-    Row f evaluates ``contexts[f]`` at (theta[f], a[f], upsilon[f]) with row-wise
-    products only, so its bits are those of the row alone.  Its coefficients are
-    chat_l (1 <= |l| <= m) with, in the l = 0 slot, the mean coefficient of
-    :func:`profiled_mean` under A1 and zero under A0.
+
+def shift_constants(ybar: np.ndarray, mean_sq, a1: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """C of C - lambda_max(Q) for F rows: the residual at levels ybar under A1, ybar clipped to +-bound under A0."""
+    ups = np.where(a1[:, None], ybar, np.clip(ybar, -bound[:, None], bound[:, None]))
+    return residual(mean_sq, ybar, ups)
+
+
+def criterion_stack(d_ac, ybar, mean_sq, a1, theta, a, upsilon) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion values (F,) and shape coefficients (F, 2m+1) of F rows of one (J, m).
+
+    Row f evaluates band coefficients ``d_ac[f]``, means ``ybar[f]`` and second
+    moment ``mean_sq[f]``, under A1 where ``a1[f]``, at (theta[f], a[f], upsilon[f]),
+    with row-wise products only, so its bits are those of the row alone.  Its
+    coefficients are chat_l (1 <= |l| <= m) with, in the l = 0 slot, the mean
+    coefficient of :func:`profiled_mean` under A1 and zero under A0.
     """
     theta, a, upsilon = (np.asarray(v, dtype=float) for v in (theta, a, upsilon))
     ssq = rowdot(a, a)
     if np.any(ssq < np.finfo(float).tiny):
         raise DegenerateAmplitude("amplitude vector is zero")
-    m = contexts[0].m
-    d_ac, ybar, mean_sq = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d_ac", "ybar", "mean_sq"))
-    phases = np.exp(1j * (theta[:, :, None] * contexts[0].freqs))
+    m = d_ac.shape[2] // 2
+    phases = np.exp(1j * (theta[:, :, None] * np.arange(-m, m + 1)))
     coeffs = (a[:, :, None] * phases * d_ac).sum(axis=1) / ssq[:, None]
     energy = (np.abs(coeffs) ** 2).sum(axis=1)
-    a1 = np.array([ctx.regime.kind is Regime.A1 for ctx in contexts])
     coeffs[:, m] = mean = np.where(a1, rowdot(a, ybar - upsilon) / ssq, 0.0)
     # Python's float pow, not numpy's square: they differ in the last bit for
     # about 0.1% of inputs, and the reports keep the bits of the former
     energy += [c ** 2 for c in mean.tolist()]
-    residual = mean_sq + (rowdot(upsilon, upsilon) - 2.0 * rowdot(upsilon, ybar)) / theta.shape[1]
-    return residual - energy, coeffs
+    return residual(mean_sq, ybar, upsilon) - energy, coeffs
 
 
 def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:
@@ -124,23 +127,23 @@ def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:
     cannot change them.  The l = 0 slot is left at zero; see
     :func:`profiled_mean` for the A1 mean coefficient.
     """
-    coeffs = criterion_stack([ctx], [theta], [a], [np.zeros(ctx.n_curves)])[1][0]
-    coeffs[ctx.m] = 0.0
-    return ShapeSpectrum(m=ctx.m, coeffs=coeffs)
+    return ShapeSpectrum(m=ctx.m, coeffs=_one_point(ctx, False, theta, a, np.zeros(ctx.n_curves))[1])
 
 
 def profiled_mean(ctx: CriterionContext, a, upsilon) -> float:
     """Mean coefficient chat_0 = sum_j a_j (ybar_j - upsilon_j) / sum_j a_j^2."""
-    a = np.asarray(a, dtype=float)
-    ssq = float(a @ a)
-    if ssq < np.finfo(float).tiny:
-        raise DegenerateAmplitude("amplitude vector is zero")
-    return float(a @ (ctx.ybar - np.asarray(upsilon, dtype=float))) / ssq
+    return float(_one_point(ctx, True, np.zeros(ctx.n_curves), a, upsilon)[1][ctx.m].real)
 
 
 def criterion_value(ctx: CriterionContext, theta, a, upsilon) -> float:
     """Objective value at (theta, a, upsilon) under the context's regime."""
-    return float(criterion_stack([ctx], [theta], [a], [upsilon])[0][0])
+    return float(_one_point(ctx, ctx.a1, theta, a, upsilon)[0])
+
+
+def _one_point(ctx: CriterionContext, a1: bool, theta, a, upsilon):
+    """Value and coefficients of :func:`criterion_stack` for one context at one point, under A1 if ``a1``."""
+    values, coeffs = criterion_stack(ctx.d_ac[None], ctx.ybar[None], ctx.mean_sq, a1, [theta], [a], [upsilon])
+    return values[0], coeffs[0]
 
 
 def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:

@@ -5,40 +5,44 @@ of the cross-coefficient matrix Q), so the search runs only over the J-1
 free shifts, where the criterion is C - lambda_max(Q).  One stacked kernel,
 :func:`criterion.shift_objective_stack`, gives its value, gradient and
 exact Hessian at many rows of shifts, one eigendecomposition per row.
-:func:`fit_batch` fits a batch per (J, m) group (:func:`fit` is the batch
-of one), each stage in stacked calls whose rows do not interact: a
-cross-correlation grid scan whose start candidates, linear in J, are
+:func:`_fit_group` fits the jobs of one (J, n) from the panels' stacked band
+arrays to stacked estimates, each stage in stacked calls whose rows do not
+interact: a cross-correlation grid scan whose start candidates, linear in J, are
 ranked with one eigenvalue call; one lockstep modified-Newton search with
 the exact Hessian, a row per start, which runs each row until its gradient
 vanishes to rounding or no step can shrink it; and the assembly of the
 estimates, whose scales, tie flag and ``converged`` certificate read the
 search's last evaluation of each fit's best row.  The regime enters the
 shift criterion only through C, so jobs of one panel with bitwise-equal C
-(A0 and A1 unless the A0 box binds) are one shift problem: scanned,
-searched, picked and certified once, with only the levels and estimates
-formed per job.
+(A0 and A1 unless the A0 box binds) are one shift problem.
+:func:`fit_batch` (and :func:`fit`, its batch of one) wraps the estimates in
+:class:`FitResult`; a Monte Carlo chunk reads them as they are.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criterion import (
-    CriterionContext,
     criterion_stack,
-    rowdot,
+    require_energy,
+    shift_constants,
     shift_objective_stack,
 )
 from .errors import ConfigInvalid, ZeroReferenceAmplitude
 from .fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_spectrum
 from .model import (
+    Band,
     ConstraintRegime,
     CurvePanel,
     ParameterSet,
     Regime,
+    band_stack,
+    rowdot,
 )
 
 
@@ -86,39 +90,31 @@ def _sphere_scales(lead: np.ndarray) -> np.ndarray:
     return np.sqrt(lead.shape[1]) * np.where(first < 0, -lead, lead)
 
 
-def _profiled_levels(contexts, a: np.ndarray) -> np.ndarray:
-    """Exact level profiles (F, J) of F contexts given their scales (F, J), regime-aware per row."""
-    ybar = np.array([ctx.ybar for ctx in contexts])
-    bound = np.array([[ctx.regime.upsilon_max] for ctx in contexts])
-    a1 = np.array([ctx.regime.kind is Regime.A1 for ctx in contexts])
-    ups = np.clip(ybar, -bound, bound)
+def _profiled_levels(ybar: np.ndarray, a1: np.ndarray, bound: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Exact level profiles (F, J) given means and scales (F, J), under A1 where ``a1``, else within +-``bound``."""
+    ups = np.clip(ybar, -bound[:, None], bound[:, None])
     ups[a1] = ybar[a1] - a[a1] * (ybar[a1, :1] / a[a1, :1])
     ups[a1, 0] = 0.0
     return ups
 
 
-def initialize_shifts(contexts, d_ac: np.ndarray, constants: np.ndarray, config: FitConfig) -> np.ndarray:
-    """Candidate shift vectors of F contexts of one (J, m) and scan grid, from a cross-correlation scan.
+def initialize_shifts(d_ac: np.ndarray, constants: np.ndarray, grid_size: int, config: FitConfig) -> np.ndarray:
+    """Candidate shift vectors of F shift problems of one (J, m), from a cross-correlation scan.
 
-    ``d_ac`` (F, J, 2m+1) and ``constants`` (F,) stack their band coefficients and shift
-    constants C.  For each curve j >= 2 the score |sum_l d_1l conj(d_jl) e^{-il*delta}|, the
-    modulus of sum_l conj(d_1l) d_jl e^{il*delta} on the DFT's cached twiddle table, peaks
-    near the curve's true shift; k = min(n_multistart, grid) top grid offsets are kept per
-    curve.  The candidates are every free curve at its best offset, then, curve
-    by curve, each of that curve's other offsets with the rest at their best:
-    1 + (k-1)(J-1) rows, linear in J.  All are ranked by C - lambda_max(Q) with one score
-    matmul, one stable argsort per row and one eigenvalue call.  Returns (F, K, J): each
-    context's best K <= n_multistart shift vectors (theta_1 = 0), best first, bitwise
-    those it gets alone; raises DegenerateSpectrum if a band carries no energy.
+    ``d_ac`` (F, J, 2m+1) and ``constants`` (F,) stack the problems' band coefficients, which must
+    carry energy, and shift constants C.  For each curve j >= 2 the score |sum_l d_1l conj(d_jl)
+    e^{-il*delta}| on ``grid_size`` offsets, by the DFT's cached twiddle table, peaks near the
+    curve's true shift; its k = min(n_multistart, grid) top offsets are kept.  The candidates are
+    every free curve at its best offset, then each curve's other offsets with the rest at their
+    best: 1 + (k-1)(J-1) rows, ranked by C - lambda_max(Q) in one eigenvalue call.  Returns
+    (F, K, J): each problem's best K <= n_multistart shift vectors (theta_1 = 0), best first,
+    bitwise those it gets alone.
     """
-    for ctx in contexts:
-        ctx.require_energy()
-    j, freqs = contexts[0].n_curves, contexts[0].freqs
-    grid_size = config.theta_grid_size or contexts[0].n
+    j, m = d_ac.shape[1], d_ac.shape[2] // 2
+    freqs = np.arange(-m, m + 1)
     k = min(config.n_multistart, grid_size)
     deltas = TWO_PI * np.arange(grid_size) / grid_size
-    scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, contexts[0].m))  # (F, J, grid)
-
+    scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, m))  # (F, J, grid)
     top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
     # every free curve at its best offset, then each curve's other offsets in turn
     ranks = np.zeros((1 + (k - 1) * (j - 1), j - 1), dtype=int)
@@ -224,22 +220,39 @@ class FitResult:
         return self.beta_hat.regime
 
 
-def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
-    """Fit each ``(panel, regime)`` of ``jobs``, every stage stacked over the jobs of one (J, m).
+# Stacked estimates of F jobs, row f job f's: theta, a, upsilon (F, J); sigma (sqrt of a positive
+# objective, else 0), objective, iterations, converged, tie_break (F,); the shape coefficients
+# (F, 2m+1); and restarts, the search rows of every job.
+Estimates = namedtuple("Estimates", "theta a upsilon sigma objective coeffs iterations converged tie_break restarts")
 
-    Jobs that share J, m and the scan grid are scanned, searched and assembled
-    together in stacked calls whose rows do not interact, so each result is bitwise the
-    one :func:`fit` gives for that job alone.
-    """
-    contexts = [CriterionContext(panel, config.resolve_m(panel.grid.n), regime)
-                for panel, regime in jobs]
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, ctx in enumerate(contexts):
-        groups.setdefault((ctx.n_curves, ctx.m, config.theta_grid_size or ctx.n), []).append(i)
-    results = [None] * len(contexts)
+
+def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
+    """Fit each ``(panel, regime)`` of ``jobs``: the bands of each (J, n)'s distinct panels in one
+    :func:`model.band_stack` call, all before any fit, then each (J, n)'s jobs in one :func:`_fit_group`,
+    whose rows do not interact, so each result is bitwise the one :func:`fit` gives."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (panel, _) in enumerate(jobs):
+        groups.setdefault((panel.n_curves, panel.grid.n), []).append(i)
+    stacked = []
     for members in groups.values():
-        for i, result in zip(members, _fit_group([contexts[i] for i in members], config)):
-            results[i] = result
+        distinct = {id(jobs[i][0]): jobs[i][0] for i in members}  # each panel once, in order
+        row = dict(zip(distinct, range(len(distinct))))
+        grid = jobs[members[0]][0].grid
+        band = band_stack(np.stack([panel.y for panel in distinct.values()]), grid, config.resolve_m(grid.n))
+        stacked.append((members, np.array([row[id(jobs[i][0])] for i in members]), band, grid.n))
+    results = [None] * len(jobs)
+    for members, rows, band, n in stacked:
+        regimes = [jobs[i][1] for i in members]
+        est = _fit_group(band, rows, np.array([regime.kind is Regime.A1 for regime in regimes]),
+                         np.array([regime.upsilon_max for regime in regimes], dtype=float), n, config)
+        m = band.d_ac.shape[2] // 2
+        for f, (i, regime, sigma, objective, iterations) in enumerate(zip(
+                members, regimes, est.sigma.tolist(), est.objective.tolist(), est.iterations.tolist())):
+            results[i] = FitResult(
+                beta_hat=ParameterSet(est.theta[f], est.a[f], est.upsilon[f], sigma, regime),
+                sigma_hat=sigma, shape_hat=ShapeSpectrum(m=m, coeffs=est.coeffs[f]), objective=objective,
+                iterations=iterations, restarts=est.restarts, converged=bool(est.converged[f]),
+                zero_noise=objective <= 0.0, tie_break=bool(est.tie_break[f]), n=n, m=m)
     return results
 
 
@@ -258,35 +271,30 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     return fit_batch([(panel, regime)], config)[0]
 
 
-def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
-    """Scan, search and assemble jobs of one (J, m) and scan grid, each stage stacked.
+def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, n: int,
+               config: FitConfig) -> Estimates:
+    """Scan, search and assemble F jobs on the stacked band of P panels of one (J, n), each stage stacked.
 
-    Jobs whose contexts share one coefficient array and, bit for bit, one shift
-    constant pose one shift problem: one panel under A1 and under A0 with a level box
-    that does not bind.  The scan, the search, the best-endpoint pick, the profile and
-    the certificate run once per problem; only the levels, the rescaled scales, the
-    criterion and the result run once per job.  One search runs every start of every
-    problem; each problem keeps its best row, whose final evaluation gives the
-    certificate and, where wrapping its shifts into [0, 2*pi) leaves their bits alone,
-    the scale profile and tie flag.  Rows whose wrap changed a bit are profiled again,
-    in one kernel call; when no row wrapped, no kernel call follows the search.
+    Job f fits panel ``rows[f]`` under A1 where ``a1[f]``, else within +-``bound[f]``; callers
+    validate the estimates.  Jobs of one panel whose shift constants agree bit for bit pose one
+    shift problem: scanned, searched, picked, profiled and certified once, in one search over
+    every start of every problem.  Each problem's best row gives the certificate and, unless
+    wrapping its shifts into [0, 2*pi) changed a bit, the scale profile and tie flag.
     """
-    problems, index, of = [], {}, []
-    for ctx in contexts:
-        key = (id(ctx.d_ac), ctx.shift_constant.hex())
-        if key not in index:
-            index[key] = len(problems)
-            problems.append(ctx)
-        of.append(index[key])
-    of = np.array(of) if len(problems) < len(contexts) else slice(None)  # a slice gathers nothing
-    d_ac = np.stack([ctx.d_ac for ctx in problems])
-    constants = np.array([ctx.shift_constant for ctx in problems])
-    starts = initialize_shifts(problems, d_ac, constants, config)
+    require_energy(band.ac_trace, band.mean_sq)
+    ybar, mean_sq = band.ybar[rows], band.mean_sq[rows]
+    constants = shift_constants(ybar, mean_sq, a1, bound)
+    ids: dict[tuple[int, int], int] = {}
+    of = np.array([ids.setdefault(key, len(ids)) for key in zip(rows.tolist(), constants.view(np.int64).tolist())])
+    shared = len(ids) < len(rows)  # else every job is its own problem, and a slice gathers nothing
+    head, of = (np.unique(of, return_index=True)[1], of) if shared else (slice(None), slice(None))
+    d_ac, constants = band.d_ac[rows[head]], constants[head]
+    starts = initialize_shifts(d_ac, constants, config.theta_grid_size or n, config)
     count, per_problem, j = starts.shape
     owner = np.repeat(np.arange(count), per_problem)
 
-    def kernel(xs, rows, hessian):
-        return shift_objective_stack(d_ac, owner[rows], xs, constants[owner[rows]], hessian)
+    def kernel(xs, subset, hessian):
+        return shift_objective_stack(d_ac, owner[subset], xs, constants[owner[subset]], hessian)
 
     x_end, ev, iters = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
     best = per_problem * np.arange(count) + _best_starts(
@@ -312,31 +320,17 @@ def _fit_group(contexts, config: FitConfig) -> list[FitResult]:
     certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    iterations = iters.reshape(count, per_problem).sum(axis=1)[of].tolist()
+    iterations = iters.reshape(count, per_problem).sum(axis=1)[of]
     theta, a, certified, tie_break = theta[of], a[of], certified[of], tie_break[of]
 
-    upsilon = _profiled_levels(contexts, a)
+    upsilon = _profiled_levels(ybar, a1, bound, a)
     ssq = rowdot(a, a)
     a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)
-    objective, coeffs = criterion_stack(contexts, theta, a, upsilon)
+    objective, coeffs = criterion_stack(band.d_ac[rows], ybar, mean_sq, a1, theta, a, upsilon)
     finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
-    results = []
-    for f, (ctx, obj) in enumerate(zip(contexts, objective.tolist())):
-        sigma_hat = math.sqrt(obj) if obj > 0.0 else 0.0
-        results.append(FitResult(
-            beta_hat=ParameterSet(theta=theta[f], a=a[f], upsilon=upsilon[f], sigma=sigma_hat, regime=ctx.regime),
-            sigma_hat=sigma_hat,
-            shape_hat=ShapeSpectrum(m=ctx.m, coeffs=coeffs[f]),
-            objective=obj,
-            iterations=iterations[f],
-            restarts=per_problem,
-            converged=bool(finite[f] and certified[f]),
-            zero_noise=obj <= 0.0,
-            tie_break=bool(tie_break[f]),
-            n=ctx.n,
-            m=ctx.m,
-        ))
-    return results
+    sigma = np.sqrt(np.where(objective > 0.0, objective, 0.0))  # zero for a NaN objective too
+    return Estimates(theta, a, upsilon, sigma, objective, coeffs, iterations, finite & certified, tie_break,
+                     per_problem)
 
 
 def _best_starts(values: np.ndarray, wrapped: np.ndarray, tol: float) -> np.ndarray:

@@ -15,9 +15,8 @@ import csv
 import json
 import math
 import os
-import tempfile
 from io import StringIO
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
@@ -36,6 +35,7 @@ from .model import (
 from .montecarlo import StudyConfig, StudyReport
 
 _GRID_TOLERANCE = 1e-9
+_TEMP_NAMES = count()  # with the pid, a name no other writer in this process or another uses
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +108,21 @@ def dumps_canonical(doc) -> str:
 def write_atomic(path: str, text: str):
     """Write-then-rename so no partial file is ever visible.
 
-    The text goes to a temporary file of its own beside ``path``, so writers
-    never share one, and replaces ``path`` in one rename; on any failure the
-    temporary file is removed and ``path`` keeps its old content.  The file
-    gets the mode a plain ``open`` would give it.  There is no fsync: the
-    rename is atomic for readers but not durable across a power loss, and an
-    fsync measured about 0.25 ms per write on ext4, against about 3 ms for a
-    whole J=3, n=201 CLI fit.
+    The text goes to a temporary file beside ``path``, named from the process id and a
+    per-process counter and created exclusively (a taken name moves on to the next), so
+    writers never share one, with mode 0o666 less the umask as a plain ``open`` gives it;
+    one rename replaces ``path``.  On any failure the temporary file is removed and ``path``
+    keeps its old content.  There is no fsync: the rename is atomic for readers but not
+    durable across a power loss, and an fsync measured about 0.25 ms per write on ext4,
+    against about 3 ms for a whole J=3, n=201 CLI fit.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    while True:  # a name another writer holds moves on to the next
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{next(_TEMP_NAMES)}.tmp")
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -143,7 +144,8 @@ def read_panel(path: str) -> CurvePanel:
     1e-9); otherwise every column is a curve and the row count, which must be
     odd, implies the grid.  Every cell must be a finite number, whitespace aside.
     Records end at \r\n, \r or \n.  A file holding a quote anywhere is read with ``csv``;
-    any other is split at line ends and commas directly, to the records ``csv`` gives.
+    any other is split at line ends and commas directly, to the records ``csv`` gives,
+    and a cell longer than ``csv.field_size_limit()`` is rejected as ``csv`` rejects it.
     """
     try:
         with open(path, "rb") as fh:
@@ -162,6 +164,9 @@ def read_panel(path: str) -> CurvePanel:
         if lines[-1] == "":
             lines.pop()  # nothing follows the last line end
         rows = [line.split(",") if line else [] for line in lines]  # a blank line is an empty record
+        limit = csv.field_size_limit()  # csv rejects a longer cell; a text shorter than this skips the check
+        if len(text) > limit and max(map(len, lines)) > limit and max(map(len, chain.from_iterable(rows))) > limit:
+            raise ParseError(f"{path} is not valid CSV: field larger than field limit ({limit})")
     if not rows:
         raise ParseError("empty file", line=1)
     header, body = rows[0], rows[1:]

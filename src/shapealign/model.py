@@ -69,31 +69,45 @@ class ParameterSet:
         return self.theta.size
 
     def validate(self):
-        j = self.theta.size
-        if j < 2 or self.a.size != j or self.upsilon.size != j:
-            raise ConstraintViolation("theta, a, upsilon must share length J >= 2")
-        if self.theta[0] != 0.0:
-            raise ConstraintViolation("reference shift theta[0] must be exactly 0")
-        if np.any((self.theta < 0.0) | (self.theta >= TWO_PI)):
-            raise ConstraintViolation("shifts must lie in [0, 2*pi)")
-        if abs(float(self.a @ self.a) - j) > 1e-10:
-            raise ConstraintViolation(f"amplitudes must satisfy sum a^2 = {j}")
-        if self.a[0] <= 0.0:
-            raise ConstraintViolation("reference amplitude a[0] must be positive")
-        if not self.sigma >= 0.0:  # NaN fails too
-            raise ConstraintViolation("sigma must be nonnegative")
-        if self.regime.kind is Regime.A0:
-            bound = self.regime.upsilon_max
-            if np.any(np.abs(self.upsilon) > bound):
-                raise ConstraintViolation(f"levels exceed the bound {bound}")
-        else:
-            if self.upsilon[0] != 0.0:
-                raise ConstraintViolation("under A1 the reference level must be exactly 0")
+        """Raise ConstraintViolation unless the set meets its regime: :func:`validate_rows` of one row."""
+        validate_rows(self.theta.reshape(1, -1), self.a.reshape(1, -1), self.upsilon.reshape(1, -1),
+                      np.array([self.sigma]), [self.regime.kind is Regime.A1], [self.regime.upsilon_max])
 
     def free_values(self) -> np.ndarray:
         """Concatenated free coordinates (theta_2.., a_2.., free levels)."""
-        ups = self.upsilon if self.regime.kind is Regime.A0 else self.upsilon[1:]
-        return np.concatenate([self.theta[1:], self.a[1:], ups])
+        return free_columns(self.theta, self.a, self.upsilon, self.regime.kind)
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products by matmul: each row's bits are those of its 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def validate_rows(theta, a, upsilon, sigma, a1, bound):
+    """The checks of :meth:`ParameterSet.validate` on rows (F, J) of shifts, scales and levels and (F,) noise
+    scales, under A1 where ``a1``, else within +-``bound``: the first bad row fails as it would alone."""
+    j = theta.shape[1]
+    if j < 2 or a.shape != theta.shape or upsilon.shape != theta.shape:
+        raise ConstraintViolation("theta, a, upsilon must share length J >= 2")
+    a1 = np.asarray(a1, dtype=bool)
+    outside = (np.abs(upsilon.T) > np.asarray(bound, dtype=float)).any(axis=0)
+    broken = np.array([theta[:, 0] != 0.0, ((theta < 0.0) | (theta >= TWO_PI)).any(axis=1),
+                       np.abs(rowdot(a, a) - j) > 1e-10, a[:, 0] <= 0.0, ~(sigma >= 0.0),  # NaN fails too
+                       np.where(a1, upsilon[:, 0] != 0.0, outside)])
+    if broken.any():
+        row = int(np.argmax(broken.any(axis=0)))
+        raise ConstraintViolation((
+            "reference shift theta[0] must be exactly 0", "shifts must lie in [0, 2*pi)",
+            f"amplitudes must satisfy sum a^2 = {j}", "reference amplitude a[0] must be positive",
+            "sigma must be nonnegative",
+            "under A1 the reference level must be exactly 0" if a1[row] else f"levels exceed the bound {bound[row]}",
+        )[int(np.argmax(broken[:, row]))])
+
+
+def free_columns(theta, a, upsilon, kind: Regime) -> np.ndarray:
+    """Free coordinates of (..., J) rows: theta_2.., a_2.., then the levels, all under A0 and 2.. under A1."""
+    first = 0 if kind is Regime.A0 else 1
+    return np.concatenate([theta[..., 1:], a[..., 1:], upsilon[..., first:]], axis=-1)
 
 
 def free_parameter_labels(n_curves: int, regime: ConstraintRegime) -> list[str]:
@@ -105,17 +119,34 @@ def free_parameter_labels(n_curves: int, regime: ConstraintRegime) -> list[str]:
     return labels
 
 
-class PanelBand(NamedTuple):
-    """A panel's read-only arrays at band m, which the contexts of every regime share.
-
-    ``d_ac`` is the (J, 2m+1) DFT with its l = 0 column zeroed, ``ybar`` the
-    curve means, ``mean_sq`` (1/(nJ)) sum y^2 and ``ac_trace`` sum |d_ac|^2 / J.
-    """
+class Band(NamedTuple):
+    """Read-only band-m arrays of one panel, or of P panels of one (J, n) stacked on a leading axis:
+    ``d_ac`` the (J, 2m+1) DFT with its l = 0 column zeroed, ``ybar`` the curve means, ``mean_sq``
+    (1/(nJ)) sum y^2 and ``ac_trace`` sum |d_ac|^2 / J."""
 
     d_ac: np.ndarray
     ybar: np.ndarray
-    mean_sq: float
-    ac_trace: float
+    mean_sq: np.ndarray
+    ac_trace: np.ndarray
+
+
+def band_stack(y: np.ndarray, grid: SamplingGrid, m: int) -> Band:
+    """:class:`Band` of a (P, J, n) stack of panels, each array in one call, each row bitwise its panel's alone.
+
+    Raises NonFiniteData if any panel's moments or DFT coefficients overflow to non-finite values.
+    """
+    count, j = y.shape[:2]
+    # overflow is detected below and reported as NonFiniteData
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_ac = dft(y, grid, m)
+        ybar = y.mean(axis=2)
+        mean_sq = (y**2).reshape(count, -1).sum(axis=1) / (grid.n * j)
+    if not (np.isfinite(mean_sq).all() and np.isfinite(ybar).all() and np.isfinite(d_ac).all()):
+        raise NonFiniteData("panel moments or DFT coefficients are not finite")
+    d_ac[:, :, m] = 0.0
+    ac_trace = (np.abs(d_ac) ** 2).reshape(count, -1).sum(axis=1) / j
+    d_ac.flags.writeable = ybar.flags.writeable = False
+    return Band(d_ac, ybar, mean_sq, ac_trace)
 
 
 @dataclass
@@ -138,30 +169,16 @@ class CurvePanel:
             raise NonFiniteData("panel values must be finite")
         if self.labels is not None and len(self.labels) != self.y.shape[0]:
             raise ConstraintViolation("one label per curve required")
-        self._band_cache: dict[int, PanelBand] = {}
+        self._band_cache: dict[int, Band] = {}
 
     @property
     def n_curves(self) -> int:
         return self.y.shape[0]
 
-    def band(self, m: int) -> PanelBand:
-        """Read-only :class:`PanelBand` at band ``m``, built once per band.
-
-        Raises NonFiniteData, and caches nothing, if the moments or the DFT
-        coefficients overflow to non-finite values.
-        """
+    def band(self, m: int) -> Band:
+        """This panel's read-only :class:`Band` at band ``m``: :func:`band_stack` of it alone, built once per band."""
         if m not in self._band_cache:
-            # overflow is detected below and reported as NonFiniteData
-            with np.errstate(over="ignore", invalid="ignore"):
-                d_ac = dft(self.y, self.grid, m)
-                ybar = self.y.mean(axis=1)
-                mean_sq = float((self.y**2).sum()) / (self.grid.n * self.n_curves)
-            if not (np.isfinite(mean_sq) and np.isfinite(ybar).all() and np.isfinite(d_ac).all()):
-                raise NonFiniteData("panel moments or DFT coefficients are not finite")
-            d_ac[:, m] = 0.0
-            ac_trace = float(np.sum(np.abs(d_ac) ** 2)) / self.n_curves
-            d_ac.flags.writeable = ybar.flags.writeable = False
-            self._band_cache[m] = PanelBand(d_ac, ybar, mean_sq, ac_trace)
+            self._band_cache[m] = Band(*(v[0] for v in band_stack(self.y[None], self.grid, m)))
         return self._band_cache[m]
 
 

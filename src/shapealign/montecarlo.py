@@ -9,9 +9,10 @@ study splits its replicates into contiguous chunks, one per worker of a
 process pool that gets at least _FITS_PER_WORKER fits a worker, at most
 SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
 the usable CPUs; below two workers it runs as one chunk in this process.
-Each chunk's panels of one grid size are generated in one pass and fitted
-as one batch, every start of every shift problem in one lockstep search; a
-panel's A0 and A1 fits are one shift problem unless the A0 box binds.  Batched
+Each chunk's panels of one grid size are generated in one pass and kept as
+stacked arrays from their bands to the aggregates: one fit group, every start
+of every shift problem in one lockstep search (a panel's A0 and A1 fits are
+one shift problem unless the A0 box binds), one validation pass.  Stacked
 panels and fits equal lone ones bit for bit and aggregation follows
 replicate order, so parallelism cannot change any result.
 """
@@ -19,22 +20,24 @@ replicate order, so parallelism cannot change any result.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
 from .errors import ConfigInvalid
-from .fit import FitConfig, FitResult, fit_batch
+from .fit import FitConfig, _fit_group
 from .fourier import ShapeSpectrum, make_grid
 from .inference import a1_covariance, scaled_covariance
 from .model import (
-    ConstraintRegime,
     ParameterSet,
     Regime,
+    band_stack,
+    free_columns,
     free_parameter_labels,
     generate_panels,
     reparameterize_to_a1,
+    validate_rows,
 )
 
 _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
@@ -70,16 +73,35 @@ def worker_count() -> int:
     return cpus if value == 0 else min(value, cpus)
 
 
-def _map_ordered(truth, shape, kinds, items: list) -> list:
-    """``_replicate_chunk`` over contiguous chunks of ``items``, one per worker; results in order."""
-    count = min(worker_count(), len(items), len(items) * len(kinds) // _FITS_PER_WORKER)
-    if count <= 1:
-        return _replicate_chunk((truth, shape, kinds, items))
-    bounds = [len(items) * w // count for w in range(count + 1)]
-    chunks = [(truth, shape, kinds, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return [res for part in pool.map(_replicate_chunk, chunks) for res in part]
+# One cell's fits under one regime kind in replicate order: free values (R, d), in the layout
+# of free_parameter_labels; converged and sigma (R,); shape coefficients (R, 2m+1).
+_Fits = namedtuple("_Fits", "free converged sigma coeffs")
+
+
+def _map_ordered(truth, shape, kinds, cells, seeds) -> list[tuple[_Fits, ...]]:
+    """Per cell ``(n, config)``, one ``_Fits`` per kind of its replicates at ``seeds``, fitted by
+    ``_replicate_chunk`` in contiguous chunks, one per worker; a cell split between chunks is joined."""
+    reps, total, none = len(seeds), len(cells) * len(seeds), np.zeros((0, truth.n_curves))
+    if not total:  # no replicates: every cell holds no fits
+        return [tuple(_Fits(free_columns(none, none, none, kind), none[:, 0] > 0, none[:, 0], none.astype(complex))
+                      for kind in kinds) for _ in cells]
+    count = max(1, min(worker_count(), total, total * len(kinds) // _FITS_PER_WORKER))
+    bounds = [total * w // count for w in range(count + 1)]
+    chunks = [(truth, shape, kinds, [(c, *cells[c], seeds[max(lo - c * reps, 0):min(hi - c * reps, reps)])
+                                     for c in range(lo // reps, -(-hi // reps))])
+              for lo, hi in zip(bounds, bounds[1:])]
+    if count == 1:
+        parts = _replicate_chunk(chunks[0])
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            parts = [part for chunk in pool.map(_replicate_chunk, chunks) for part in chunk]
+    split: dict[int, list] = {}
+    for c, fits in parts:
+        split.setdefault(c, []).append(fits)
+    return [pieces[0] if len(pieces) == 1 else
+            tuple(_Fits(*map(np.concatenate, zip(*kind))) for kind in zip(*pieces))
+            for pieces in split.values()]
 
 
 @dataclass(frozen=True)
@@ -112,32 +134,27 @@ class StudyConfig:
         self.truth.validate()
 
 
-def _replicate_chunk(args) -> list[tuple[dict, ...]]:
-    """One summary per regime kind for each ``(n, seed, config)`` of a chunk.
-
-    Each run of equal grid size and config is generated in one pass and
-    fitted as one batch, in which the kinds share each panel's band arrays
-    and, where their shift constants agree, its shift search.
-    """
-    truth, shape, kinds, chunk = args
-    regimes = [ConstraintRegime(kind=kind, upsilon_max=truth.regime.upsilon_max) for kind in kinds]
-    summaries = []
-    for (n, config), run in groupby(chunk, key=lambda item: (item[0], item[2])):
-        panels = generate_panels(truth, shape, make_grid(n), [seed for _, seed, _ in run])
-        jobs = [(panel, regime) for panel in panels for regime in regimes]
-        fits = [_summarize(result) for result in fit_batch(jobs, config)]
-        summaries += [tuple(fits[i:i + len(kinds)]) for i in range(0, len(fits), len(kinds))]
-    return summaries
-
-
-def _summarize(result: FitResult) -> dict:
-    return {
-        "free": result.beta_hat.free_values(),
-        "converged": bool(result.converged),
-        "sigma": result.sigma_hat,
-        "shape_coeffs": result.shape_hat.coeffs,
-        "m": result.m,
-    }
+def _replicate_chunk(args) -> list[tuple[int, tuple[_Fits, ...]]]:
+    """One ``_Fits`` per kind for each run ``(cell, n, config, seeds)`` of a chunk: the run's panels
+    generated in one pass, their bands in one call, every panel under every kind fitted as one group
+    and validated in one pass."""
+    truth, shape, kinds, runs = args
+    a1 = np.array([kind is Regime.A1 for kind in kinds])
+    out = []
+    for cell, n, config, seeds in runs:
+        grid = make_grid(n)
+        panels = generate_panels(truth, shape, grid, seeds)
+        band = band_stack(np.stack([panel.y for panel in panels]), grid, config.resolve_m(n))
+        rows, jobs_a1 = np.repeat(np.arange(len(panels)), len(kinds)), np.tile(a1, len(panels))
+        bound = np.full(len(rows), float(truth.regime.upsilon_max))
+        est = _fit_group(band, rows, jobs_a1, bound, n, config)
+        validate_rows(est.theta, est.a, est.upsilon, est.sigma, jobs_a1, bound)
+        k = len(kinds)
+        out.append((cell, tuple(
+            _Fits(free_columns(est.theta[i::k], est.a[i::k], est.upsilon[i::k], kind),
+                  est.converged[i::k], est.sigma[i::k], est.coeffs[i::k])
+            for i, kind in enumerate(kinds))))
+    return out
 
 
 def _circular_errors(free_est, free_truth, n_shift):
@@ -149,15 +166,14 @@ def _circular_errors(free_est, free_truth, n_shift):
     return err
 
 
-def _shape_error_sq(kept: list[dict], true_shape: ShapeSpectrum,
-                    include_mean: bool) -> tuple[float, float]:
-    """Mean in-band coefficient error of the kept fits and the fixed
-    out-of-band truth energy, computed once: the fits share their band m."""
-    if not kept:
+def _shape_error_sq(coeffs: np.ndarray, true_shape: ShapeSpectrum, include_mean: bool) -> tuple[float, float]:
+    """Mean in-band coefficient error of the kept fits' coefficients (K, 2m+1) and the
+    fixed out-of-band truth energy, computed once: the fits share their band m."""
+    if not len(coeffs):
         return float("nan"), float("nan")
-    m_fit = kept[0]["m"]
+    m_fit = coeffs.shape[1] // 2
     target = np.array([true_shape.coeff(l) for l in range(-m_fit, m_fit + 1)])
-    err = np.abs(np.vstack([s["shape_coeffs"] for s in kept]) - target) ** 2
+    err = np.abs(coeffs - target) ** 2
     if not include_mean:
         err[:, m_fit] = 0.0
     tail = 2.0 * np.sum(np.abs(true_shape.coeffs[true_shape.m + m_fit + 1:]) ** 2)
@@ -196,18 +212,12 @@ class StudyReport:
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Generate, fit, and aggregate; deterministic given the base seed."""
-    reps = config.replicates
-    items = [(n, config.base_seed + r, config.fit_config) for n in config.n_list for r in range(reps)]
-    results = _map_ordered(config.truth, config.shape, config.regimes, items)
-    cells = []
-    for i, n in enumerate(config.n_list):
-        for k, regime_kind in enumerate(config.regimes):
-            if regime_kind is Regime.A0:
-                ref_truth, ref_shape = config.truth, config.shape
-            else:
-                ref_truth, ref_shape = reparameterize_to_a1(config.truth, config.shape)
-            summaries = [res[k] for res in results[i * reps:(i + 1) * reps]]
-            cells.append(_aggregate(n, regime_kind, ref_truth, ref_shape, summaries))
+    truth, shape, seeds = config.truth, config.shape, range(config.base_seed, config.base_seed + config.replicates)
+    fits = _map_ordered(truth, shape, config.regimes, [(n, config.fit_config) for n in config.n_list], seeds)
+    refs = {kind: (truth, shape) if kind is Regime.A0 else reparameterize_to_a1(truth, shape)
+            for kind in config.regimes}
+    cells = [_aggregate(n, kind, *refs[kind], kind_fits)
+             for n, per_kind in zip(config.n_list, fits) for kind, kind_fits in zip(config.regimes, per_kind)]
     return StudyReport(
         n_list=tuple(config.n_list),
         replicates=config.replicates,
@@ -217,39 +227,27 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
 
 
-def _aggregate(n, regime_kind, ref_truth, ref_shape, summaries) -> StudyCell:
-    labels = free_parameter_labels(ref_truth.n_curves, ref_truth.regime)
+def _aggregate(n, regime_kind, ref_truth, ref_shape, fits: _Fits) -> StudyCell:
     truth_free = ref_truth.free_values()
-    n_shift = ref_truth.n_curves - 1
-    include_mean = regime_kind is Regime.A1
-
-    kept = [s for s in summaries if s["converged"]]
-    failures = len(summaries) - len(kept)
-    estimates = np.vstack([s["free"] for s in kept]) if kept else np.zeros((0, truth_free.size))
-    errors = _circular_errors(estimates, truth_free, n_shift)
-    scaled = np.sqrt(n) * errors
-
-    if len(kept) >= 2:
-        emp_cov = np.cov(scaled, rowvar=False, ddof=1)
-        emp_cov = np.atleast_2d(emp_cov)
-    else:
-        emp_cov = np.full((truth_free.size, truth_free.size), np.nan)
+    estimates = fits.free[fits.converged]
+    kept = len(estimates)
+    failures = len(fits.converged) - kept
+    errors = _circular_errors(estimates, truth_free, ref_truth.n_curves - 1)
+    nan = np.full((truth_free.size, truth_free.size), np.nan)
+    emp_cov = np.atleast_2d(np.cov(np.sqrt(n) * errors, rowvar=False, ddof=1)) if kept >= 2 else nan
 
     theory = scaled_covariance(ref_truth.a, ref_shape, ref_truth.sigma, regime_kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(np.abs(theory) > 1e-12, emp_cov / theory, np.nan)
 
-    mise_inband, mise_tail = _shape_error_sq(kept, ref_shape, include_mean)
-    quantiles = (
-        np.quantile(estimates, _QUANTILES, axis=0)
-        if kept
-        else np.full((len(_QUANTILES), truth_free.size), np.nan)
-    )
+    mise_inband, mise_tail = _shape_error_sq(fits.coeffs[fits.converged], ref_shape, regime_kind is Regime.A1)
+    quantiles = (np.quantile(estimates, _QUANTILES, axis=0) if kept
+                 else np.full((len(_QUANTILES), truth_free.size), np.nan))
 
     return StudyCell(
         n=n,
         regime=regime_kind,
-        labels=labels,
+        labels=free_parameter_labels(ref_truth.n_curves, ref_truth.regime),
         truth_free=truth_free,
         bias=errors.mean(axis=0) if kept else np.full(truth_free.size, np.nan),
         empirical_covariance=emp_cov,
@@ -258,10 +256,10 @@ def _aggregate(n, regime_kind, ref_truth, ref_shape, summaries) -> StudyCell:
         mise_inband=mise_inband,
         mise_tail=mise_tail,
         quantiles=quantiles,
-        sigma_mean=float(np.mean([s["sigma"] for s in kept])) if kept else float("nan"),
+        sigma_mean=float(np.mean(fits.sigma[fits.converged])) if kept else float("nan"),
         failures=failures,
-        replicates=len(summaries),
-        invalid=failures > _MAX_FAILURE_FRACTION * len(summaries),
+        replicates=len(fits.converged),
+        invalid=failures > _MAX_FAILURE_FRACTION * len(fits.converged),
     )
 
 
@@ -303,13 +301,10 @@ def mise_curve(
         raise ConfigInvalid("smoothness must be >= 1")
     base = fit_config or FitConfig()
     ladder = [(n, max(1, int(np.ceil(n ** (1.0 / (2 * smoothness + 1)))))) for n in n_list]
-    items = [(n, base_seed + r, replace(base, m=m_n)) for n, m_n in ladder for r in range(replicates)]
-    results = _map_ordered(truth, shape, (Regime.A0,), items)
-    points = []
-    for i, (n, m_n) in enumerate(ladder):
-        kept = [s for (s,) in results[i * replicates:(i + 1) * replicates] if s["converged"]]
-        inband, tail = _shape_error_sq(kept, shape, include_mean=False)
-        points.append(MisePoint(n=n, m=m_n, inband=inband, tail=tail))
+    fits = _map_ordered(truth, shape, (Regime.A0,), [(n, replace(base, m=m_n)) for n, m_n in ladder],
+                        range(base_seed, base_seed + replicates))
+    points = [MisePoint(n, m_n, *_shape_error_sq(a0.coeffs[a0.converged], shape, include_mean=False))
+              for (n, m_n), (a0,) in zip(ladder, fits)]
     totals = np.array([p.total for p in points])
     ns = np.array([p.n for p in points], dtype=float)
     slope = float(np.polyfit(np.log(ns), np.log(totals), 1)[0]) if len(points) > 1 else float("nan")
@@ -355,44 +350,27 @@ def compare_regimes(
     """
     cfg = fit_config or FitConfig()
     truth_a1, shape_a1 = reparameterize_to_a1(truth, shape)
-    items = [(n, base_seed + r, cfg) for r in range(replicates)]
-    results = _map_ordered(truth, shape, (Regime.A0, Regime.A1), items)
+    (a0, a1), = _map_ordered(truth, shape, (Regime.A0, Regime.A1), [(n, cfg)],
+                             range(base_seed, base_seed + replicates))
 
-    j = truth.n_curves
-    rows_a0, rows_a1 = [], []
-    failures = 0
-    for res_a0, res_a1 in results:
-        if res_a0["converged"] and res_a1["converged"]:
-            rows_a0.append(res_a0["free"])
-            rows_a1.append(res_a1["free"])
-        else:
-            failures += 1
-    if len(rows_a0) < 2:
-        raise ConfigInvalid(
-            f"only {len(rows_a0)} of {replicates} paired fits converged; "
-            "cannot estimate correlations"
-        )
-    est_a0 = np.vstack(rows_a0)
-    est_a1 = np.vstack(rows_a1)
-
-    def _pair_corr(est, a_idx, u_idx):
-        c = np.corrcoef(est[:, a_idx], est[:, u_idx])
-        return float(c[0, 1])
+    paired = a0.converged & a1.converged
+    est_a0, est_a1 = a0.free[paired], a1.free[paired]
+    failures = len(paired) - len(est_a0)
+    if len(est_a0) < 2:
+        raise ConfigInvalid(f"only {len(est_a0)} of {replicates} paired fits converged; cannot estimate correlations")
 
     # Free layout: theta_2..J | a_2..J | levels (A0: 1..J, A1: 2..J).
-    s = j - 1
-    corr_a0 = np.array([_pair_corr(est_a0, s + k, 2 * s + 1 + k) for k in range(s)])
-    corr_a1 = np.array([_pair_corr(est_a1, s + k, 2 * s + k) for k in range(s)])
+    s = truth.n_curves - 1
+    corr_a0 = np.array([np.corrcoef(est_a0[:, s + k], est_a0[:, 2 * s + 1 + k])[0, 1] for k in range(s)])
+    corr_a1 = np.array([np.corrcoef(est_a1[:, s + k], est_a1[:, 2 * s + k])[0, 1] for k in range(s)])
 
     gamma = a1_covariance(truth_a1.a, shape_a1, truth.sigma).gamma
-    corr_theory = np.array([
-        gamma[s + k, 2 * s + k] / np.sqrt(gamma[s + k, s + k] * gamma[2 * s + k, 2 * s + k])
-        for k in range(s)
-    ])
+    corr_theory = np.array([gamma[s + k, 2 * s + k] / np.sqrt(gamma[s + k, s + k] * gamma[2 * s + k, 2 * s + k])
+                            for k in range(s)])
 
     err_a1 = _circular_errors(est_a1, truth_a1.free_values(), s)
     emp_diag = np.var(np.sqrt(n) * err_a1, axis=0, ddof=1)
-    theory_diag = truth.sigma**2 * np.diag(gamma)
+    theory_diag = np.diag(scaled_covariance(truth_a1.a, shape_a1, truth.sigma, Regime.A1))
 
     return RegimeComparison(
         n=n,

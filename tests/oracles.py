@@ -6,6 +6,7 @@ derivatives), by the most direct route available.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from shapealign.model import (
     Regime,
     reparameterize_to_a1,
 )
-from shapealign.montecarlo import StudyConfig, StudyReport, _aggregate, _summarize
+from shapealign.montecarlo import StudyConfig, StudyReport, _aggregate, _Fits
 from shapealign.normal import inverse_normal_cdf
 
 
@@ -165,10 +166,16 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     for combo in combos:
         theta = np.concatenate([[0.0], deltas[combo]])
         amp = profile_amplitude(ctx, theta)
-        value = criterion_value(ctx, theta, amp.a, _profiled_levels([ctx], amp.a[None])[0])
+        value = criterion_value(ctx, theta, amp.a, context_levels(ctx, amp.a))
         ranked.append((value, theta))
     ranked.sort(key=lambda item: item[0])
     return [theta for _, theta in ranked[: config.n_multistart]]
+
+
+def context_levels(ctx: CriterionContext, a) -> np.ndarray:
+    """The fitter's profiled levels of one context at scales ``a``."""
+    return _profiled_levels(ctx.ybar[None], np.array([ctx.a1]), np.array([ctx.regime.upsilon_max]),
+                            np.asarray(a, dtype=float)[None])[0]
 
 
 def newton_per_start(fun, x0, config: FitConfig):
@@ -276,16 +283,20 @@ def run_study_per_regime(config: StudyConfig) -> StudyReport:
     for n in config.n_list:
         for kind in config.regimes:
             regime = ConstraintRegime(kind=kind, upsilon_max=config.truth.regime.upsilon_max)
-            summaries = []
+            results = []
             for r in range(config.replicates):
                 panel = generate_panel_per_seed(config.truth, config.shape, make_grid(n),
                                                 config.base_seed + r)
-                summaries.append(_summarize(fit(panel, regime, config.fit_config)))
+                results.append(fit(panel, regime, config.fit_config))
             if kind is Regime.A0:
                 ref_truth, ref_shape = config.truth, config.shape
             else:
                 ref_truth, ref_shape = reparameterize_to_a1(config.truth, config.shape)
-            cells.append(_aggregate(n, kind, ref_truth, ref_shape, summaries))
+            fits = _Fits(free=np.array([res.beta_hat.free_values() for res in results]),
+                         converged=np.array([res.converged for res in results]),
+                         sigma=np.array([res.sigma_hat for res in results]),
+                         coeffs=np.array([res.shape_hat.coeffs for res in results]))
+            cells.append(_aggregate(n, kind, ref_truth, ref_shape, fits))
     return StudyReport(
         n_list=tuple(config.n_list),
         replicates=config.replicates,
@@ -300,9 +311,22 @@ def read_panel_cells(path: str) -> CurvePanel:
 
     Same file rules, errors and messages as ``io.read_panel``, which parses the body in
     one pass and must match this bit for bit; labels are kept verbatim here as there.
+    Every file goes through ``csv``: text that is not UTF-8 fails at its byte offset in
+    the file, and a ``csv.Error``, such as a cell beyond ``csv.field_size_limit()``, is
+    a ParseError.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not valid CSV: {exc}") from exc
     if not rows:
         raise ParseError("empty file", line=1)
     header = rows[0]

@@ -224,8 +224,8 @@ def test_criterion_09_consistency_trend():
     for n in (101, 801):
         errs = []
         for r in range(50):
-            (s,), = _replicate_chunk((truth, shape, (ConstraintRegime().kind,), [(n, 5 + r, sa.FitConfig())]))
-            e = s["free"] - truth.free_values()
+            [(_, (fits,))] = _replicate_chunk((truth, shape, (ConstraintRegime().kind,), [(0, n, sa.FitConfig(), [5 + r])]))
+            e = fits.free[0] - truth.free_values()
             e[0] = np.mod(e[0] + np.pi, 2 * np.pi) - np.pi
             errs.append(float(np.max(np.abs(e))))
         medians[n] = float(np.median(errs))

@@ -13,10 +13,9 @@ from shapealign.criterion import (
     criterion_stack,
     shift_objective_stack,
 )
-from shapealign.fit import _profiled_levels
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth, sphere_scales
-from oracles import contrast_oracle, phase_weight, profile_amplitude
+from oracles import context_levels, contrast_oracle, phase_weight, profile_amplitude
 
 
 def _context(panel, m, kind=Regime.A0):
@@ -309,7 +308,7 @@ def test_shift_kernel_matches_criterion_and_gradient(kind, j, rng):
         theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, j - 1)])
         ev = _one_row(ctx, theta[1:])
         a = profile_amplitude(ctx, theta).a
-        ups = _profiled_levels([ctx], a[None])[0]
+        ups = context_levels(ctx, a)
         value = sa.criterion_value(ctx, theta, a, ups)
         grad = sa.criterion_gradient(ctx, theta, a, ups)[: j - 1]
         assert ev.hess is None
@@ -409,7 +408,8 @@ def test_criterion_stack_rows_equal_lone_evaluations(rng):
         contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(61), seed=k), 4, kind))
         points.append(_random_valid_point(rng, 3, kind))
     theta, a, ups = (np.array(v) for v in zip(*points))
-    values, coeffs = criterion_stack(contexts, theta, a, ups)
+    d_ac, ybar, mean_sq, a1 = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d_ac", "ybar", "mean_sq", "a1"))
+    values, coeffs = criterion_stack(d_ac, ybar, mean_sq, a1, theta, a, ups)
     for k, ctx in enumerate(contexts):
         assert np.float64(sa.criterion_value(ctx, theta[k], a[k], ups[k])).tobytes() == values[k].tobytes()
         lone = sa.profiled_coefficients(ctx, theta[k], a[k]).coeffs

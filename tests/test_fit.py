@@ -20,7 +20,6 @@ from shapealign.fit import (
     FitConfig,
     _best_starts,
     _lockstep_newton,
-    _profiled_levels,
     _sphere_scales,
     fit_batch,
     initialize_shifts,
@@ -29,7 +28,14 @@ from shapealign.io import dumps_canonical, load_study_config, result_document
 from shapealign.model import ConstraintRegime, Regime, generate_panels
 from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth
-from oracles import first_best, initialize_shifts_loop, newton_per_start, numeric_hessian, profile_amplitude
+from oracles import (
+    context_levels,
+    first_best,
+    initialize_shifts_loop,
+    newton_per_start,
+    numeric_hessian,
+    profile_amplitude,
+)
 
 
 def _circ(x, y):
@@ -39,7 +45,8 @@ def _circ(x, y):
 def _scan(contexts, config):
     """Start scan of contexts of one (J, m), given the coefficient and constant stacks the fitter builds."""
     d_ac = np.stack([ctx.d_ac for ctx in contexts])
-    return initialize_shifts(contexts, d_ac, np.array([ctx.shift_constant for ctx in contexts]), config)
+    constants = np.array([ctx.shift_constant for ctx in contexts])
+    return initialize_shifts(d_ac, constants, config.theta_grid_size or contexts[0].n, config)
 
 
 def test_fit_config_validation():
@@ -323,9 +330,9 @@ def _record_problem_rows(monkeypatch):
             searched[-1].append(len(x))
         return kernel(d_ac, owner, x, constant, hessian)
 
-    def counted_scan(contexts, d_ac, constants, config):
+    def counted_scan(d_ac, constants, grid_size, config):
         scanned.append(len(d_ac))
-        return scan(contexts, d_ac, constants, config)
+        return scan(d_ac, constants, grid_size, config)
 
     def counted_search(*args, **kwargs):
         searched.append([])
@@ -485,11 +492,11 @@ def test_fit_monotone_multistart(rng):
     config = FitConfig(m=4)
     result = sa.fit(panel, ConstraintRegime(), config)
     ctx = sa.CriterionContext(panel, 4, ConstraintRegime())
-    starts = initialize_shifts([ctx], ctx.d_ac[None], np.array([ctx.shift_constant]), config)[0]
+    starts = initialize_shifts(ctx.d_ac[None], np.array([ctx.shift_constant]), ctx.n, config)[0]
     assert len(starts) == config.n_multistart
     for theta in starts:  # the criterion at each start, scales and levels profiled
         a = profile_amplitude(ctx, theta).a
-        start_value = sa.criterion_value(ctx, theta, a, _profiled_levels([ctx], a[None])[0])
+        start_value = sa.criterion_value(ctx, theta, a, context_levels(ctx, a))
         assert result.objective <= start_value + 1e-12
 
 

@@ -1,5 +1,6 @@
 """Panel parsing, canonical JSON, config parsing, document round-trips."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -141,6 +142,48 @@ def test_read_panel_reports_a_utf8_error_at_its_file_offset(tmp_path, bom):
     path.write_bytes(bytes(data))
     with pytest.raises(ParseError, match=f"not valid UTF-8: .* position {offset}: invalid start byte"):
         read_panel(str(path))
+
+
+def _long_cell_panel(tmp_path, length, quoted_header):
+    """A 3-row panel file whose first body cell, 0.000..., is ``length`` characters long."""
+    lines = _panel_csv(3).splitlines()
+    if quoted_header:
+        lines[0] = ",".join(f'"{label}"' for label in lines[0].split(","))
+    row = lines[1].split(",")
+    row[1] = "0." + "0" * (length - 2)
+    lines[1] = ",".join(row)
+    path = tmp_path / ("quoted.csv" if quoted_header else "plain.csv")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_read_panel_rejects_a_cell_beyond_the_csv_field_limit_on_both_paths(tmp_path):
+    # a file without quotes is split directly, one with a quote goes through csv: one answer for both
+    limit = csv.field_size_limit()
+    for quoted_header in (False, True):
+        assert read_panel(_long_cell_panel(tmp_path, limit, quoted_header)).y[0, 0] == 0.0
+    messages = []
+    for quoted_header in (False, True):
+        path = _long_cell_panel(tmp_path, limit + 1, quoted_header)
+        with pytest.raises(ParseError) as info:
+            read_panel(path)
+        messages.append(str(info.value).replace(path, "<path>"))
+    assert messages[0] == messages[1] == f"<path> is not valid CSV: field larger than field limit ({limit})"
+
+
+@pytest.mark.parametrize("case", ["utf8", "utf8-bom", "long-plain", "long-quoted"])
+def test_read_panel_cells_oracle_follows_the_reader_on_error_paths(tmp_path, case):
+    if case.startswith("utf8"):
+        data = bytearray((("\ufeff" if case == "utf8-bom" else "") + _panel_csv(2999)).encode("utf-8"))
+        data[18006] = 0xFF
+        path = tmp_path / "p.csv"
+        path.write_bytes(bytes(data))
+        path = str(path)
+    else:
+        path = _long_cell_panel(tmp_path, csv.field_size_limit() + 1, case == "long-quoted")
+    outcome = _outcome(read_panel, path)
+    assert outcome[0] is ParseError
+    assert outcome == _outcome(read_panel_cells, path)
 
 
 def test_panel_roundtrip(tmp_path, rng):

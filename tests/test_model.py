@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.errors import ConstraintViolation, DegenerateAmplitude
-from shapealign.model import ConstraintRegime, Regime
+from shapealign.errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData
+from shapealign.model import ConstraintRegime, Regime, band_stack, validate_rows
 from conftest import bandlimited_truth, boxplot_truth, parabola_spectrum
 from oracles import generate_panel_per_seed
 
@@ -277,3 +277,75 @@ def test_panel_band_cache_zeroes_the_mean_column_read_only():
     assert not (band.d_ac.flags.writeable or band.ybar.flags.writeable)
     with pytest.raises(ValueError):
         band.d_ac[0, 0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6), j=st.integers(2, 6), half=st.integers(2, 150),
+       band=st.floats(0.0, 1.0), scale=st.sampled_from([1e-3, 1.0, 1e3]), offset=st.sampled_from([0.0, 7.5, -1e4]))
+def test_band_stack_rows_equal_lone_panel_bands(seed, p, j, half, band, scale, offset):
+    # one stacked pass over P panels gives each panel the bits of CurvePanel.band alone
+    n = 2 * half + 1
+    m = 1 + int(band * (half - 1))
+    grid = sa.make_grid(n)
+    y = offset + scale * np.random.default_rng(seed).normal(size=(p, j, n))
+    stacked = band_stack(y, grid, m)
+    assert stacked.d_ac.shape == (p, j, 2 * m + 1) and not stacked.d_ac.flags.writeable
+    for k in range(p):
+        alone = sa.CurvePanel(grid=grid, y=y[k]).band(m)
+        for field, value in zip(alone._fields, alone):
+            assert np.asarray(value).tobytes() == getattr(stacked, field)[k].tobytes(), field
+
+
+def test_band_stack_reports_an_overflowing_panel_as_the_panel_alone_does():
+    grid = sa.make_grid(21)
+    y = np.random.default_rng(3).normal(size=(4, 3, 21))
+    y[2, 1, 4] = 1e308  # finite, but its square overflows the second moment
+    with pytest.raises(NonFiniteData) as alone:
+        sa.CurvePanel(grid=grid, y=y[2]).band(3)
+    with pytest.raises(NonFiniteData) as stacked:
+        band_stack(y, grid, 3)
+    assert str(stacked.value) == str(alone.value) == "panel moments or DFT coefficients are not finite"
+    for k in (0, 1, 3):  # the other panels are fine, alone and stacked without panel 2
+        sa.CurvePanel(grid=grid, y=y[k]).band(3)
+    band_stack(np.delete(y, 2, axis=0), grid, 3)
+
+
+_VALID_ROW = dict(theta=[0.0, 1.0, 2.0], a=[1.0, 1.0, 1.0], upsilon=[0.5, -0.25, 2.0], sigma=0.3)
+# each row breaks exactly one rule of ParameterSet.validate, in the order the rules are checked
+_BROKEN_ROWS = [
+    ("reference shift", Regime.A0, dict(theta=[0.1, 1.0, 2.0])),
+    ("shift range", Regime.A0, dict(theta=[0.0, -0.1, 2.0])),
+    ("shift period", Regime.A0, dict(theta=[0.0, 1.0, 2 * np.pi])),
+    ("sphere", Regime.A0, dict(a=[1.0, 1.0, 1.1])),
+    ("reference scale", Regime.A0, dict(a=[-1.0, 1.0, 1.0])),
+    ("negative sigma", Regime.A0, dict(sigma=-0.5)),
+    ("nan sigma", Regime.A0, dict(sigma=float("nan"))),
+    ("level box", Regime.A0, dict(upsilon=[0.5, -3.0, 2.0])),
+    ("A1 reference level", Regime.A1, dict(upsilon=[0.5, -0.25, 2.0])),
+]
+
+
+@pytest.mark.parametrize("name, kind, change", _BROKEN_ROWS, ids=[row[0] for row in _BROKEN_ROWS])
+def test_validate_rows_raises_as_the_one_row_call(name, kind, change):
+    regime = ConstraintRegime(kind=kind, upsilon_max=2.5)
+    row = {**_VALID_ROW, **change}
+    with pytest.raises(ConstraintViolation) as alone:
+        sa.ParameterSet(regime=regime, **row)
+    # valid A0 and A1 rows around the broken one, and a later row breaking another rule
+    good_a0, good_a1 = dict(_VALID_ROW), {**_VALID_ROW, "upsilon": [0.0, -0.25, 2.0]}
+    later = {**_VALID_ROW, "a": [0.0, 1.0, 1.0]} if name != "sphere" else {**_VALID_ROW, "theta": [1.0, 1.0, 2.0]}
+    rows = [good_a0, good_a1, row, later]
+    a1 = [False, True, kind is Regime.A1, False]
+    theta, a, upsilon = (np.array([r[key] for r in rows], dtype=float) for key in ("theta", "a", "upsilon"))
+    with pytest.raises(ConstraintViolation) as stacked:
+        validate_rows(theta, a, upsilon, np.array([r["sigma"] for r in rows]), a1, np.full(4, 2.5))
+    assert str(stacked.value) == str(alone.value)
+    validate_rows(theta[:2], a[:2], upsilon[:2], np.array([0.3, 0.3]), a1[:2], np.full(2, 2.5))
+
+
+def test_validate_rows_rejects_mismatched_lengths_as_the_one_row_call():
+    with pytest.raises(ConstraintViolation) as alone:
+        sa.ParameterSet(theta=[0.0, 1.0], a=[1.0, 1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.1)
+    with pytest.raises(ConstraintViolation) as stacked:
+        validate_rows(np.zeros((3, 2)), np.ones((3, 3)), np.zeros((3, 2)), np.ones(3), [False] * 3, [1.0] * 3)
+    assert str(stacked.value) == str(alone.value) == "theta, a, upsilon must share length J >= 2"

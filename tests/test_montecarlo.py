@@ -60,8 +60,9 @@ def test_replicates_extend_without_changing_prefix():
     truth, shape = _small_truth()
     regime = ConstraintRegime()
     cfg = sa.FitConfig(m=4)
-    first = [s["free"] for s, in _replicate_chunk((truth, shape, (regime.kind,), [(41, 7 + r, cfg) for r in range(3)]))]
-    again = [s["free"] for s, in _replicate_chunk((truth, shape, (regime.kind,), [(41, 7 + r, cfg) for r in range(6)]))]
+    [(_, (first,))] = _replicate_chunk((truth, shape, (regime.kind,), [(0, 41, cfg, range(7, 10))]))
+    [(_, (again,))] = _replicate_chunk((truth, shape, (regime.kind,), [(0, 41, cfg, range(7, 13))]))
+    first, again = first.free, again.free
     for a, b in zip(first, again[:3]):
         assert np.array_equal(a, b)
 
@@ -290,3 +291,11 @@ def test_compare_regimes_coupling_sign():
     assert np.all(comp.corr_a1_theory < 0)
     assert comp.a1_sign_consistent
     assert comp.failures == 0
+
+
+def test_compare_regimes_theory_diagonal_is_the_scaled_a1_covariance():
+    truth, shape = _small_truth()
+    comp = sa.compare_regimes(truth, shape, 81, replicates=8, base_seed=2, fit_config=sa.FitConfig(m=4))
+    truth_a1, shape_a1 = sa.reparameterize_to_a1(truth, shape)
+    theory = sa.scaled_covariance(truth_a1.a, shape_a1, truth.sigma, Regime.A1)
+    assert comp.a1_cov_diag_theory.tobytes() == np.diag(theory).tobytes()
