@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--regime", choices=["a0", "a1"], default="a0")
     p_fit.add_argument("--m", default="auto", help="band limit (integer) or 'auto'")
     p_fit.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p_fit.add_argument("--upsilon-max", type=float, default=1e6, dest="upsilon_max")
+    p_fit.add_argument("--upsilon-max", type=float, default=ConstraintRegime.upsilon_max, dest="upsilon_max")
     p_fit.add_argument("--out", required=True, help="result JSON path")
     p_fit.add_argument("--shape-out", default=None, dest="shape_out",
                        help="optional CSV of the fitted shape at 512 points")

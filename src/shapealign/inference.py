@@ -41,16 +41,32 @@ def _validate_scales(a: np.ndarray):
         raise ZeroAmplitudeCoordinate("every scale must be nonzero")
 
 
+def _shift_inverse(a: np.ndarray) -> np.ndarray:
+    """Shift block of the covariance times the derivative power: diag(1/a_j^2) + 1/a_1^2, j = 2..J."""
+    return np.diag(1.0 / a[1:] ** 2) + 1.0 / a[0] ** 2
+
+
+def _scale_projection(a: np.ndarray) -> np.ndarray:
+    """B = I - a~ a~' / J over the scales a~ = a_2..a_J: the scale block times the shape power."""
+    tail = a[1:]
+    return np.eye(tail.size) - tail[:, None] * tail / a.size
+
+
+def _scale_projection_inverse(a: np.ndarray) -> np.ndarray:
+    """B^{-1} = I + a~ a~' / a_1^2 in closed form."""
+    tail = a[1:]
+    return np.eye(tail.size) + tail[:, None] * tail / a[0] ** 2
+
+
 @dataclass
 class EfficiencyBlocks:
     """Closed-form information matrix H and inverse under regime A0.
 
     Block order matches the free coordinates: shifts 2..J, scales 2..J,
     levels 1..J; cross blocks are exactly zero.  The estimator covariance
-    at sample size n is sigma^2 * H^{-1} / n.
+    at sample size n is sigma^2 * H^{-1} / n.  H itself is formed only when read.
     """
 
-    h: np.ndarray
     h_inv: np.ndarray
     shape_power: float        # sum_{1<=|l|<=m} |c_l|^2
     derivative_power: float   # sum l^2 |c_l|^2
@@ -61,13 +77,22 @@ class EfficiencyBlocks:
     def n_curves(self) -> int:
         return self.a.size
 
+    @property
+    def h(self) -> np.ndarray:
+        a, s = self.a, self.a.size - 1
+        tail_sq = a[1:] ** 2
+        h = np.eye(3 * a.size - 2)
+        h[:s, :s] = self.derivative_power * (np.diag(tail_sq) - tail_sq[:, None] * tail_sq / a.size)
+        h[s : 2 * s, s : 2 * s] = self.shape_power * _scale_projection_inverse(a)
+        return h
+
     def identity_residual(self) -> float:
-        eye = np.eye(self.h.shape[0])
+        eye = np.eye(self.h_inv.shape[0])
         return float(np.max(np.abs(self.h @ self.h_inv - eye)))
 
 
 def efficiency_blocks(a, shape: ShapeSpectrum, sigma: float) -> EfficiencyBlocks:
-    """Assemble H and its closed-form inverse from plug-in quantities.
+    """Assemble the closed-form inverse of H from plug-in quantities.
 
     Raises
     ------
@@ -82,32 +107,11 @@ def efficiency_blocks(a, shape: ShapeSpectrum, sigma: float) -> EfficiencyBlocks
     df2 = shape.derivative_power
     if f2 == 0.0:
         raise EmptySpectrum("shape spectrum has no nonzero coefficients")
-    j = a.size
-    tail = a[1:]
-    tail_sq = tail**2
-    eye = np.eye(j - 1)
-    ones = np.ones(j - 1)
-
-    h_theta = df2 * (np.diag(tail_sq) - np.outer(tail_sq, tail_sq) / j)
-    h_a = f2 * (eye + np.outer(tail, tail) / a[0] ** 2)
-    h_inv_theta = (np.diag(1.0 / tail_sq) + np.outer(ones, ones) / a[0] ** 2) / df2
-    h_inv_a = (eye - np.outer(tail, tail) / j) / f2
-
-    dim = 3 * j - 2
-    h = np.zeros((dim, dim))
-    h_inv = np.zeros((dim, dim))
-    s = j - 1
-    h[:s, :s] = h_theta
-    h[s : 2 * s, s : 2 * s] = h_a
-    h[2 * s :, 2 * s :] = np.eye(j)
-    h_inv[:s, :s] = h_inv_theta
-    h_inv[s : 2 * s, s : 2 * s] = h_inv_a
-    h_inv[2 * s :, 2 * s :] = np.eye(j)
-
-    return EfficiencyBlocks(
-        h=h, h_inv=h_inv, shape_power=f2, derivative_power=df2,
-        a=a, sigma=float(sigma),
-    )
+    s = a.size - 1
+    h_inv = np.eye(3 * a.size - 2)  # the level block is the identity
+    h_inv[:s, :s] = _shift_inverse(a) / df2
+    h_inv[s : 2 * s, s : 2 * s] = _scale_projection(a) / f2
+    return EfficiencyBlocks(h_inv=h_inv, shape_power=f2, derivative_power=df2, a=a, sigma=float(sigma))
 
 
 @dataclass
@@ -136,7 +140,8 @@ class A1CovarianceBlocks:
 def a1_covariance(a, shape: ShapeSpectrum, sigma: float) -> A1CovarianceBlocks:
     """Assemble the coupled (shift, scale, level) covariance for A1.
 
-    ``shape`` is the uncentered common shape, mean included.
+    ``shape`` is the uncentered common shape, mean included.  The shift and
+    scale blocks are those of H^{-1} under A0.
 
     Raises
     ------
@@ -150,22 +155,14 @@ def a1_covariance(a, shape: ShapeSpectrum, sigma: float) -> A1CovarianceBlocks:
     total = shape.power_total
     if p_ac <= 1e-12 * max(total, 1e-300):
         raise DegenerateShape("constant shape: |f|^2 - c0^2 is numerically zero")
-    df2 = shape.derivative_power
-    j = a.size
-    tail = a[1:]
-    eye = np.eye(j - 1)
-    ones = np.ones(j - 1)
+    s = a.size - 1
+    b, b_inv = _scale_projection(a), _scale_projection_inverse(a)
 
-    b = eye - np.outer(tail, tail) / j
-    b_inv = eye + np.outer(tail, tail) / a[0] ** 2
-
-    dim = 3 * (j - 1)
-    gamma = np.zeros((dim, dim))
-    s = j - 1
-    gamma[:s, :s] = (np.diag(1.0 / tail**2) + np.outer(ones, ones) / a[0] ** 2) / df2
+    gamma = np.zeros((3 * s, 3 * s))
+    gamma[:s, :s] = _shift_inverse(a) / shape.derivative_power
     gamma[s : 2 * s, s : 2 * s] = b / p_ac
     gamma[2 * s :, 2 * s :] = (total / p_ac) * b_inv
-    cross = (-c0 / p_ac) * eye
+    cross = (-c0 / p_ac) * np.eye(s)
     gamma[s : 2 * s, 2 * s :] = cross
     gamma[2 * s :, s : 2 * s] = cross
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from io import StringIO
-from itertools import chain, count
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
@@ -32,7 +32,7 @@ from .model import (
     center_shape,
     project_to_constraints,
 )
-from .montecarlo import StudyConfig, StudyReport
+from .montecarlo import _QUANTILES, StudyConfig, StudyReport
 
 _GRID_TOLERANCE = 1e-9
 _TEMP_NAMES = count()  # with the pid, a name no other writer in this process or another uses
@@ -65,44 +65,41 @@ def _is_scalar(value) -> bool:
     return isinstance(value, (float, bool, int, str, np.integer, np.floating)) or value is None
 
 
+# format(v, ".17g") of the floats JSON cannot spell, and of -0.0, which would re-parse as the integer 0
+_FLOAT_MENDS = {"nan": "null", "inf": "null", "-inf": "null", "-0": "0"}
+
+
+def _render_floats(values: list) -> str:
+    """Python floats as _render_scalar gives them, joined by ", ": one format call a value."""
+    texts = list(map(float.__format__, values, repeat(".17g")))
+    return ", ".join(map(_FLOAT_MENDS.get, texts, texts))
+
+
+def _emit(value, pad: str) -> str:
+    """JSON text of one value; the lines of a nested container are indented from ``pad``."""
+    if _is_scalar(value):
+        return _render_scalar(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(str(key))}: {_emit(item, inner)}"
+                                  for key, item in value.items()) + "\n" + pad + "}")
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = value if type(value) is list else list(value)
+        if not items:
+            return "[]"
+        if set(map(type, items)) == {float}:  # the usual leaf: a tolist() row
+            return "[" + _render_floats(items) + "]"
+        if all(map(_is_scalar, items)):
+            return "[" + ", ".join(map(_render_scalar, items)) + "]"
+        return "[\n" + ",\n".join(inner + _emit(item, inner) for item in items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
 def dumps_canonical(doc) -> str:
     """Serialize to deterministic JSON text (insertion key order)."""
-    pieces: list[str] = []
-
-    def emit(value, depth):
-        pad = "  " * depth
-        if _is_scalar(value):
-            pieces.append(_render_scalar(value))
-        elif isinstance(value, dict):
-            if not value:
-                pieces.append("{}")
-                return
-            pieces.append("{\n")
-            for i, (key, item) in enumerate(value.items()):
-                pieces.append(f"{pad}  {encode_basestring_ascii(str(key))}: ")  # json.dumps(str(key))
-                emit(item, depth + 1)
-                pieces.append(",\n" if i < len(value) - 1 else "\n")
-            pieces.append(pad + "}")
-        elif isinstance(value, (list, tuple, np.ndarray)):
-            items = list(value)
-            if not items:
-                pieces.append("[]")
-                return
-            if all(_is_scalar(v) for v in items):
-                pieces.append("[" + ", ".join(_render_scalar(v) for v in items) + "]")
-                return
-            pieces.append("[\n")
-            for i, item in enumerate(items):
-                pieces.append(pad + "  ")
-                emit(item, depth + 1)
-                pieces.append(",\n" if i < len(items) - 1 else "\n")
-            pieces.append(pad + "]")
-        else:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-
-    emit(doc, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _emit(doc, "") + "\n"
 
 
 def write_atomic(path: str, text: str):
@@ -241,13 +238,9 @@ def write_panel(path: str, panel: CurvePanel):
 # ---------------------------------------------------------------------------
 
 def _shape_entries(spec: ShapeSpectrum) -> list[dict]:
-    entries = []
-    for l in range(-spec.m, spec.m + 1):
-        c = spec.coeff(l)
-        if l == 0 and c == 0:
-            continue
-        entries.append({"l": l, "re": c.real, "im": c.imag})
-    return entries
+    """One entry per frequency -m..m, the mean's left out where it is zero."""
+    return [{"l": l, "re": c.real, "im": c.imag}
+            for l, c in zip(range(-spec.m, spec.m + 1), spec.coeffs.tolist()) if l or c]
 
 
 def result_document(
@@ -258,9 +251,9 @@ def result_document(
 ) -> dict:
     params = result.beta_hat
     doc = {
-        "theta": list(params.theta),
-        "a": list(params.a),
-        "upsilon": list(params.upsilon),
+        "theta": params.theta.tolist(),
+        "a": params.a.tolist(),
+        "upsilon": params.upsilon.tolist(),
         "sigma": result.sigma_hat,
         "m": result.m,
         "shape_coeffs": _shape_entries(result.shape_hat),
@@ -282,7 +275,7 @@ def result_document(
     if report is not None:
         doc["covariance"] = {
             "labels": report.labels,
-            "matrix": [list(row) for row in report.covariance],
+            "matrix": report.covariance.tolist(),
         }
         doc["ci"] = {
             "level": report.level,
@@ -359,36 +352,70 @@ def _numbers(value, key: str) -> np.ndarray:
     return np.array([_number(v, key) for v in value], dtype=float)
 
 
-def _parse_shape(node) -> ShapeSpectrum:
-    entries = _require(_object(node, "shape"), "coeffs", "shape")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigInvalid("shape.coeffs must be a nonempty list")
-    if not all(isinstance(e, dict) for e in entries):
-        raise ConfigInvalid("shape.coeffs entries must be JSON objects")
-    m = node.get("m")
-    if m is None:
-        m = max(abs(_integer(e.get("l", 0), "shape.coeffs.l")) for e in entries)
-    m = _integer(m, "shape.m")
-    if m < 1:
-        raise ConfigInvalid("shape band must be >= 1")
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    seen = set()
+def _shape_columns(entries) -> tuple[list[int], np.ndarray] | None:
+    """The entries' frequencies and a (2, K) array of their real and imaginary parts, read in one
+    pass, or None unless every value is a plain int or float, every l integral and every part finite."""
+    ls = [e.get("l") for e in entries]
+    parts = [[e.get("re") for e in entries], [e.get("im", 0.0) for e in entries]]
+    if not set(map(type, chain(ls, *parts))) <= {int, float}:
+        return None
+    try:
+        freqs = list(map(int, ls))  # a nan or inf l raises
+        values = np.array(parts, dtype=float)  # an integer beyond the double range raises
+    except (ValueError, OverflowError):
+        return None
+    if freqs != ls or not np.isfinite(values).all():
+        return None
+    return freqs, values
+
+
+def _checked_columns(entries, m: int) -> tuple[list[int], np.ndarray]:
+    """The frequencies and parts of :func:`_shape_columns`, each entry checked on its own and in order,
+    so the first bad entry raises; valid values that are not plain (a numpy float) are read here too."""
+    seen, freqs, parts = set(), [], []
     for entry in entries:
         l = _integer(_require(entry, "l", "shape.coeffs entry"), "shape.coeffs.l")
-        c = complex(_number(_require(entry, "re", "shape.coeffs entry"), "shape.coeffs.re"),
-                    _number(entry.get("im", 0.0), "shape.coeffs.im"))
+        re = _number(_require(entry, "re", "shape.coeffs entry"), "shape.coeffs.re")
+        im = _number(entry.get("im", 0.0), "shape.coeffs.im")
         if abs(l) > m:
             raise ConfigInvalid(f"shape frequency {l} outside band {m}")
         if l in seen:
             raise ConfigInvalid(f"duplicate shape frequency {l}")
         seen.add(l)
-        coeffs[l + m] = c
-    for l in range(1, m + 1):
-        has_pos, has_neg = l in seen, -l in seen
-        if has_pos and not has_neg:
-            coeffs[m - l] = np.conj(coeffs[m + l])
-        elif has_neg and not has_pos:
-            coeffs[m + l] = np.conj(coeffs[m - l])
+        freqs.append(l)
+        parts.append((re, im))
+    return freqs, np.array(parts).T
+
+
+def _parse_shape(node) -> ShapeSpectrum:
+    """The configured spectrum; a frequency given on one side only gets its conjugate pair.
+
+    The entries are read and checked as whole columns; only where that check fails are they
+    checked one at a time, so an error names the first bad entry as a per-entry parse would.
+    """
+    entries = _require(_object(node, "shape"), "coeffs", "shape")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigInvalid("shape.coeffs must be a nonempty list")
+    if not all(isinstance(e, dict) for e in entries):
+        raise ConfigInvalid("shape.coeffs entries must be JSON objects")
+    columns = _shape_columns(entries)
+    m = node.get("m")
+    if m is None:
+        m = (max(map(abs, columns[0])) if columns is not None
+             else max(abs(_integer(e.get("l", 0), "shape.coeffs.l")) for e in entries))
+    m = _integer(m, "shape.m")
+    if m < 1:
+        raise ConfigInvalid("shape band must be >= 1")
+    coeffs = np.zeros(2 * m + 1, dtype=complex)
+    if columns is None or max(map(abs, columns[0])) > m or len(set(columns[0])) < len(entries):
+        columns = _checked_columns(entries, m)  # raises unless only the spelling was not plain
+    freqs, (re, im) = columns
+    index = np.add(freqs, m)
+    coeffs.real[index] = re
+    coeffs.imag[index] = im
+    seen = np.zeros(2 * m + 1, dtype=bool)
+    seen[index] = True
+    coeffs = np.where(seen[::-1] & ~seen, np.conj(coeffs[::-1]), coeffs)  # one-sided pairs completed
     spec = ShapeSpectrum(m=m, coeffs=coeffs)
     if spec.hermitian_defect() > 1e-9 * max(1.0, float(np.abs(coeffs).sum())):
         raise ConfigInvalid("shape coefficients are not conjugate-symmetric")
@@ -427,7 +454,7 @@ def parse_study_config(doc: dict) -> StudyConfig:
     a = _numbers(_require(truth_node, "a", "truth"), "truth.a")
     upsilon = _numbers(_require(truth_node, "upsilon", "truth"), "truth.upsilon")
     sigma = _number(_require(truth_node, "sigma", "truth"), "truth.sigma")
-    upsilon_max = _number(truth_node.get("upsilon_max", 1e6), "truth.upsilon_max")
+    upsilon_max = _number(truth_node.get("upsilon_max", ConstraintRegime.upsilon_max), "truth.upsilon_max")
     if not (theta.size == a.size == upsilon.size) or theta.size < 2:
         raise ConfigInvalid("truth vectors must share length J >= 2")
     if sigma < 0:
@@ -503,19 +530,19 @@ def report_document(report: StudyReport) -> dict:
             "n": cell.n,
             "regime": cell.regime.value,
             "labels": cell.labels,
-            "truth": list(cell.truth_free),
-            "bias": list(cell.bias),
-            "empirical_covariance": [list(r) for r in cell.empirical_covariance],
-            "theory_covariance": [list(r) for r in cell.theory_covariance],
-            "ratios": [list(r) for r in cell.ratios],
+            "truth": cell.truth_free.tolist(),
+            "bias": cell.bias.tolist(),
+            "empirical_covariance": cell.empirical_covariance.tolist(),
+            "theory_covariance": cell.theory_covariance.tolist(),
+            "ratios": cell.ratios.tolist(),
             "mise": {
                 "inband": cell.mise_inband,
                 "tail": cell.mise_tail,
                 "total": cell.mise_inband + cell.mise_tail,
             },
             "quantiles": {
-                "probs": [0.025, 0.25, 0.5, 0.75, 0.975],
-                "values": [list(r) for r in cell.quantiles],
+                "probs": list(_QUANTILES),
+                "values": cell.quantiles.tolist(),
             },
             "sigma_mean": cell.sigma_mean,
             "failures": cell.failures,

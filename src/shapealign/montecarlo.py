@@ -166,17 +166,45 @@ def _circular_errors(free_est, free_truth, n_shift):
     return err
 
 
+def _quantiles(estimates: np.ndarray) -> np.ndarray:
+    """``np.quantile(estimates, _QUANTILES, axis=0)`` of K >= 1 rows of finite values, bit for bit.
+
+    The same linear rule by the same steps: position (K-1)q, numpy's partition of a copy at the
+    same order statistics, and its interpolation from the nearer neighbour.
+    """
+    kept = len(estimates)
+    if kept == 1:  # numpy's interpolation returns the one row for every probability
+        return np.repeat(estimates, len(_QUANTILES), axis=0)
+    pos = [(kept - 1) * q for q in _QUANTILES]
+    lo = [int(p) for p in pos]
+    hi = [i + 1 for i in lo]
+    t = np.array([p - i for p, i in zip(pos, lo)])[:, None]
+    ordered = np.partition(estimates, sorted({0, kept - 1, *lo, *hi}), axis=0)
+    below, above = ordered[lo], ordered[hi]
+    step = above - below
+    return np.where(t >= 0.5, above - step * (1 - t), below + step * t)
+
+
+def _covariance(x: np.ndarray) -> np.ndarray:
+    """``np.cov(x, rowvar=False)`` of K >= 2 rows of at least two columns, bit for bit: the same
+    centring, product (of the centred rows with a copy of them, so the same BLAS call) and scaling."""
+    centred = x - x.mean(axis=0)
+    return np.dot(centred.T, centred.conj()) * (1.0 / (len(x) - 1))
+
+
 def _shape_error_sq(coeffs: np.ndarray, true_shape: ShapeSpectrum, include_mean: bool) -> tuple[float, float]:
     """Mean in-band coefficient error of the kept fits' coefficients (K, 2m+1) and the
     fixed out-of-band truth energy, computed once: the fits share their band m."""
     if not len(coeffs):
         return float("nan"), float("nan")
-    m_fit = coeffs.shape[1] // 2
-    target = np.array([true_shape.coeff(l) for l in range(-m_fit, m_fit + 1)])
+    m_fit, m_true = coeffs.shape[1] // 2, true_shape.m
+    band = min(m_fit, m_true)
+    target = np.zeros(2 * m_fit + 1, dtype=complex)  # the truth's c_l, l = -m_fit..m_fit
+    target[m_fit - band:m_fit + band + 1] = true_shape.coeffs[m_true - band:m_true + band + 1]
     err = np.abs(coeffs - target) ** 2
     if not include_mean:
         err[:, m_fit] = 0.0
-    tail = 2.0 * np.sum(np.abs(true_shape.coeffs[true_shape.m + m_fit + 1:]) ** 2)
+    tail = 2.0 * np.sum(np.abs(true_shape.coeffs[m_true + m_fit + 1:]) ** 2)
     return float(np.mean(err.sum(axis=1))), float(tail)
 
 
@@ -234,15 +262,13 @@ def _aggregate(n, regime_kind, ref_truth, ref_shape, fits: _Fits) -> StudyCell:
     failures = len(fits.converged) - kept
     errors = _circular_errors(estimates, truth_free, ref_truth.n_curves - 1)
     nan = np.full((truth_free.size, truth_free.size), np.nan)
-    emp_cov = np.atleast_2d(np.cov(np.sqrt(n) * errors, rowvar=False, ddof=1)) if kept >= 2 else nan
+    emp_cov = _covariance(np.sqrt(n) * errors) if kept >= 2 else nan
 
     theory = scaled_covariance(ref_truth.a, ref_shape, ref_truth.sigma, regime_kind)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(np.abs(theory) > 1e-12, emp_cov / theory, np.nan)
+    ratios = np.divide(emp_cov, theory, out=np.full_like(theory, np.nan), where=np.abs(theory) > 1e-12)
 
     mise_inband, mise_tail = _shape_error_sq(fits.coeffs[fits.converged], ref_shape, regime_kind is Regime.A1)
-    quantiles = (np.quantile(estimates, _QUANTILES, axis=0) if kept
-                 else np.full((len(_QUANTILES), truth_free.size), np.nan))
+    quantiles = _quantiles(estimates) if kept else np.full((len(_QUANTILES), truth_free.size), np.nan)
 
     return StudyCell(
         n=n,

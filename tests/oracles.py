@@ -9,6 +9,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
 
@@ -18,17 +19,29 @@ from shapealign.criterion import (
     criterion_value,
     shift_objective_stack,
 )
-from shapealign.errors import ConstraintViolation, GridMismatch, ParseError, RaggedColumns
+from shapealign.errors import ConfigInvalid, ConstraintViolation, GridMismatch, ParseError, RaggedColumns
 from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
 from shapealign.fourier import TWO_PI, ShapeSpectrum, evaluate_shifted_on_grid, make_grid
+from shapealign.inference import a1_covariance, efficiency_blocks
+from shapealign.io import _integer, _number, _object, _require
 from shapealign.model import (
     ConstraintRegime,
     CurvePanel,
     ParameterSet,
     Regime,
+    free_parameter_labels,
     reparameterize_to_a1,
 )
-from shapealign.montecarlo import StudyConfig, StudyReport, _aggregate, _Fits
+from shapealign.montecarlo import (
+    _MAX_FAILURE_FRACTION,
+    _QUANTILES,
+    StudyCell,
+    StudyConfig,
+    StudyReport,
+    _aggregate,
+    _circular_errors,
+    _Fits,
+)
 from shapealign.normal import inverse_normal_cdf
 
 
@@ -367,3 +380,171 @@ def read_panel_cells(path: str) -> CurvePanel:
     if defect > 1e-9:
         raise GridMismatch(f"time column deviates from the equidistant grid by {defect:.3e}")
     return CurvePanel(grid=grid, y=table[:, 1:].T, labels=header[1:])
+
+
+def parse_shape_entries(node) -> ShapeSpectrum:
+    """A study config's shape parsed one entry at a time: each l, re and im checked and converted on its own.
+
+    Same rules, errors and messages as ``io._parse_shape``, which reads the entries as columns and
+    must match this bit for bit: the band m is given or the largest |l|, a bad entry raises at the
+    first failing check of the first bad entry, and a frequency given on one side only gets its
+    conjugate pair.
+    """
+    entries = _require(_object(node, "shape"), "coeffs", "shape")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigInvalid("shape.coeffs must be a nonempty list")
+    if not all(isinstance(e, dict) for e in entries):
+        raise ConfigInvalid("shape.coeffs entries must be JSON objects")
+    m = node.get("m")
+    if m is None:
+        m = max(abs(_integer(e.get("l", 0), "shape.coeffs.l")) for e in entries)
+    m = _integer(m, "shape.m")
+    if m < 1:
+        raise ConfigInvalid("shape band must be >= 1")
+    coeffs = np.zeros(2 * m + 1, dtype=complex)
+    seen = set()
+    for entry in entries:
+        l = _integer(_require(entry, "l", "shape.coeffs entry"), "shape.coeffs.l")
+        c = complex(_number(_require(entry, "re", "shape.coeffs entry"), "shape.coeffs.re"),
+                    _number(entry.get("im", 0.0), "shape.coeffs.im"))
+        if abs(l) > m:
+            raise ConfigInvalid(f"shape frequency {l} outside band {m}")
+        if l in seen:
+            raise ConfigInvalid(f"duplicate shape frequency {l}")
+        seen.add(l)
+        coeffs[l + m] = c
+    for l in range(1, m + 1):
+        has_pos, has_neg = l in seen, -l in seen
+        if has_pos and not has_neg:
+            coeffs[m - l] = np.conj(coeffs[m + l])
+        elif has_neg and not has_pos:
+            coeffs[m + l] = np.conj(coeffs[m - l])
+    spec = ShapeSpectrum(m=m, coeffs=coeffs)
+    if spec.hermitian_defect() > 1e-9 * max(1.0, float(np.abs(coeffs).sum())):
+        raise ConfigInvalid("shape coefficients are not conjugate-symmetric")
+    if abs(coeffs[m].imag) > 0:
+        raise ConfigInvalid("mean coefficient must be real")
+    return spec
+
+
+def _render_scalar(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v) or math.isinf(v):
+            return "null"
+        if v == 0.0:
+            v = 0.0  # "-0" would re-parse as the integer 0
+        return format(v, ".17g")
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return encode_basestring(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, (float, bool, int, str, np.integer, np.floating)) or value is None
+
+
+def dumps_canonical_recursive(doc) -> str:
+    """Canonical JSON text by one recursive emit over the document, one scalar at a time.
+
+    Same text as ``io.dumps_canonical``, which renders a list of Python floats in one join and
+    must match this for every document: 17 significant digits, nan and inf as null, -0.0 as 0,
+    keys ASCII-escaped, strings kept as UTF-8, a list of scalars on one line, any other
+    container one item a line, two spaces a level, and the same TypeError for anything else.
+    """
+    pieces: list[str] = []
+
+    def emit(value, depth):
+        pad = "  " * depth
+        if _is_scalar(value):
+            pieces.append(_render_scalar(value))
+        elif isinstance(value, dict):
+            if not value:
+                pieces.append("{}")
+                return
+            pieces.append("{\n")
+            for i, (key, item) in enumerate(value.items()):
+                pieces.append(f"{pad}  {encode_basestring_ascii(str(key))}: ")
+                emit(item, depth + 1)
+                pieces.append(",\n" if i < len(value) - 1 else "\n")
+            pieces.append(pad + "}")
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            items = list(value)
+            if not items:
+                pieces.append("[]")
+                return
+            if all(_is_scalar(v) for v in items):
+                pieces.append("[" + ", ".join(_render_scalar(v) for v in items) + "]")
+                return
+            pieces.append("[\n")
+            for i, item in enumerate(items):
+                pieces.append(pad + "  ")
+                emit(item, depth + 1)
+                pieces.append(",\n" if i < len(items) - 1 else "\n")
+            pieces.append(pad + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    emit(doc, 0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def aggregate_cell(n, regime_kind, ref_truth, ref_shape, fits: _Fits) -> StudyCell:
+    """One study cell by numpy's own ``quantile`` and ``cov`` and the regime's covariance blocks.
+
+    Same aggregates as ``montecarlo._aggregate``, which must match this bit for bit: the theory
+    covariance is sigma^2 H^{-1} from ``efficiency_blocks`` under A0 and sigma^2 Gamma from
+    ``a1_covariance`` under A1, and the in-band shape error takes the truth's c_l one frequency
+    at a time.
+    """
+    truth_free = ref_truth.free_values()
+    estimates = fits.free[fits.converged]
+    kept = len(estimates)
+    failures = len(fits.converged) - kept
+    errors = _circular_errors(estimates, truth_free, ref_truth.n_curves - 1)
+    nan = np.full((truth_free.size, truth_free.size), np.nan)
+    emp_cov = np.atleast_2d(np.cov(np.sqrt(n) * errors, rowvar=False, ddof=1)) if kept >= 2 else nan
+    if regime_kind is Regime.A0:
+        theory = ref_truth.sigma**2 * efficiency_blocks(ref_truth.a, ref_shape, ref_truth.sigma).h_inv
+    else:
+        theory = ref_truth.sigma**2 * a1_covariance(ref_truth.a, ref_shape, ref_truth.sigma).gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(np.abs(theory) > 1e-12, emp_cov / theory, np.nan)
+
+    coeffs = fits.coeffs[fits.converged]
+    if kept:
+        m_fit = coeffs.shape[1] // 2
+        target = np.array([ref_shape.coeff(l) for l in range(-m_fit, m_fit + 1)])
+        err = np.abs(coeffs - target) ** 2
+        if regime_kind is not Regime.A1:
+            err[:, m_fit] = 0.0
+        mise_inband = float(np.mean(err.sum(axis=1)))
+        mise_tail = float(2.0 * np.sum(np.abs(ref_shape.coeffs[ref_shape.m + m_fit + 1:]) ** 2))
+    else:
+        mise_inband = mise_tail = float("nan")
+    quantiles = (np.quantile(estimates, _QUANTILES, axis=0) if kept
+                 else np.full((len(_QUANTILES), truth_free.size), np.nan))
+    return StudyCell(
+        n=n,
+        regime=regime_kind,
+        labels=free_parameter_labels(ref_truth.n_curves, ref_truth.regime),
+        truth_free=truth_free,
+        bias=errors.mean(axis=0) if kept else np.full(truth_free.size, np.nan),
+        empirical_covariance=emp_cov,
+        theory_covariance=theory,
+        ratios=ratios,
+        mise_inband=mise_inband,
+        mise_tail=mise_tail,
+        quantiles=quantiles,
+        sigma_mean=float(np.mean(fits.sigma[fits.converged])) if kept else float("nan"),
+        failures=failures,
+        replicates=len(fits.converged),
+        invalid=failures > _MAX_FAILURE_FRACTION * len(fits.converged),
+    )

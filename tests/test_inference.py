@@ -64,6 +64,17 @@ def test_covariance_scales_with_noise(rng):
         assert np.array_equal(cov2, 4.0 * cov1)
 
 
+def test_scaled_covariance_is_the_scaled_regime_blocks(rng):
+    for j in (2, 3, 5):
+        for _ in range(5):
+            a, sigma = sphere_scales(rng, j), float(rng.uniform(0.0, 3.0))
+            spec = random_hermitian_spectrum(rng, 4)
+            a0 = sa.scaled_covariance(a, spec, sigma, Regime.A0)
+            a1 = sa.scaled_covariance(a, spec, sigma, Regime.A1)
+            assert a0.tobytes() == (sigma**2 * sa.efficiency_blocks(a, spec, sigma).h_inv).tobytes()
+            assert a1.tobytes() == (sigma**2 * sa.a1_covariance(a, spec, sigma).gamma).tobytes()
+
+
 def test_plug_in_stability(rng):
     a = sphere_scales(rng, 3)
     spec = random_hermitian_spectrum(rng, 3)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import shapealign as sa
 from shapealign.criterion import CriterionContext
@@ -21,13 +22,14 @@ from shapealign.errors import (
 )
 from shapealign.fit import FitConfig
 from shapealign.io import (
+    _parse_shape,
     dumps_canonical,
     parse_study_config,
     read_panel,
     write_atomic,
     write_panel,
 )
-from oracles import read_panel_cells
+from oracles import dumps_canonical_recursive, parse_shape_entries, read_panel_cells
 
 
 def _write(tmp_path, name, text):
@@ -318,6 +320,40 @@ def test_canonical_json_quotes_text_as_json_dumps(key, value):
     assert text == f"{{\n  {json.dumps(key)}: {json.dumps(value, ensure_ascii=False)}\n}}\n"
 
 
+_RENDER_SCALARS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")]),
+    st.integers(), st.booleans(), st.none(), st.text(max_size=6),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),  # np.bool_ is no JSON scalar
+)
+_RENDER_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64]),
+                            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+_RENDER_LEAVES = _RENDER_SCALARS | _RENDER_ARRAYS | st.lists(st.floats(), max_size=5)
+_RENDER_DOCS = st.recursive(_RENDER_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=5), inner, max_size=4)), max_leaves=25)
+
+
+def _rendered(dumps, doc):
+    try:
+        return dumps(doc)
+    except Exception as exc:  # the outcome compared: type and message of any error
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_RENDER_DOCS)
+def test_canonical_json_matches_the_recursive_oracle(doc):
+    assert _rendered(dumps_canonical, doc) == _rendered(dumps_canonical_recursive, doc)
+
+
+def test_canonical_json_float_lists_spell_nan_inf_and_negative_zero():
+    values = [0.1, -0.0, float("nan"), float("inf"), float("-inf"), 1e-5, -2.5e300, 0.0]
+    text = dumps_canonical({"row": values, "rows": [values, values]})
+    assert text == dumps_canonical_recursive({"row": values, "rows": [values, values]})
+    assert "[0.10000000000000001, 0, null, null, null, 1.0000000000000001e-05, -2.5000000000000001e+300, 0]" in text
+
+
 def test_write_atomic_no_partial(tmp_path):
     path = str(tmp_path / "out.json")
     write_atomic(path, "hello\n")
@@ -390,6 +426,125 @@ def test_parse_study_config_one_sided_shape_completion():
     doc = _config_doc()
     config = parse_study_config(doc)
     assert config.shape.hermitian_defect() == 0.0
+
+
+# Spellings of an integer frequency and of a finite part that a per-entry parse accepts.
+def _spelled_frequency(l):
+    return st.sampled_from([l, float(l)])
+
+
+def _spelled_part(v):
+    spellings = [v] * 6 + [np.float64(v)]  # a numpy float is valid, but its entries are checked one at a time
+    if v.is_integer():
+        spellings += [int(v)] * 2
+    return st.sampled_from(spellings)
+
+
+# One mutation of an entry's key: the value put there (_DROP removes the key).
+_DROP = object()
+_BAD_FREQUENCIES = [True, False, 1.5, -0.5, float("nan"), float("inf"), "1", None, 2**70, -(2**53) - 1, _DROP]
+_BAD_PARTS = ["0.5", float("nan"), float("inf"), float("-inf"), 10**400, True, None, [1.0], _DROP]
+_ODD_GOOD_PARTS = [2**64 + 1, -(2**63) - 1, 10**300, -0.0]
+
+
+@st.composite
+def _shape_node(draw):
+    """A config's shape node: Hermitian entries in any order and spelling, then perhaps some mutations.
+
+    Mutations: a bad or missing l, re or im (bool, non-integral, string, nan, inf, a huge integer), a large
+    but valid integer part, a duplicate frequency (perhaps spelled otherwise), a frequency beyond a given
+    band, a two-sided pair made non-Hermitian, an imaginary mean, a bad band.
+    """
+    m = draw(st.integers(1, 5))
+    freqs = draw(st.lists(st.integers(-m, m), min_size=1, max_size=2 * m + 1, unique=True))
+    part = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0) | st.sampled_from([0.0, -0.0, 2.0])
+    values = {}
+    for l in sorted(freqs, key=abs):
+        re, im = draw(part), 0.0 if l == 0 else draw(part)
+        values[l] = (values[-l][0], -values[-l][1]) if -l in values else (re, im)
+    entries = []
+    for l in draw(st.permutations(freqs)):
+        re, im = values[l]
+        entry = {"l": draw(_spelled_frequency(l)), "re": draw(_spelled_part(re))}
+        if im != 0.0 or draw(st.booleans()):
+            entry["im"] = draw(_spelled_part(im))
+        entries.append(entry)
+    node = {"coeffs": entries}
+    if draw(st.booleans()):
+        node["m"] = draw(st.sampled_from([max(map(abs, freqs)), m, m + 2, float(m)]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        k = draw(st.integers(0, len(entries) - 1))
+        kind = draw(st.sampled_from(["l", "re", "im", "good", "duplicate", "band", "hermitian", "mean", "m"]))
+        entry = entries[k]
+        if kind in ("l", "re", "im"):
+            value = draw(st.sampled_from(_BAD_FREQUENCIES if kind == "l" else _BAD_PARTS))
+            if value is _DROP:
+                entry.pop(kind, None)
+            else:
+                entry[kind] = value
+        elif kind == "good":
+            entry[draw(st.sampled_from(["re", "im"]))] = draw(st.sampled_from(_ODD_GOOD_PARTS))
+        elif kind == "duplicate":
+            copy = dict(entry)
+            if isinstance(copy.get("l"), int) and not isinstance(copy["l"], bool):
+                copy["l"] = draw(_spelled_frequency(copy["l"]))
+            entries.insert(draw(st.integers(0, len(entries))), copy)
+        elif kind == "band":
+            node["m"] = m
+            entry["l"] = draw(st.sampled_from([m + 1, -m - 1, float(m + 3)]))
+        elif kind == "hermitian":
+            entry["im"] = draw(part) + 0.5
+        elif kind == "mean":
+            entries.append({"l": 0, "re": 1.0, "im": draw(st.sampled_from([1e-3, 1e-12, -2.0]))})
+        else:
+            node["m"] = draw(st.sampled_from([0, -1, 2.5, "3", True, None]))
+    return node
+
+
+def _parsed(parse, node):
+    try:
+        spec = parse(node)
+    except Exception as exc:  # the outcome compared: type and message of any error
+        return type(exc), str(exc)
+    return spec.m, spec.coeffs.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(node=_shape_node())
+def test_parse_shape_matches_the_per_entry_oracle(node):
+    assert _parsed(_parse_shape, node) == _parsed(parse_shape_entries, node)
+
+
+def _plain_node(**mutation):
+    """Three plain one-sided entries, the second's keys replaced (a None value removes the key)."""
+    entries = [{"l": 0, "re": 1.0}, {"l": 1, "re": 0.5, "im": -0.25}, {"l": 2, "re": 0.125, "im": 0.0}]
+    for key, value in mutation.items():
+        if value is None:
+            del entries[1][key]
+        else:
+            entries[1][key] = value
+    return {"coeffs": entries}
+
+
+@pytest.mark.parametrize("node", [
+    [], {}, {"coeffs": []}, {"coeffs": {}}, {"coeffs": [1.0]}, {"coeffs": [{"l": 1, "re": 1.0}, "x"]},
+    {"coeffs": [{"re": 1.0}]}, {"coeffs": [{"l": 1}]}, {"coeffs": [{"l": 0, "re": 1.0}]},
+    _plain_node(), _plain_node(l=1.0), _plain_node(l=-0.0), _plain_node(l=1.5), _plain_node(l=True),
+    _plain_node(l=None), _plain_node(l=2), _plain_node(l=3), _plain_node(re=True), _plain_node(re="0.5"),
+    _plain_node(re=float("nan")), _plain_node(re=10**400), _plain_node(re=2**64 + 1), _plain_node(re=None),
+    _plain_node(im=float("inf")), _plain_node(im=None), _plain_node(l=-1, im=0.5),
+    {**_plain_node(l=1.5), "m": 2}, {**_plain_node(l=3), "m": 2}, {**_plain_node(), "m": 2.0},
+])
+def test_parse_shape_matches_the_oracle_on_malformed_nodes(node):
+    assert _parsed(_parse_shape, node) == _parsed(parse_shape_entries, node)
+
+
+def test_parse_shape_reads_the_fixture_in_any_equivalent_spelling():
+    with open(Path(__file__).parent.parent / "fixtures" / "figure2.json") as fh:
+        node = json.load(fh)["shape"]
+    respelled = {"coeffs": [{"l": float(e["l"]), "re": e["re"], **({"im": e["im"]} if e["im"] else {})}
+                            for e in reversed(node["coeffs"])]}
+    assert _parsed(_parse_shape, respelled) == _parsed(_parse_shape, node) == _parsed(parse_shape_entries, node)
 
 
 def _umask():

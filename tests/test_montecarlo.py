@@ -7,15 +7,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import shapealign as sa
 from shapealign import montecarlo
 from shapealign.errors import ConfigInvalid
 from shapealign.io import dumps_canonical, load_study_config, report_document
-from shapealign.montecarlo import _replicate_chunk, worker_count
-from shapealign.model import ConstraintRegime, Regime
-from conftest import decay_shape
-from oracles import run_study_per_regime
+from shapealign.montecarlo import _QUANTILES, _aggregate, _covariance, _Fits, _quantiles, _replicate_chunk, worker_count
+from shapealign.model import ConstraintRegime, Regime, free_columns, reparameterize_to_a1
+from conftest import boxplot_truth, decay_shape
+from oracles import aggregate_cell, run_study_per_regime
 
 
 def _small_truth(sigma=1.0):
@@ -299,3 +302,40 @@ def test_compare_regimes_theory_diagonal_is_the_scaled_a1_covariance():
     truth_a1, shape_a1 = sa.reparameterize_to_a1(truth, shape)
     theory = sa.scaled_covariance(truth_a1.a, shape_a1, truth.sigma, Regime.A1)
     assert comp.a1_cov_diag_theory.tobytes() == np.diag(theory).tobytes()
+
+
+def _cell_bits(cell):
+    """Every field of a study cell, arrays and floats as their bytes."""
+    return [(np.shape(v), np.asarray(v).tobytes()) if isinstance(v, (np.ndarray, float)) else v
+            for v in vars(cell).values()]
+
+
+@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
+@pytest.mark.parametrize("kept", [0, 1, 2, 7])
+def test_aggregate_matches_the_numpy_oracle(kind, kept):
+    truth, shape = boxplot_truth()
+    ref_truth, ref_shape = (truth, shape) if kind is Regime.A0 else reparameterize_to_a1(truth, shape)
+    rng = np.random.default_rng(kept)
+    reps, m_fit, n = 7, 5, 201
+    noise = rng.normal(scale=0.1, size=(reps, truth.n_curves))
+    free = free_columns(np.mod(ref_truth.theta + noise, 2 * np.pi), ref_truth.a + noise,
+                        ref_truth.upsilon + noise, kind)
+    converged = np.zeros(reps, dtype=bool)
+    converged[rng.permutation(reps)[:kept]] = True
+    coeffs = ref_shape.coeffs[ref_shape.m - m_fit:ref_shape.m + m_fit + 1] + rng.normal(scale=0.01, size=(reps, 1))
+    fits = _Fits(free, converged, rng.uniform(0.9, 1.1, reps), coeffs)
+    assert _cell_bits(_aggregate(n, kind, ref_truth, ref_shape, fits)) == \
+        _cell_bits(aggregate_cell(n, kind, ref_truth, ref_shape, fits))
+
+
+# Rows with ties, both zeros and values far apart in scale.
+_ROWS = hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(2, 6)),
+                   elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_ROWS)
+def test_quantiles_and_covariance_are_numpys_bit_for_bit(rows):
+    assert _quantiles(rows).tobytes() == np.quantile(rows, _QUANTILES, axis=0).tobytes()
+    if len(rows) >= 2:
+        assert _covariance(rows).tobytes() == np.cov(rows, rowvar=False, ddof=1).tobytes()
