@@ -40,7 +40,7 @@ EIGENVALUE_TIE = 1e-10
 class CriterionContext:
     """One panel's data for the criterion at band m under one regime: a one-row view of what the fitter stacks.
 
-    ``d_ac``, ``ybar``, ``mean_sq`` and ``ac_trace`` are the panel's read-only :meth:`CurvePanel.band`
+    ``d_ac``, ``ybar``, ``mean_sq``, ``ac_trace`` and ``spread`` are the panel's read-only :meth:`CurvePanel.band`
     arrays (``d_ac[j, l + m]`` is curve j's DFT coefficient for 1 <= |l| <= m, zero at l = 0: the
     means enter through ``ybar``); ``shift_constant`` is :func:`shift_constants` of the panel.
 
@@ -57,10 +57,10 @@ class CriterionContext:
     regime: ConstraintRegime = field(default_factory=ConstraintRegime)
 
     def __post_init__(self):
-        self.d_ac, self.ybar, self.mean_sq, self.ac_trace = self.panel.band(self.m)
+        self.d_ac, self.ybar, self.mean_sq, self.ac_trace, self.spread = self.panel.band(self.m)
         self.freqs = np.arange(-self.m, self.m + 1)
         self.a1 = self.regime.kind is Regime.A1
-        self.shift_constant = float(shift_constants(self.ybar[None], self.mean_sq, np.array([self.a1]),
+        self.shift_constant = float(shift_constants(self.ybar[None], self.spread, np.array([self.a1]),
                                                     np.array([self.regime.upsilon_max]))[0])
 
     @property
@@ -84,22 +84,23 @@ def require_energy(ac_trace, mean_sq):
         raise DegenerateSpectrum("no spectral energy in the selected band")
 
 
-def residual(mean_sq, ybar: np.ndarray, upsilon: np.ndarray) -> np.ndarray:
-    """(1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 of F rows, from their moments: (F,)."""
-    return mean_sq + (rowdot(upsilon, upsilon) - 2.0 * rowdot(upsilon, ybar)) / ybar.shape[1]
+def residual(spread, ybar: np.ndarray, upsilon: np.ndarray) -> np.ndarray:
+    """(1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 of F rows, from their spreads and means: (F,)."""
+    gap = ybar - upsilon
+    return spread + rowdot(gap, gap) / ybar.shape[1]
 
 
-def shift_constants(ybar: np.ndarray, mean_sq, a1: np.ndarray, bound: np.ndarray) -> np.ndarray:
+def shift_constants(ybar: np.ndarray, spread, a1: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """C of C - lambda_max(Q) for F rows: the residual at levels ybar under A1, ybar clipped to +-bound under A0."""
     ups = np.where(a1[:, None], ybar, np.clip(ybar, -bound[:, None], bound[:, None]))
-    return residual(mean_sq, ybar, ups)
+    return residual(spread, ybar, ups)
 
 
-def criterion_stack(d_ac, ybar, mean_sq, a1, theta, a, upsilon) -> tuple[np.ndarray, np.ndarray]:
+def criterion_stack(d_ac, ybar, spread, a1, theta, a, upsilon) -> tuple[np.ndarray, np.ndarray]:
     """Criterion values (F,) and shape coefficients (F, 2m+1) of F rows of one (J, m).
 
-    Row f evaluates band coefficients ``d_ac[f]``, means ``ybar[f]`` and second
-    moment ``mean_sq[f]``, under A1 where ``a1[f]``, at (theta[f], a[f], upsilon[f]),
+    Row f evaluates band coefficients ``d_ac[f]``, means ``ybar[f]`` and spread
+    ``spread[f]`` about them, under A1 where ``a1[f]``, at (theta[f], a[f], upsilon[f]),
     with row-wise products only, so its bits are those of the row alone.  Its
     coefficients are chat_l (1 <= |l| <= m) with, in the l = 0 slot, the mean
     coefficient of :func:`profiled_mean` under A1 and zero under A0.
@@ -116,7 +117,7 @@ def criterion_stack(d_ac, ybar, mean_sq, a1, theta, a, upsilon) -> tuple[np.ndar
     # Python's float pow, not numpy's square: they differ in the last bit for
     # about 0.1% of inputs, and the reports keep the bits of the former
     energy += [c ** 2 for c in mean.tolist()]
-    return residual(mean_sq, ybar, upsilon) - energy, coeffs
+    return residual(spread, ybar, upsilon) - energy, coeffs
 
 
 def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:
@@ -142,7 +143,7 @@ def criterion_value(ctx: CriterionContext, theta, a, upsilon) -> float:
 
 def _one_point(ctx: CriterionContext, a1: bool, theta, a, upsilon):
     """Value and coefficients of :func:`criterion_stack` for one context at one point, under A1 if ``a1``."""
-    values, coeffs = criterion_stack(ctx.d_ac[None], ctx.ybar[None], ctx.mean_sq, a1, [theta], [a], [upsilon])
+    values, coeffs = criterion_stack(ctx.d_ac[None], ctx.ybar[None], ctx.spread, a1, [theta], [a], [upsilon])
     return values[0], coeffs[0]
 
 

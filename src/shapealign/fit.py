@@ -45,6 +45,11 @@ from .model import (
     rowdot,
 )
 
+# An objective at or below NOISE_FLOOR * sqrt(spread * mean_sq) reads as zero noise: under A0 a
+# noiseless panel leaves rounding residue of either sign up to a few eps times that root, the
+# level's rounding in the band coefficients times the shape's size.
+NOISE_FLOOR = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -220,8 +225,8 @@ class FitResult:
         return self.beta_hat.regime
 
 
-# Stacked estimates of F jobs, row f job f's: theta, a, upsilon (F, J); sigma (sqrt of a positive
-# objective, else 0), objective, iterations, converged, tie_break (F,); the shape coefficients
+# Stacked estimates of F jobs, row f job f's: theta, a, upsilon (F, J); sigma (sqrt of an objective
+# above the noise floor, else 0), objective, iterations, converged, tie_break (F,); the shape coefficients
 # (F, 2m+1); and restarts, the search rows of every job.
 Estimates = namedtuple("Estimates", "theta a upsilon sigma objective coeffs iterations converged tie_break restarts")
 
@@ -252,7 +257,7 @@ def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
                 beta_hat=ParameterSet(est.theta[f], est.a[f], est.upsilon[f], sigma, regime),
                 sigma_hat=sigma, shape_hat=ShapeSpectrum(m=m, coeffs=est.coeffs[f]), objective=objective,
                 iterations=iterations, restarts=est.restarts, converged=bool(est.converged[f]),
-                zero_noise=objective <= 0.0, tie_break=bool(est.tie_break[f]), n=n, m=m)
+                zero_noise=sigma == 0.0 and not math.isnan(objective), tie_break=bool(est.tie_break[f]), n=n, m=m)
     return results
 
 
@@ -265,8 +270,9 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     minimum from the search's last evaluation there: finite estimates,
     max|g| <= 1e-8 * max(1, |f|) and a positive definite shift Hessian
     (waived at an eigenvalue tie); the best point is returned regardless.
-    The noise estimate is sqrt of the objective at the minimum, floored at
-    zero (``zero_noise`` marks the floor binding).
+    The noise estimate is sqrt of the objective at the minimum, or zero where
+    that is at most :data:`NOISE_FLOOR` times the root of the panel's spread
+    times its mean square (``zero_noise`` marks the floor binding).
     """
     return fit_batch([(panel, regime)], config)[0]
 
@@ -282,8 +288,8 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     wrapping its shifts into [0, 2*pi) changed a bit, the scale profile and tie flag.
     """
     require_energy(band.ac_trace, band.mean_sq)
-    ybar, mean_sq = band.ybar[rows], band.mean_sq[rows]
-    constants = shift_constants(ybar, mean_sq, a1, bound)
+    ybar, spread = band.ybar[rows], band.spread[rows]
+    constants = shift_constants(ybar, spread, a1, bound)
     ids: dict[tuple[int, int], int] = {}
     of = np.array([ids.setdefault(key, len(ids)) for key in zip(rows.tolist(), constants.view(np.int64).tolist())])
     shared = len(ids) < len(rows)  # else every job is its own problem, and a slice gathers nothing
@@ -326,9 +332,10 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     upsilon = _profiled_levels(ybar, a1, bound, a)
     ssq = rowdot(a, a)
     a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)
-    objective, coeffs = criterion_stack(band.d_ac[rows], ybar, mean_sq, a1, theta, a, upsilon)
+    objective, coeffs = criterion_stack(band.d_ac[rows], ybar, spread, a1, theta, a, upsilon)
     finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
-    sigma = np.sqrt(np.where(objective > 0.0, objective, 0.0))  # zero for a NaN objective too
+    above = objective > NOISE_FLOOR * np.sqrt(spread * band.mean_sq[rows])  # False for a NaN objective too
+    sigma = np.sqrt(np.where(above, objective, 0.0))
     return Estimates(theta, a, upsilon, sigma, objective, coeffs, iterations, finite & certified, tie_break,
                      per_problem)
 

@@ -122,12 +122,14 @@ def free_parameter_labels(n_curves: int, regime: ConstraintRegime) -> list[str]:
 class Band(NamedTuple):
     """Read-only band-m arrays of one panel, or of P panels of one (J, n) stacked on a leading axis:
     ``d_ac`` the (J, 2m+1) DFT with its l = 0 column zeroed, ``ybar`` the curve means, ``mean_sq``
-    (1/(nJ)) sum y^2 and ``ac_trace`` sum |d_ac|^2 / J."""
+    (1/(nJ)) sum y^2, ``ac_trace`` sum |d_ac|^2 / J and ``spread`` (1/(nJ)) sum (y - ybar)^2, the
+    moment the residual is taken from, about the means, so that it does not cancel a large level."""
 
     d_ac: np.ndarray
     ybar: np.ndarray
     mean_sq: np.ndarray
     ac_trace: np.ndarray
+    spread: np.ndarray
 
 
 def band_stack(y: np.ndarray, grid: SamplingGrid, m: int) -> Band:
@@ -141,12 +143,13 @@ def band_stack(y: np.ndarray, grid: SamplingGrid, m: int) -> Band:
         d_ac = dft(y, grid, m)
         ybar = y.mean(axis=2)
         mean_sq = (y**2).reshape(count, -1).sum(axis=1) / (grid.n * j)
-    if not (np.isfinite(mean_sq).all() and np.isfinite(ybar).all() and np.isfinite(d_ac).all()):
+        spread = ((y - ybar[:, :, None]) ** 2).reshape(count, -1).sum(axis=1) / (grid.n * j)
+    if not all(np.isfinite(v).all() for v in (mean_sq, spread, ybar, d_ac)):
         raise NonFiniteData("panel moments or DFT coefficients are not finite")
     d_ac[:, :, m] = 0.0
     ac_trace = (np.abs(d_ac) ** 2).reshape(count, -1).sum(axis=1) / j
     d_ac.flags.writeable = ybar.flags.writeable = False
-    return Band(d_ac, ybar, mean_sq, ac_trace)
+    return Band(d_ac, ybar, mean_sq, ac_trace, spread)
 
 
 @dataclass

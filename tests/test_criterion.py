@@ -32,8 +32,8 @@ def _one_row(ctx, x, hessian=False):
        levels=st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=6),
        sigma=st.sampled_from([0.0, 0.3]), n=st.sampled_from([21, 201]))
 def test_shift_constant_is_one_for_both_regimes_property(seed, j, levels, sigma, n):
-    # under a box that does not bind, C_A0 = mean_sq + (s - 2s)/J and C_A1 = mean_sq - s/J
-    # (s = ybar.ybar) are equal bit for bit, so both regimes pose one shift problem
+    # under a box that does not bind, both regimes take levels ybar, so C_A0 and C_A1 are the
+    # spread about the means bit for bit, and both regimes pose one shift problem
     rng = np.random.default_rng(seed)
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
     truth = dataclasses.replace(truth, upsilon=np.array(levels[:j]))
@@ -408,8 +408,8 @@ def test_criterion_stack_rows_equal_lone_evaluations(rng):
         contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(61), seed=k), 4, kind))
         points.append(_random_valid_point(rng, 3, kind))
     theta, a, ups = (np.array(v) for v in zip(*points))
-    d_ac, ybar, mean_sq, a1 = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d_ac", "ybar", "mean_sq", "a1"))
-    values, coeffs = criterion_stack(d_ac, ybar, mean_sq, a1, theta, a, ups)
+    d_ac, ybar, spread, a1 = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d_ac", "ybar", "spread", "a1"))
+    values, coeffs = criterion_stack(d_ac, ybar, spread, a1, theta, a, ups)
     for k, ctx in enumerate(contexts):
         assert np.float64(sa.criterion_value(ctx, theta[k], a[k], ups[k])).tobytes() == values[k].tobytes()
         lone = sa.profiled_coefficients(ctx, theta[k], a[k]).coeffs

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -471,6 +471,7 @@ def test_fit_cost_stays_small_at_many_curves(rng):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), sigma=st.sampled_from([0.3, 1.0]),
        c=st.floats(0.1, 10.0), b=st.floats(-100.0, 100.0))
+@example(seed=2, j=2, sigma=0.3, c=0.1, b=77.5)  # the residual about zero lost sigma's 1e-9 here
 def test_fit_affine_invariance_property(seed, j, sigma, c, b):
     # fitting c*y + b gives the same shifts and scales, levels c*upsilon + b and noise c*sigma
     rng = np.random.default_rng(seed)
@@ -484,6 +485,30 @@ def test_fit_affine_invariance_property(seed, j, sigma, c, b):
     levels = c * base.beta_hat.upsilon + b
     assert np.max(np.abs(fitted.beta_hat.upsilon - levels)) <= 1e-9 * np.max(np.abs(levels))
     assert abs(fitted.sigma_hat - c * base.sigma_hat) <= 1e-9 * c * base.sigma_hat
+
+
+@pytest.mark.parametrize("level, tol", [(1e2, 1e-10), (1e4, 1e-8), (1e6, 1e-6)])
+def test_fit_sigma_keeps_its_digits_under_a_large_level(level, tol):
+    # the residual is taken about the curve means, so a level far above the noise
+    # (here up to 1e8 sigma) costs sigma_hat only the digits the data lose
+    truth, shape = bandlimited_truth(np.random.default_rng(4), j=3, degree=3, sigma=0.01)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=4)
+    regime = ConstraintRegime(kind=Regime.A0, upsilon_max=math.inf)
+    base = sa.fit(panel, regime)
+    moved = sa.fit(sa.CurvePanel(grid=panel.grid, y=panel.y + level), regime)
+    assert not moved.zero_noise
+    assert abs(moved.sigma_hat - base.sigma_hat) <= tol * base.sigma_hat
+
+
+@pytest.mark.parametrize("level", [0.0, 50.0, 1e4])
+def test_fit_noiseless_panel_reports_zero_noise_at_any_level(level):
+    # the objective of a noiseless fit is rounding residue of either sign: below the floor it reads as zero
+    truth, shape = bandlimited_truth(np.random.default_rng(4), j=3, degree=3)
+    panel = sa.generate_panel(dataclasses.replace(truth, upsilon=truth.upsilon + level), shape,
+                              sa.make_grid(101), seed=4)
+    result = sa.fit(panel, ConstraintRegime(kind=Regime.A0, upsilon_max=math.inf), FitConfig(m=5))
+    assert result.converged and result.zero_noise
+    assert result.sigma_hat == 0.0
 
 
 def test_fit_monotone_multistart(rng):

@@ -273,6 +273,7 @@ def test_panel_band_cache_zeroes_the_mean_column_read_only():
     assert np.array_equal(band.d_ac, expected)
     assert np.array_equal(band.ybar, panel.y.mean(axis=1))
     assert band.mean_sq == float((panel.y**2).sum()) / (31 * 3)
+    assert band.spread == float(((panel.y - band.ybar[:, None]) ** 2).sum()) / (31 * 3)
     assert band.ac_trace == float(np.sum(np.abs(expected) ** 2)) / 3
     assert not (band.d_ac.flags.writeable or band.ybar.flags.writeable)
     with pytest.raises(ValueError):
