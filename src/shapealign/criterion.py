@@ -5,19 +5,19 @@ have the closed form
 
     chat_l = (sum_j a_j^2)^{-1} * sum_j a_j e^{i l theta_j} d_{j,l},
 
-where d_{j,l} is the panel's (J, 2m+1) DFT coefficient array.  Substituting
-them back into the least-squares fit collapses, by discrete orthogonality, to
+where d_{j,l} is the (J, 2m+1) DFT coefficient array of the centred rows
+y_j - ybar_j.  Substituting them back into the least-squares fit collapses,
+by discrete orthogonality, to the full criterion
 
-    value = (1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 - sum_l |chat_l|^2,
+    value = (1/(nJ)) sum_{j,i} (y_ij - upsilon_j)^2 - sum_l |chat_l|^2.
 
-which is what the fit minimizes.  Under A0 the band is 1 <= |l| <= m and
-levels enter only through the first sum; under A1 the l = 0 coefficient
-(computed from level-centered data) joins the spectral sum.
-
-With levels and scales profiled out too, the criterion over the shifts is
-C - lambda_max(Q(theta)), Q = Re(W W^H) / J, W_jl = e^{i l theta_j} d_jl
-(1 <= |l| <= m), C a per-panel constant: :func:`shift_objective_stack` gives
-it with its gradient and exact Hessian, one eigendecomposition per row of shifts.
+Under A0 the band is 1 <= |l| <= m and levels enter only through the first
+sum; under A1 the l = 0 coefficient (computed from level-centered data)
+joins the spectral sum.  With levels and scales profiled out too, it is
+C - lambda_max(Q(theta)) over the shifts, Q = Re(W W^H) / J, W_jl = e^{i l theta_j} d_jl
+(1 <= |l| <= m), C the spread about the means unless an A0 level box binds:
+what the fit minimizes and reports.  :func:`shift_objective_stack` gives it
+with its gradient and exact Hessian, one eigendecomposition per row of shifts.
 """
 
 from __future__ import annotations
@@ -112,12 +112,8 @@ def criterion_stack(d_ac, ybar, spread, a1, theta, a, upsilon) -> tuple[np.ndarr
     m = d_ac.shape[2] // 2
     phases = np.exp(1j * (theta[:, :, None] * np.arange(-m, m + 1)))
     coeffs = (a[:, :, None] * phases * d_ac).sum(axis=1) / ssq[:, None]
-    energy = (np.abs(coeffs) ** 2).sum(axis=1)
-    coeffs[:, m] = mean = np.where(a1, rowdot(a, ybar - upsilon) / ssq, 0.0)
-    # Python's float pow, not numpy's square: they differ in the last bit for
-    # about 0.1% of inputs, and the reports keep the bits of the former
-    energy += [c ** 2 for c in mean.tolist()]
-    return residual(spread, ybar, upsilon) - energy, coeffs
+    coeffs[:, m] = np.where(a1, rowdot(a, ybar - upsilon) / ssq, 0.0)
+    return residual(spread, ybar, upsilon) - (np.abs(coeffs) ** 2).sum(axis=1), coeffs
 
 
 def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:

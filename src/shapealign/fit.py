@@ -45,9 +45,9 @@ from .model import (
     rowdot,
 )
 
-# An objective at or below NOISE_FLOOR * sqrt(spread * mean_sq) reads as zero noise: under A0 a
-# noiseless panel leaves rounding residue of either sign up to a few eps times that root, the
-# level's rounding in the band coefficients times the shape's size.
+# An objective at or below NOISE_FLOOR * sqrt(spread * mean_sq) reads as zero noise: a noiseless
+# panel leaves rounding residue of either sign up to a few eps times that root, the rounding of
+# the centred rows (eps times the level) times the shape's size.
 NOISE_FLOOR = 64 * np.finfo(float).eps
 
 
@@ -226,8 +226,8 @@ class FitResult:
 
 
 # Stacked estimates of F jobs, row f job f's: theta, a, upsilon (F, J); sigma (sqrt of an objective
-# above the noise floor, else 0), objective, iterations, converged, tie_break (F,); the shape coefficients
-# (F, 2m+1); and restarts, the search rows of every job.
+# above the noise floor, else 0), objective (C - lambda_max(Q)), iterations, converged, tie_break (F,);
+# the shape coefficients (F, 2m+1); and restarts, the search rows of every job.
 Estimates = namedtuple("Estimates", "theta a upsilon sigma objective coeffs iterations converged tie_break restarts")
 
 
@@ -270,9 +270,9 @@ def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConf
     minimum from the search's last evaluation there: finite estimates,
     max|g| <= 1e-8 * max(1, |f|) and a positive definite shift Hessian
     (waived at an eigenvalue tie); the best point is returned regardless.
-    The noise estimate is sqrt of the objective at the minimum, or zero where
-    that is at most :data:`NOISE_FLOOR` times the root of the panel's spread
-    times its mean square (``zero_noise`` marks the floor binding).
+    The objective is the C - lambda_max(Q) the search minimized, at the estimate,
+    and the noise estimate its sqrt, or zero where it is at most :data:`NOISE_FLOOR`
+    times the root of the panel's spread times its mean square (``zero_noise``).
     """
     return fit_batch([(panel, regime)], config)[0]
 
@@ -285,7 +285,7 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     validate the estimates.  Jobs of one panel whose shift constants agree bit for bit pose one
     shift problem: scanned, searched, picked, profiled and certified once, in one search over
     every start of every problem.  Each problem's best row gives the certificate and, unless
-    wrapping its shifts into [0, 2*pi) changed a bit, the scale profile and tie flag.
+    wrapping its shifts into [0, 2*pi) changed a bit, the objective, scale profile and tie flag.
     """
     require_energy(band.ac_trace, band.mean_sq)
     ybar, spread = band.ybar[rows], band.spread[rows]
@@ -312,11 +312,11 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     theta = np.mod(np.concatenate([np.zeros((count, 1)), x_best], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     # the profile at the wrapped shifts is the search's last evaluation, unless the wrap changed bits
-    lead, tie_break = ev.lead[best], tie.copy()
+    objective, lead, tie_break = value.copy(), ev.lead[best], tie.copy()
     moved = (theta[:, 1:].view(np.int64) != x_best.view(np.int64)).any(axis=1)
     if moved.any():
         profile = shift_objective_stack(d_ac, np.flatnonzero(moved), theta[moved, 1:], constants[moved])
-        lead[moved], tie_break[moved] = profile.lead, profile.tie_break
+        objective[moved], lead[moved], tie_break[moved] = profile.value, profile.lead, profile.tie_break
     # project_to_constraints row-wise, levels from the scales before their rescaling; the
     # sign rule of _sphere_scales already leaves a_1 >= 0, so no row needs a flip
     a = _sphere_scales(lead)
@@ -327,12 +327,12 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
     iterations = iters.reshape(count, per_problem).sum(axis=1)[of]
-    theta, a, certified, tie_break = theta[of], a[of], certified[of], tie_break[of]
+    theta, a, objective, certified, tie_break = theta[of], a[of], objective[of], certified[of], tie_break[of]
 
     upsilon = _profiled_levels(ybar, a1, bound, a)
     ssq = rowdot(a, a)
     a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)
-    objective, coeffs = criterion_stack(band.d_ac[rows], ybar, spread, a1, theta, a, upsilon)
+    coeffs = criterion_stack(band.d_ac[rows], ybar, spread, a1, theta, a, upsilon)[1]
     finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
     above = objective > NOISE_FLOOR * np.sqrt(spread * band.mean_sq[rows])  # False for a NaN objective too
     sigma = np.sqrt(np.where(above, objective, 0.0))

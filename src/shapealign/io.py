@@ -32,7 +32,7 @@ from .model import (
     center_shape,
     project_to_constraints,
 )
-from .montecarlo import _QUANTILES, StudyConfig, StudyReport
+from .montecarlo import _QUANTILES, StudyConfig, StudyReport, _check_grids
 
 _GRID_TOLERANCE = 1e-9
 _TEMP_NAMES = count()  # with the pid, a name no other writer in this process or another uses
@@ -387,11 +387,13 @@ def _checked_columns(entries, m: int) -> tuple[list[int], np.ndarray]:
     return freqs, np.array(parts).T
 
 
-def _parse_shape(node) -> ShapeSpectrum:
+def _parse_shape(node, n_list=()) -> ShapeSpectrum:
     """The configured spectrum; a frequency given on one side only gets its conjugate pair.
 
     The entries are read and checked as whole columns; only where that check fails are they
     checked one at a time, so an error names the first bad entry as a per-entry parse would.
+    The grid sizes ``n_list`` and the band are checked as :class:`StudyConfig` checks them
+    before any coefficient is allocated, so a band of 10**15 fails as one of 200 does.
     """
     entries = _require(_object(node, "shape"), "coeffs", "shape")
     if not isinstance(entries, list) or not entries:
@@ -406,6 +408,7 @@ def _parse_shape(node) -> ShapeSpectrum:
     m = _integer(m, "shape.m")
     if m < 1:
         raise ConfigInvalid("shape band must be >= 1")
+    _check_grids(n_list, m)
     coeffs = np.zeros(2 * m + 1, dtype=complex)
     if columns is None or max(map(abs, columns[0])) > m or len(set(columns[0])) < len(entries):
         columns = _checked_columns(entries, m)  # raises unless only the spelling was not plain
@@ -447,8 +450,12 @@ def parse_study_config(doc: dict) -> StudyConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a JSON object")
+    n_list = _require(doc, "n_list", "config")
+    if not isinstance(n_list, list) or not n_list:
+        raise ConfigInvalid("n_list must be a nonempty list")
+    n_list = tuple(_integer(n, "n_list") for n in n_list)
     truth_node = _object(_require(doc, "truth", "config"), "truth")
-    shape = _parse_shape(_require(doc, "shape", "config"))
+    shape = _parse_shape(_require(doc, "shape", "config"), n_list)
 
     theta = _numbers(_require(truth_node, "theta", "truth"), "truth.theta")
     a = _numbers(_require(truth_node, "a", "truth"), "truth.a")
@@ -475,10 +482,6 @@ def parse_study_config(doc: dict) -> StudyConfig:
         coeffs = -coeffs
     canonical_shape = ShapeSpectrum(m=centered.m, coeffs=coeffs)
 
-    n_list = _require(doc, "n_list", "config")
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigInvalid("n_list must be a nonempty list")
-    n_list = tuple(_integer(n, "n_list") for n in n_list)
     replicates = _integer(_require(doc, "replicates", "config"), "replicates")
     base_seed = _integer(_require(doc, "base_seed", "config"), "base_seed")
     if base_seed < 0 or base_seed + replicates > 2**128:

@@ -51,6 +51,7 @@ class ParameterSet:
     a: J scales with sum a_j^2 == J (to 1e-10) and a[0] > 0.
     upsilon: J levels; |upsilon_j| <= upsilon_max under A0, upsilon[0] == 0
     under A1.  sigma: noise scale, >= 0 (zero means a noiseless panel).
+    It holds read-only copies of the arrays, so it stays valid once built.
     """
 
     theta: np.ndarray
@@ -61,7 +62,9 @@ class ParameterSet:
 
     def __post_init__(self):
         for name in ("theta", "a", "upsilon"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         self.validate()
 
     @property
@@ -121,9 +124,9 @@ def free_parameter_labels(n_curves: int, regime: ConstraintRegime) -> list[str]:
 
 class Band(NamedTuple):
     """Read-only band-m arrays of one panel, or of P panels of one (J, n) stacked on a leading axis:
-    ``d_ac`` the (J, 2m+1) DFT with its l = 0 column zeroed, ``ybar`` the curve means, ``mean_sq``
-    (1/(nJ)) sum y^2, ``ac_trace`` sum |d_ac|^2 / J and ``spread`` (1/(nJ)) sum (y - ybar)^2, the
-    moment the residual is taken from, about the means, so that it does not cancel a large level."""
+    ``d_ac`` the (J, 2m+1) DFT of the centred rows y - ybar, l = 0 column zeroed, ``ybar`` the curve
+    means, ``mean_sq`` (1/(nJ)) sum y^2 (the scale of the energy check and noise floor), ``ac_trace``
+    sum |d_ac|^2 / J and ``spread`` (1/(nJ)) sum (y - ybar)^2: about the means, so no level cancels."""
 
     d_ac: np.ndarray
     ybar: np.ndarray
@@ -140,10 +143,11 @@ def band_stack(y: np.ndarray, grid: SamplingGrid, m: int) -> Band:
     count, j = y.shape[:2]
     # overflow is detected below and reported as NonFiniteData
     with np.errstate(over="ignore", invalid="ignore"):
-        d_ac = dft(y, grid, m)
         ybar = y.mean(axis=2)
+        centred = y - ybar[:, :, None]
+        d_ac = dft(centred, grid, m)
         mean_sq = (y**2).reshape(count, -1).sum(axis=1) / (grid.n * j)
-        spread = ((y - ybar[:, :, None]) ** 2).reshape(count, -1).sum(axis=1) / (grid.n * j)
+        spread = (centred**2).reshape(count, -1).sum(axis=1) / (grid.n * j)
     if not all(np.isfinite(v).all() for v in (mean_sq, spread, ybar, d_ac)):
         raise NonFiniteData("panel moments or DFT coefficients are not finite")
     d_ac[:, :, m] = 0.0
@@ -198,7 +202,7 @@ def generate_panel(
 def generate_panels(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGrid, seeds) -> list[CurvePanel]:
     """Draw one synthetic panel per seed from the model with Gaussian noise.
 
-    The truth and band are checked and the noiseless curves evaluated once;
+    The band is checked and the noiseless curves evaluated once;
     each seed draws its own Philox stream, and one quantile call maps them
     all, so panel k is bitwise the panel of seed k alone, and no two
     panels share memory.  The shape's mean term (if any) is folded into the
@@ -206,7 +210,6 @@ def generate_panels(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGri
     level) splits generate identical panels.  Identical seeds give
     identical bits.
     """
-    truth.validate()
     if 2 * shape.m >= grid.n:
         raise ConstraintViolation(f"shape band {shape.m} violates 2*m < n for n={grid.n}")
     ac, c0 = center_shape(shape)

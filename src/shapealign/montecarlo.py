@@ -121,17 +121,22 @@ class StudyConfig:
             raise ConfigInvalid("need at least 2 replicates")
         if not self.n_list:
             raise ConfigInvalid("n_list must not be empty")
+        _check_grids(self.n_list, self.shape.m)
         for n in self.n_list:
-            if n % 2 == 0 or n < 3:
-                raise ConfigInvalid(f"grid sizes must be odd and >= 3, got {n}")
-            if 2 * self.shape.m >= n:
-                raise ConfigInvalid(f"shape band {self.shape.m} violates 2*m < n for n={n}")
             self.fit_config.resolve_m(n)
         if self.truth.regime.kind is not Regime.A0:
             raise ConfigInvalid("study truth must be given under regime A0")
         if not self.regimes:
             raise ConfigInvalid("at least one regime required")
-        self.truth.validate()
+
+
+def _check_grids(n_list, band: int):
+    """Raise ConfigInvalid at the first grid size that is not odd and >= 3 or that a shape of band ``band`` fills."""
+    for n in n_list:
+        if n % 2 == 0 or n < 3:
+            raise ConfigInvalid(f"grid sizes must be odd and >= 3, got {n}")
+        if 2 * band >= n:
+            raise ConfigInvalid(f"shape band {band} violates 2*m < n for n={n}")
 
 
 def _replicate_chunk(args) -> list[tuple[int, tuple[_Fits, ...]]]:

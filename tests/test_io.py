@@ -416,6 +416,22 @@ def test_parse_study_config_rejects_bad_inputs():
         parse_study_config(doc)
 
 
+@pytest.mark.parametrize("shape, n_list, message", [
+    ({"m": 10**15}, [41], "shape band 1000000000000000 violates 2*m < n for n=41"),
+    ({"m": None, "coeffs": [{"l": 10**15, "re": 1.0}]}, [41], "shape band 1000000000000000 violates 2*m < n for n=41"),
+    ({"m": 21}, [43, 41], "shape band 21 violates 2*m < n for n=41"),
+    ({}, [41, 40], "grid sizes must be odd and >= 3, got 40"),
+])
+def test_parse_study_config_bounds_the_shape_band_before_allocating(shape, n_list, message):
+    # a band that no grid holds fails before its 2m+1 coefficients are allocated, with the message
+    # StudyConfig gives when the band is its config's only fault
+    doc = _config_doc(n_list=n_list)
+    doc["shape"].update(shape)
+    with pytest.raises(ConfigInvalid) as info:
+        parse_study_config(doc)
+    assert str(info.value) == message
+
+
 def test_parse_study_config_fit_block_takes_fit_config_defaults():
     assert parse_study_config(_config_doc(fit={})).fit_config == FitConfig()
     parsed = parse_study_config(_config_doc(fit={"m": "auto", "n_multistart": 3})).fit_config

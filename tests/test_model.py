@@ -245,6 +245,19 @@ def test_a1_reparameterization_matches_generic():
     assert np.max(np.abs(p0.y - p1.y)) < 1e-12
 
 
+def test_parameter_set_holds_read_only_copies():
+    # a set is validated once, when built: it keeps read-only copies, and the caller's arrays stay its own
+    own = {"theta": np.array([0.0, 1.0]), "a": np.array([1.0, 1.0]), "upsilon": np.array([0.5, -0.5])}
+    truth = sa.ParameterSet(sigma=0.5, **own)
+    for name, array in own.items():
+        value = getattr(truth, name)
+        assert not value.flags.writeable and not np.shares_memory(value, array)
+        with pytest.raises(ValueError):
+            value[1] = 7.0
+        array[1] = 7.0  # the caller's array stays writable, and the set keeps its values
+        assert value[1] != 7.0
+
+
 def test_panel_dft_cache_matches_dft():
     grid = sa.make_grid(31)
     rng = np.random.default_rng(0)
@@ -266,9 +279,10 @@ def test_panel_band_cache_zeroes_the_mean_column_read_only():
     band = panel.band(5)
     assert panel.band(5) is band  # cached
     assert band.d_ac.shape == (3, 11)
-    expected = sa.dft(panel.y, grid, 5)
-    for j in range(3):  # each row is the DFT of its curve alone, up to rounding
-        assert np.max(np.abs(expected[j] - sa.dft(panel.y[j], grid, 5))) < 1e-12
+    centred = panel.y - panel.y.mean(axis=1)[:, None]
+    expected = sa.dft(centred, grid, 5)
+    for j in range(3):  # each row is the DFT of its centred curve alone, up to rounding
+        assert np.max(np.abs(expected[j] - sa.dft(centred[j], grid, 5))) < 1e-12
     expected[:, 5] = 0.0
     assert np.array_equal(band.d_ac, expected)
     assert np.array_equal(band.ybar, panel.y.mean(axis=1))
