@@ -488,8 +488,13 @@ def test_fit_affine_invariance_property(seed, j, sigma, c, b):
     assert abs(fitted.sigma_hat - c * base.sigma_hat) <= 1e-9 * c * base.sigma_hat
 
 
-@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
-@pytest.mark.parametrize("level, tol", [(1e2, 1e-10), (1e4, 1e-9), (1e6, 1e-8), (1e8, 1e-7)])
+def _under_both_regimes(cases):
+    """Each case (a tuple) under A0, with the id it had before A1 joined, then under A1."""
+    return [pytest.param(*case, kind, id="-".join(map(str, case)) + ("-a1" if kind is Regime.A1 else ""))
+            for kind in (Regime.A0, Regime.A1) for case in cases]
+
+
+@pytest.mark.parametrize("level, tol, kind", _under_both_regimes([(1e2, 1e-10), (1e4, 1e-8), (1e6, 1e-6), (1e8, 1e-7)]))
 def test_fit_sigma_keeps_its_digits_under_a_large_level(level, tol, kind):
     # the band and the residual are taken about the curve means, so a level far above the
     # noise (here up to 1e10 sigma) costs sigma_hat only the digits the data lose
@@ -514,8 +519,7 @@ def test_fit_sigma_is_invariant_to_a_level_property(seed, j, sigma, b, kind):
     assert abs(moved.sigma_hat - base.sigma_hat) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
-@pytest.mark.parametrize("level", [0.0, 50.0, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("level, kind", _under_both_regimes([(0.0,), (50.0,), (1e4,), (1e6,), (1e8,)]))
 def test_fit_noiseless_panel_reports_zero_noise_at_any_level(level, kind):
     # the objective of a noiseless fit is rounding residue of either sign: below the floor it reads as zero
     truth, shape = bandlimited_truth(np.random.default_rng(4), j=3, degree=3)
