@@ -15,9 +15,10 @@ Under A0 the band is 1 <= |l| <= m and levels enter only through the first
 sum; under A1 the l = 0 coefficient (computed from level-centered data)
 joins the spectral sum.  With levels and scales profiled out too, it is
 C - lambda_max(Q(theta)) over the shifts, Q = Re(W W^H) / J, W_jl = e^{i l theta_j} d_jl
-(1 <= |l| <= m), C the spread about the means unless an A0 level box binds:
-what the fit minimizes and reports.  :func:`shift_objective_stack` gives it
-with its gradient and exact Hessian, one eigendecomposition per row of shifts.
+(1 <= |l| <= m), C the residual at the profiled levels.  C cannot move the
+minimising shifts, so the fit minimizes it with C the spread about the means,
+and reports it with each job's C, which adds a binding A0 level box's gap.
+:func:`shift_objective_stack` gives it with its gradient and exact Hessian.
 """
 
 from __future__ import annotations

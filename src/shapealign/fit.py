@@ -12,9 +12,9 @@ ranked with one eigenvalue call; one lockstep modified-Newton search with
 the exact Hessian, a row per start, which runs each row until its gradient
 vanishes to rounding or no step can shrink it; and the assembly of the
 estimates, whose scales, tie flag and ``converged`` certificate read the
-search's last evaluation of each fit's best row.  The regime enters the
-shift criterion only through C, so jobs of one panel with bitwise-equal C
-(A0 and A1 unless the A0 box binds) are one shift problem.
+search's last evaluation of each panel's best row.  The regime and the A0 box
+enter the shift criterion only through C, which cannot move its minimisers, so
+each panel is one shift problem, on its spread, whatever the regimes of its jobs.
 :func:`fit_batch` (and :func:`fit`, its batch of one) wraps the estimates in
 :class:`FitResult`; a Monte Carlo chunk reads them as they are.
 """
@@ -264,15 +264,16 @@ def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
 def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConfig()) -> FitResult:
     """Minimize the criterion over the regime's constraint set.
 
-    Levels are profiled in closed form, scales by the leading eigenvector, and
-    the free shifts searched by modified Newton from every cross-correlation
-    candidate; the best endpoint is the estimate.  ``converged`` certifies a
-    minimum from the search's last evaluation there: finite estimates,
-    max|g| <= 1e-8 * max(1, |f|) and a positive definite shift Hessian
-    (waived at an eigenvalue tie); the best point is returned regardless.
-    The objective is the C - lambda_max(Q) the search minimized, at the estimate,
-    and the noise estimate its sqrt, or zero where it is at most :data:`NOISE_FLOOR`
-    times the root of the panel's spread times its mean square (``zero_noise``).
+    Levels are profiled in closed form, scales by the leading eigenvector, and the free
+    shifts searched by modified Newton from every cross-correlation candidate on the
+    panel's profile f = spread - lambda_max(Q), which neither regime nor box changes; the
+    best endpoint is the estimate.  ``converged`` certifies a minimum of f from the search's
+    last evaluation there: finite estimates, max|g| <= 1e-8 * max(1, |f|) and a positive
+    definite shift Hessian (waived at an eigenvalue tie); the best point is returned
+    regardless.  The objective is C - lambda_max(Q) at the estimate, C the residual at the
+    profiled levels (f unless a box binds), and the noise estimate its sqrt, or zero where
+    it is at most :data:`NOISE_FLOOR` times the root of the spread times the mean square
+    (``zero_noise``).
     """
     return fit_batch([(panel, regime)], config)[0]
 
@@ -282,25 +283,19 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     """Scan, search and assemble F jobs on the stacked band of P panels of one (J, n), each stage stacked.
 
     Job f fits panel ``rows[f]`` under A1 where ``a1[f]``, else within +-``bound[f]``; callers
-    validate the estimates.  Jobs of one panel whose shift constants agree bit for bit pose one
-    shift problem: scanned, searched, picked, profiled and certified once, in one search over
-    every start of every problem.  Each problem's best row gives the certificate and, unless
-    wrapping its shifts into [0, 2*pi) changed a bit, the objective, scale profile and tie flag.
+    validate the estimates.  Each panel is one shift problem, spread - lambda_max(Q), scanned,
+    searched, picked, profiled and certified once, in one search over every start of every
+    panel.  Its best row gives the certificate and, unless wrapping its shifts into [0, 2*pi)
+    changed a bit, lambda_max, the scale profile and the tie flag.  Regime and box reach only
+    a job's levels and objective: its own :func:`shift_constants` minus that lambda_max.
     """
     require_energy(band.ac_trace, band.mean_sq)
-    ybar, spread = band.ybar[rows], band.spread[rows]
-    constants = shift_constants(ybar, spread, a1, bound)
-    ids: dict[tuple[int, int], int] = {}
-    of = np.array([ids.setdefault(key, len(ids)) for key in zip(rows.tolist(), constants.view(np.int64).tolist())])
-    shared = len(ids) < len(rows)  # else every job is its own problem, and a slice gathers nothing
-    head, of = (np.unique(of, return_index=True)[1], of) if shared else (slice(None), slice(None))
-    d_ac, constants = band.d_ac[rows[head]], constants[head]
-    starts = initialize_shifts(d_ac, constants, config.theta_grid_size or n, config)
+    starts = initialize_shifts(band.d_ac, band.spread, config.theta_grid_size or n, config)
     count, per_problem, j = starts.shape
     owner = np.repeat(np.arange(count), per_problem)
 
     def kernel(xs, subset, hessian):
-        return shift_objective_stack(d_ac, owner[subset], xs, constants[owner[subset]], hessian)
+        return shift_objective_stack(band.d_ac, owner[subset], xs, band.spread[owner[subset]], hessian)
 
     x_end, ev, iters = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
     best = per_problem * np.arange(count) + _best_starts(
@@ -312,11 +307,11 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     theta = np.mod(np.concatenate([np.zeros((count, 1)), x_best], axis=1), TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     # the profile at the wrapped shifts is the search's last evaluation, unless the wrap changed bits
-    objective, lead, tie_break = value.copy(), ev.lead[best], tie.copy()
+    energy, lead, tie_break = ev.energy[best], ev.lead[best], tie.copy()
     moved = (theta[:, 1:].view(np.int64) != x_best.view(np.int64)).any(axis=1)
     if moved.any():
-        profile = shift_objective_stack(d_ac, np.flatnonzero(moved), theta[moved, 1:], constants[moved])
-        objective[moved], lead[moved], tie_break[moved] = profile.value, profile.lead, profile.tie_break
+        profile = shift_objective_stack(band.d_ac, np.flatnonzero(moved), theta[moved, 1:], band.spread[moved])
+        energy[moved], lead[moved], tie_break[moved] = profile.energy, profile.lead, profile.tie_break
     # project_to_constraints row-wise, levels from the scales before their rescaling; the
     # sign rule of _sphere_scales already leaves a_1 >= 0, so no row needs a flip
     a = _sphere_scales(lead)
@@ -326,9 +321,11 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    iterations = iters.reshape(count, per_problem).sum(axis=1)[of]
-    theta, a, objective, certified, tie_break = theta[of], a[of], objective[of], certified[of], tie_break[of]
+    theta, a, energy, certified, tie_break, iterations = (  # each panel's to its jobs
+        v[rows] for v in (theta, a, energy, certified, tie_break, iters.reshape(count, per_problem).sum(axis=1)))
 
+    ybar, spread = band.ybar[rows], band.spread[rows]
+    objective = shift_constants(ybar, spread, a1, bound) - energy  # the kernel's value, bitwise, where C is the spread
     upsilon = _profiled_levels(ybar, a1, bound, a)
     ssq = rowdot(a, a)
     a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)

@@ -10,9 +10,9 @@ process pool that gets at least _FITS_PER_WORKER fits a worker, at most
 SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
 the usable CPUs; below two workers it runs as one chunk in this process.
 Each chunk's panels of one grid size are generated in one pass and kept as
-stacked arrays from their bands to the aggregates: one fit group, every start
-of every shift problem in one lockstep search (a panel's A0 and A1 fits are
-one shift problem unless the A0 box binds), one validation pass.  Stacked
+stacked arrays from their bands to the aggregates: one fit group, one lockstep
+search over every start of each panel's one shift problem (which all its
+regimes share, whatever the A0 box), one validation pass.  Stacked
 panels and fits equal lone ones bit for bit and aggregation follows
 replicate order, so parallelism cannot change any result.
 """

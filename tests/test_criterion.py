@@ -33,7 +33,7 @@ def _one_row(ctx, x, hessian=False):
        sigma=st.sampled_from([0.0, 0.3]), n=st.sampled_from([21, 201]))
 def test_shift_constant_is_one_for_both_regimes_property(seed, j, levels, sigma, n):
     # under a box that does not bind, both regimes take levels ybar, so C_A0 and C_A1 are the
-    # spread about the means bit for bit, and both regimes pose one shift problem
+    # spread about the means bit for bit: the constant the fit searches a panel's shifts on
     rng = np.random.default_rng(seed)
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
     truth = dataclasses.replace(truth, upsilon=np.array(levels[:j]))

@@ -350,10 +350,9 @@ def _record_problem_rows(monkeypatch):
 
 
 def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkeypatch):
-    # the A0 box of figure2.json does not bind, so a panel poses one shift problem
-    # under both regimes: a five-replicate part scans 5 problems, not 10, and its
-    # full search calls carry 5 x 5 starts, not 10 x 5; a box that binds every
-    # panel (curve means near 5.0 and 4.5 against 1) leaves every job its own problem
+    # a panel poses one shift problem under both regimes and any box: a five-replicate
+    # part scans 5 problems, not 10, and its full search calls carry 5 x 5 starts, not
+    # 10 x 5, also under a box that binds every panel (curve means near 5.0 and 4.5 against 1)
     monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
     study = load_study_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json"))
     scanned, searched = _record_problem_rows(monkeypatch)
@@ -364,8 +363,8 @@ def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkey
     jobs = [(panel, ConstraintRegime(kind=kind, upsilon_max=1.0)) for panel in panels for kind in study.regimes]
     scanned, searched = _record_problem_rows(monkeypatch)
     fit_batch(jobs, study.fit_config)
-    assert scanned == [10] and len(searched) == 1
-    assert searched[0][0] == max(searched[0]) == 50
+    assert scanned == [5] and len(searched) == 1
+    assert searched[0][0] == max(searched[0]) == 25
 
 
 @settings(max_examples=15, deadline=None)
@@ -373,7 +372,7 @@ def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkey
        repeat=st.integers(0, 3))
 def test_fit_batch_shared_problems_equal_lone_fits_property(seed, j, order, repeat):
     # one panel under A0, A1 and a binding A0 box, another panel, and one job twice,
-    # in any order: jobs that share a shift problem still get their lone bits
+    # in any order: the jobs of a panel share its one shift problem and still get their lone bits
     rng = np.random.default_rng(seed)
     panels = []
     for k in range(2):
@@ -545,6 +544,52 @@ def test_fit_objective_and_sigma_agree_bitwise_across_regimes():
     for result in results[1:]:
         assert np.float64(result.objective).tobytes() == np.float64(results[0].objective).tobytes()
         assert np.float64(result.sigma_hat).tobytes() == np.float64(results[0].sigma_hat).tobytes()
+
+
+def _boxed_and_unboxed_fits(seed, j, n, sigma, offset, box):
+    """One panel fitted under A0 within ``box`` (a number, or a share of max|ybar| as "half"), A0 unbounded and A1."""
+    truth, shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=3, sigma=sigma)
+    truth = dataclasses.replace(truth, upsilon=truth.upsilon + offset, regime=ConstraintRegime(upsilon_max=math.inf))
+    panel = sa.generate_panel(truth, shape, sa.make_grid(n), seed=seed)
+    if box == "half":
+        box = 0.5 * float(np.abs(panel.y.mean(axis=1)).max())
+    regimes = [ConstraintRegime(upsilon_max=box), ConstraintRegime(upsilon_max=math.inf),
+               ConstraintRegime(kind=Regime.A1)]
+    return panel, [sa.fit(panel, regime) for regime in regimes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), n=st.sampled_from([41, 201]),
+       sigma=st.sampled_from([0.3, 1.0, 2.0]), offset=st.floats(-1e6, 1e6),
+       box=st.sampled_from([math.inf, "half", 1.0]))
+@example(seed=7, j=5, n=201, sigma=1.0, offset=0.0, box="half")
+def test_fit_shifts_and_scales_ignore_the_regime_and_the_level_box_property(seed, j, n, sigma, offset, box):
+    # the regime and the A0 box move only the constant C of C - lambda_max(Q), so a panel's shift
+    # problem is the one on its spread: every regime and box gets its shifts, scales, search counts,
+    # certificate, tie flag and l != 0 shape coefficients bit for bit; only levels, objective and noise differ
+    _, (boxed, unbounded, a1) = _boxed_and_unboxed_fits(seed, j, n, sigma, offset, box)
+    m = boxed.m
+    for other in (unbounded, a1):
+        assert boxed.beta_hat.theta.tobytes() == other.beta_hat.theta.tobytes()
+        assert boxed.beta_hat.a.tobytes() == other.beta_hat.a.tobytes()
+        assert (boxed.iterations, boxed.restarts, boxed.converged, boxed.tie_break) == (
+            other.iterations, other.restarts, other.converged, other.tie_break)
+        for part in (slice(None, m), slice(m + 1, None)):
+            assert boxed.shape_hat.coeffs[part].tobytes() == other.shape_hat.coeffs[part].tobytes()
+    assert boxed.objective >= a1.objective  # the box's levels fit no better than the means
+
+
+def test_fit_certifies_a_binding_box_on_the_panels_own_profile():
+    # levels near 1e6 against a box of 1: the A0 shifts are the stationary point of the panel's
+    # profile on its spread, as exactly as the A1 fit's
+    panel, (boxed, _, a1) = _boxed_and_unboxed_fits(3, 3, 201, 0.3, 1e6, 1.0)
+    ctx = CriterionContext(panel, boxed.m, ConstraintRegime(kind=Regime.A1))
+    ev = shift_objective_stack(ctx.d_ac[None], [0], boxed.beta_hat.theta[None, 1:], ctx.shift_constant)
+    assert ctx.shift_constant == ctx.spread
+    assert boxed.converged
+    assert np.abs(ev.grad).max() <= 1e-8 * max(1.0, abs(float(ev.value[0])))
+    assert boxed.beta_hat.theta.tobytes() == a1.beta_hat.theta.tobytes()
+    assert boxed.objective > a1.objective
 
 
 @pytest.mark.xfail(strict=True, reason="the certificate's gradient tolerance is absolute where f is near 0, "
