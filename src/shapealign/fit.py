@@ -7,12 +7,12 @@ free shifts, where the criterion is C - lambda_max(Q).  One stacked kernel,
 exact Hessian at many rows of shifts, one eigendecomposition per row.
 :func:`_fit_group` fits the jobs of one (J, n) from the panels' stacked band
 arrays to stacked estimates, each stage in stacked calls whose rows do not
-interact: a cross-correlation grid scan whose start candidates, linear in J, are
-ranked with one eigenvalue call; one lockstep modified-Newton search with
-the exact Hessian, a row per start, which runs each row until its gradient
-vanishes to rounding or no step can shrink it; and the assembly of the
-estimates, whose scales, tie flag and ``converged`` certificate read the
-search's last evaluation of each panel's best row.  The regime and the A0 box
+interact: a cross-correlation grid scan whose start candidates, built from each
+curve's score peaks and linear in J, are ranked with one eigenvalue call; one
+lockstep modified-Newton search with the exact Hessian, a row per start, which
+runs each row until its gradient vanishes to rounding or no step can shrink it;
+and the assembly of the estimates, whose scales, tie flag and ``converged``
+certificate read the search's last evaluation of each panel's best row.  The regime and the A0 box
 enter the shift criterion only through C, which cannot move its minimisers, so
 each panel is one shift problem, on its spread, whatever the regimes of its jobs.
 :func:`fit_batch` (and :func:`fit`, its batch of one) wraps the estimates in
@@ -109,25 +109,35 @@ def initialize_shifts(d_ac: np.ndarray, constants: np.ndarray, grid_size: int, c
     ``d_ac`` (F, J, 2m+1) and ``constants`` (F,) stack the problems' band coefficients, which must
     carry energy, and shift constants C.  For each curve j >= 2 the score |sum_l d_1l conj(d_jl)
     e^{-il*delta}| on ``grid_size`` offsets, by the DFT's cached twiddle table, peaks near the
-    curve's true shift; its k = min(n_multistart, grid) top offsets are kept.  The candidates are
-    every free curve at its best offset, then each curve's other offsets with the rest at their
-    best: 1 + (k-1)(J-1) rows, ranked by C - lambda_max(Q) in one eigenvalue call.  Returns
-    (F, K, J): each problem's best K <= n_multistart shift vectors (theta_1 = 0), best first,
-    bitwise those it gets alone.
+    curve's true shift.  Its k = min(n_multistart, grid) highest peaks are kept: offsets s, taken
+    circularly, with score_s > score_{s-1} and score_s >= score_{s+1}, each moved to the vertex of
+    the parabola through those three scores, at most half a step off.  A curve with fewer peaks
+    repeats its best; only a constant score has none, and keeps offset 0.  The candidates are every
+    free curve at its best peak, then each curve's other peaks with the rest at their best:
+    1 + (k-1)(J-1) rows, ranked by C - lambda_max(Q) in one eigenvalue call.  Returns (F, K, J):
+    each problem's best K <= n_multistart shift vectors (theta_1 = 0), best first, bitwise those
+    it gets alone.
     """
     j, m = d_ac.shape[1], d_ac.shape[2] // 2
     freqs = np.arange(-m, m + 1)
     k = min(config.n_multistart, grid_size)
-    deltas = TWO_PI * np.arange(grid_size) / grid_size
-    scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, m))  # (F, J, grid)
-    top = np.argsort(-scores[:, 1:], axis=-1, kind="stable")[:, :, :k]
-    # every free curve at its best offset, then each curve's other offsets in turn
+    scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, m))[:, 1:]  # (F, J-1, grid)
+    before, after = np.roll(scores, 1, axis=-1), np.roll(scores, -1, axis=-1)
+    peaks = (scores > before) & (scores >= after)
+    order = np.argsort(-np.where(peaks, scores, -1.0), axis=-1, kind="stable")[:, :, :k]  # peaks first, by score
+    found = np.take_along_axis(peaks, order, axis=-1)
+    top = np.where(found, order, order[:, :, :1])  # (F, J-1, k) grid peaks, padded with the best
+    lower, mid, upper = (np.take_along_axis(v, top, axis=-1) for v in (before, scores, after))
+    curve = lower - 2 * mid + upper  # negative at every peak
+    vertex = np.divide(0.5 * (lower - upper), curve, out=np.zeros_like(curve), where=found[:, :, :1] & (curve < 0))
+    position = top + np.clip(vertex, -0.5, 0.5)
+    # every free curve at its best peak, then each curve's other peaks in turn
     ranks = np.zeros((1 + (k - 1) * (j - 1), j - 1), dtype=int)
     ranks[np.arange(1, len(ranks)), np.repeat(np.arange(j - 1), k - 1)] = np.tile(np.arange(1, k), j - 1)
-    combos = top[:, np.arange(j - 1), ranks]  # (F, 1 + (k-1)(J-1), J-1)
+    combos = position[:, np.arange(j - 1), ranks]  # (F, 1 + (k-1)(J-1), J-1)
 
     thetas = np.zeros(combos.shape[:2] + (j,))
-    thetas[:, :, 1:] = deltas[combos]
+    thetas[:, :, 1:] = TWO_PI * combos / grid_size
     w = np.exp(1j * thetas[:, :, :, None] * freqs) * d_ac[:, None]
     q = (w @ w.conj().swapaxes(-1, -2)).real / j
     values = constants[:, None] - np.linalg.eigvalsh(q)[:, :, -1]

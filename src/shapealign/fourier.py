@@ -64,12 +64,16 @@ def make_grid(n: int) -> SamplingGrid:
 
 @functools.lru_cache(maxsize=8)
 def _twiddle_table(n: int, m: int) -> np.ndarray:
-    """Read-only rows e^{-i l t_s}, l = -m..m, t_s = 2*pi*s/n, any n >= 1 (scan grids too); row -l is conj(row l)."""
-    pos = np.exp(-1j * np.outer(np.arange(1, m + 1), TWO_PI * np.arange(n) / n))
+    """Read-only rows e^{-i l t_s}, l = -m..m, t_s = 2*pi*s/n, any n >= 1 (scan grids too); row -l is
+    conj(row l) and column n-s conj(column s), 0 < s < n/2, so a real even sum of rows gives s and n-s
+    one modulus."""
+    half = n // 2 + 1
+    pos = np.exp(-1j * np.outer(np.arange(1, m + 1), TWO_PI * np.arange(half) / n))
     table = np.empty((2 * m + 1, n), dtype=complex)
-    table[m + 1:] = pos
+    table[m + 1:, :half] = pos
+    table[m + 1:, half:] = np.conj(pos[:, n - half:0:-1])
     table[m] = 1.0
-    table[:m] = np.conj(pos[::-1])
+    table[:m] = np.conj(table[:m:-1])
     table.flags.writeable = False
     return table
 

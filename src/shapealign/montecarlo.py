@@ -42,6 +42,10 @@ from .model import (
 
 _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 _MAX_FAILURE_FRACTION = 0.05
+# The largest grid a study draws panels on.  A fit's DFT table at the default band there holds
+# 63 x (10^6 + 1) complex numbers, about 1 GB; a larger n_list entry is a config error, raised
+# before anything of its size is allocated.
+_MAX_GRID = 10**6 + 1
 
 
 # Fits a worker needs before forking it and shipping its chunk pays off: on two
@@ -131,10 +135,13 @@ class StudyConfig:
 
 
 def _check_grids(n_list, band: int):
-    """Raise ConfigInvalid at the first grid size that is not odd and >= 3 or that a shape of band ``band`` fills."""
+    """Raise ConfigInvalid at the first grid size that is not odd and >= 3, exceeds :data:`_MAX_GRID`
+    or that a shape of band ``band`` fills."""
     for n in n_list:
         if n % 2 == 0 or n < 3:
             raise ConfigInvalid(f"grid sizes must be odd and >= 3, got {n}")
+        if n > _MAX_GRID:
+            raise ConfigInvalid(f"grid size {n} exceeds the largest study grid, {_MAX_GRID}")
         if 2 * band >= n:
             raise ConfigInvalid(f"shape band {band} violates 2*m < n for n={n}")
 

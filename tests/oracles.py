@@ -21,7 +21,7 @@ from shapealign.criterion import (
 )
 from shapealign.errors import ConfigInvalid, ConstraintViolation, GridMismatch, ParseError, RaggedColumns
 from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
-from shapealign.fourier import TWO_PI, ShapeSpectrum, evaluate_shifted_on_grid, make_grid
+from shapealign.fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_shifted_on_grid, make_grid
 from shapealign.inference import a1_covariance, efficiency_blocks
 from shapealign.io import _integer, _number, _object, _require
 from shapealign.model import (
@@ -153,31 +153,45 @@ def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1
 
 
 def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.ndarray]:
-    """Start candidates by one profile and one criterion call per candidate.
+    """Start candidates by one curve's peaks at a time and one criterion call per candidate.
 
-    Same scores, candidates and ranking rule as ``fit.initialize_shifts``:
-    every free curve at its best scan offset, then, curve by curve, each of
-    that curve's other top offsets with the rest at their best.  Here the
-    candidates are built one at a time and each is ranked by its own scale
-    profile and public criterion call.
+    Same scores, peak rule, candidates and ranking rule as ``fit.initialize_shifts``:
+    each free curve keeps its k highest circular peaks (score above the offset before,
+    not below the one after), each moved to its parabola vertex within half a step,
+    padded with its best peak, or its best offset if it has none; then every free
+    curve at its best peak, then, curve by curve, each of that curve's other peaks
+    with the rest at their best.  The scores are the scan's own product for this one
+    problem (the product's last bits depend on how BLAS blocks it); the peaks, their
+    vertices and the candidates are found in plain Python, and each candidate is
+    ranked by its own scale profile and public criterion call.
     """
-    j = ctx.n_curves
+    j, m = ctx.n_curves, ctx.d_ac.shape[1] // 2
     grid_size = config.theta_grid_size or ctx.n
-    deltas = TWO_PI * np.arange(grid_size) / grid_size
-    cross = np.conj(ctx.d_ac[0])[None, :] * ctx.d_ac
-    scores = np.abs(cross @ np.exp(1j * np.outer(ctx.freqs, deltas)))
+    scores = np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, m)).tolist()
 
     k = min(config.n_multistart, grid_size)
-    per_curve = [np.argsort(-scores[c], kind="stable")[:k] for c in range(1, j)]
-    best = [int(top[0]) for top in per_curve]
+    per_curve = []
+    for row in scores[1:]:
+        peaks = [s for s in range(grid_size) if row[s] > row[s - 1] and row[s] >= row[(s + 1) % grid_size]]
+        peaks.sort(key=lambda s: -row[s])  # stable: equal peaks by offset
+        positions = []
+        for s in peaks[:k]:
+            lower, mid, upper = row[s - 1], row[s], row[(s + 1) % grid_size]
+            curve = lower - 2 * mid + upper
+            vertex = 0.5 * (lower - upper) / curve if curve < 0 else 0.0
+            positions.append(s + min(max(vertex, -0.5), 0.5))
+        if not positions:
+            positions = [max(range(grid_size), key=lambda s: row[s])]  # the first best offset
+        per_curve.append(positions + positions[:1] * (k - len(positions)))
+    best = [positions[0] for positions in per_curve]
     combos = [best]
-    for c, top in enumerate(per_curve):
-        for idx in top[1:]:
-            combos.append(best[:c] + [int(idx)] + best[c + 1:])
+    for c, positions in enumerate(per_curve):
+        for position in positions[1:]:
+            combos.append(best[:c] + [position] + best[c + 1:])
 
     ranked = []
     for combo in combos:
-        theta = np.concatenate([[0.0], deltas[combo]])
+        theta = np.array([0.0] + [TWO_PI * position / grid_size for position in combo])
         amp = profile_amplitude(ctx, theta)
         value = criterion_value(ctx, theta, amp.a, context_levels(ctx, amp.a))
         ranked.append((value, theta))

@@ -293,6 +293,21 @@ def test_simulate_rejects_even_n(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_simulate_rejects_a_grid_too_large_to_allocate(tmp_path, capsys):
+    # the shipped study with a grid of 2e15 points and a band that grid holds: an input error
+    # before the 2m+1 shape coefficients (28 PiB) or a panel are allocated, and no report
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json")) as fh:
+        doc = json.load(fh)
+    doc["n_list"], doc["shape"]["m"] = [2000000000000001], 10**15
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(doc))
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: grid size 2000000000000001 exceeds the largest study grid, 1000001"]
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_json(tmp_path):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text("{ not json")

@@ -25,7 +25,8 @@ from shapealign.fit import (
     fit_batch,
     initialize_shifts,
 )
-from shapealign.io import dumps_canonical, load_study_config, result_document
+from shapealign.fourier import _twiddle_table
+from shapealign.io import dumps_canonical, load_study_config, read_panel, result_document
 from shapealign.model import ConstraintRegime, Regime, generate_panels
 from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth, sphere_scales
@@ -124,6 +125,15 @@ def test_initialize_shifts_identical_curves():
     assert best[1] == 0.0
 
 
+@pytest.mark.parametrize("j", [2, 3])
+def test_fit_identical_curves_returns_shifts_of_exactly_zero(j):
+    # each score is symmetric about offset 0 bit for bit, so its peak's vertex, the start, is 0 itself
+    shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.2})
+    truth = sa.ParameterSet(theta=[0.0] * j, a=[1.0] * j, upsilon=[0.0] * j, sigma=0.0)
+    result = sa.fit(sa.generate_panel(truth, shape, sa.make_grid(41), seed=0), ConstraintRegime(), FitConfig(m=3))
+    assert result.converged and np.all(result.beta_hat.theta == 0.0)
+
+
 def test_initialize_shifts_grid_equivariance():
     grid = sa.make_grid(41)
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.3, 3: -0.1})
@@ -183,6 +193,79 @@ def test_initialize_shifts_batch_equals_lone_scans(rng):
     config = FitConfig(m=3)
     for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
         assert np.array_equal(batched, _scan([ctx], config)[0])
+
+
+def _score_peaks(ctx, grid_size):
+    """The strict circular maxima of each free curve's scan score, by plain comparison: a list per curve."""
+    scores = np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, ctx.d_ac.shape[1] // 2))
+    return [[s for s in range(grid_size) if row[s] > row[s - 1] and row[s] >= row[(s + 1) % grid_size]]
+            for row in scores[1:]]
+
+
+def _within_half_a_step(position, peaks, grid_size):
+    """Whether the grid position lies, circularly, within half a step of one of ``peaks``."""
+    return any(abs((position - s + grid_size / 2) % grid_size - grid_size / 2) <= 0.5 for s in peaks)
+
+
+def test_initialize_shifts_starts_at_each_score_peak_not_at_its_neighbours():
+    # harmonics 1 and 3 with a weak harmonic 2: curve 2's score peaks at its shift and, a little
+    # lower, half a turn away; the five best grid offsets are the first peak and its neighbours
+    grid = sa.make_grid(61)
+    shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.2, 3: 0.5})
+    truth = sa.ParameterSet(theta=[0.0, 1.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
+    ctx = CriterionContext(sa.generate_panel(truth, shape, grid, seed=0), 3)
+    peaks = _score_peaks(ctx, 61)[0]
+    positions = _scan([ctx], FitConfig(m=3))[0][:, 1] * 61 / (2 * np.pi)
+    assert all(_within_half_a_step(p, peaks, 61) for p in positions)
+    for shift in (1.0, 1.0 + np.pi):  # a start within half a step of each peak
+        assert min(abs((p - shift * 61 / (2 * np.pi) + 30.5) % 61 - 30.5) for p in positions) <= 1.0
+
+
+@pytest.mark.parametrize("grid_size", [1, 2, 3])
+def test_initialize_shifts_on_tiny_scan_grids_keeps_the_best_offset(grid_size, rng):
+    # one or two offsets have no neighbours to fit a parabola through; three have one peak
+    truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
+    ctx = CriterionContext(sa.generate_panel(truth, shape, sa.make_grid(61), seed=1), 3)
+    scores = np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, 3))[1:]
+    starts = _scan([ctx], FitConfig(m=3, theta_grid_size=grid_size))[0]
+    assert np.isfinite(starts).all() and np.all(starts[:, 0] == 0.0)
+    best = np.argmax(scores, axis=1)
+    positions = starts[:, 1:] * grid_size / (2 * np.pi)
+    if grid_size < 3:
+        assert np.all(positions == best)
+    else:
+        assert np.all(np.abs(positions - best) <= 0.5)
+
+
+def test_initialize_shifts_flat_score_keeps_offset_zero():
+    # curve 2 is level: its score is zero at every offset, has no peak, and keeps offset 0
+    grid = sa.make_grid(41)
+    shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.3})
+    truth = sa.ParameterSet(theta=[0.0, 0.0, 2.0], a=[1.0, 1.0, 1.0], upsilon=[0.0, 0.0, 0.0], sigma=0.0)
+    panel = sa.generate_panel(truth, shape, grid, seed=0)
+    y = panel.y.copy()
+    y[1] = 3.0
+    ctx = CriterionContext(sa.CurvePanel(grid=grid, y=y), 3)
+    assert _score_peaks(ctx, 41)[0] == []
+    starts = _scan([ctx], FitConfig(m=3))[0]
+    assert np.isfinite(starts).all() and np.all(starts[:, 1] == 0.0)
+    assert np.all(_circ(starts[0, 2], 2.0) <= np.pi / 41)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), sigma=st.sampled_from([0.0, 0.5, 2.0]),
+       grid_size=st.sampled_from([None, 24, 100]), k=st.integers(1, 7))
+def test_initialize_shifts_refines_each_peak_within_half_a_step_property(seed, j, sigma, grid_size, k):
+    truth, shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=3, sigma=sigma)
+    ctx = CriterionContext(sa.generate_panel(truth, shape, sa.make_grid(61), seed=seed % 1000), 3)
+    config = FitConfig(m=3, theta_grid_size=grid_size, n_multistart=k)
+    size = grid_size or 61
+    peaks = _score_peaks(ctx, size)
+    starts = _scan([ctx], config)[0]
+    assert np.isfinite(starts).all()
+    for start in starts:
+        for position, curve_peaks in zip(start[1:] * size / (2 * np.pi), peaks):
+            assert _within_half_a_step(position, curve_peaks, size)
 
 
 def _count_hessian_calls(monkeypatch):
@@ -306,6 +389,18 @@ def test_search_needs_few_stacked_kernel_rounds(rng, monkeypatch):
     panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=15)
     assert sa.fit(panel, ConstraintRegime(), FitConfig()).converged
     assert len(searches) == 21 and searches[-1] <= 6
+
+
+def test_search_from_one_start_per_peak_needs_at_most_four_kernel_calls(monkeypatch):
+    # the synthetic fixture's fit and the first five-replicate figure-2 part: with the k best
+    # grid offsets as starts, their searches made 6 and 5 calls, set by the start two steps off
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    study = load_study_config(os.path.join(fixtures, "figure2.json"))
+    searches = _count_search_calls(monkeypatch)
+    assert sa.fit(read_panel(os.path.join(fixtures, "synthetic_panel.csv")), ConstraintRegime()).converged
+    run_study(dataclasses.replace(study, replicates=5))
+    assert len(searches) == 2 and max(searches) <= 4
 
 
 def test_figure2_part_needs_few_stacked_kernel_calls_in_all(monkeypatch):

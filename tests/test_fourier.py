@@ -87,6 +87,19 @@ def test_dft_shares_one_read_only_twiddle_table_per_grid_and_band(rng):
     assert sa.dft(samples, sa.make_grid(31), 4).tobytes() == (table @ samples / 31).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 24, 41, 100, 201])
+def test_twiddle_table_mirrors_rows_and_columns_as_exact_conjugates(n):
+    # row -l is conj(row l) and column n-s conj(column s), 0 < s < n/2, bit for bit, and every
+    # entry is e^{-i l 2 pi s/n} to rounding: a scan score is then symmetric about offset 0
+    from shapealign.fourier import _twiddle_table
+
+    table = _twiddle_table(n, 3)
+    assert np.array_equal(table[::-1], np.conj(table))
+    half = (n - 1) // 2
+    assert np.array_equal(table[:, n - half:][:, ::-1], np.conj(table[:, 1:half + 1]))
+    assert_allclose(table, np.exp(-2j * np.pi * np.outer(np.arange(-3, 4), np.arange(n)) / n), rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("n, m, j", [(11, 3, 2), (31, 4, 3), (201, 5, 7), (2001, 11, 20), (20001, 17, 30)])
 def test_dft_of_stacked_rows_equals_per_row_calls_bitwise(n, m, j, rng):
     grid = sa.make_grid(n)

@@ -421,6 +421,7 @@ def test_parse_study_config_rejects_bad_inputs():
     ({"m": None, "coeffs": [{"l": 10**15, "re": 1.0}]}, [41], "shape band 1000000000000000 violates 2*m < n for n=41"),
     ({"m": 21}, [43, 41], "shape band 21 violates 2*m < n for n=41"),
     ({}, [41, 40], "grid sizes must be odd and >= 3, got 40"),
+    ({"m": 10**15}, [2 * 10**15 + 1], "grid size 2000000000000001 exceeds the largest study grid, 1000001"),
 ])
 def test_parse_study_config_bounds_the_shape_band_before_allocating(shape, n_list, message):
     # a band that no grid holds fails before its 2m+1 coefficients are allocated, with the message
