@@ -12,9 +12,10 @@ curve's score peaks and linear in J, are ranked with one eigenvalue call; one
 lockstep modified-Newton search with the exact Hessian, a row per start, which
 runs each row until its gradient vanishes to rounding or no step can shrink it;
 and the assembly of the estimates, whose scales, tie flag and ``converged``
-certificate read the search's last evaluation of each panel's best row.  The regime and the A0 box
-enter the shift criterion only through C, which cannot move its minimisers, so
-each panel is one shift problem, on its spread, whatever the regimes of its jobs.
+certificate read the search's last evaluation of each panel's best row.  The
+regime and the A0 box enter the shift criterion only through C, which cannot
+move its minimisers, so each panel is one shift problem, on its spread, whatever
+the regimes of its jobs.
 :func:`fit_batch` (and :func:`fit`, its batch of one) wraps the estimates in
 :class:`FitResult`; a Monte Carlo chunk reads them as they are.
 """
@@ -124,12 +125,11 @@ def initialize_shifts(d_ac: np.ndarray, constants: np.ndarray, grid_size: int, c
     scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, m))[:, 1:]  # (F, J-1, grid)
     before, after = np.roll(scores, 1, axis=-1), np.roll(scores, -1, axis=-1)
     peaks = (scores > before) & (scores >= after)
-    order = np.argsort(-np.where(peaks, scores, -1.0), axis=-1, kind="stable")[:, :, :k]  # peaks first, by score
-    found = np.take_along_axis(peaks, order, axis=-1)
-    top = np.where(found, order, order[:, :, :1])  # (F, J-1, k) grid peaks, padded with the best
+    by_score = np.argsort(-np.where(peaks, scores, -1.0), axis=-1, kind="stable")[:, :, :k]  # peaks first
+    top = np.where(np.take_along_axis(peaks, by_score, axis=-1), by_score, by_score[:, :, :1])  # padded with the best
     lower, mid, upper = (np.take_along_axis(v, top, axis=-1) for v in (before, scores, after))
-    curve = lower - 2 * mid + upper  # negative at every peak
-    vertex = np.divide(0.5 * (lower - upper), curve, out=np.zeros_like(curve), where=found[:, :, :1] & (curve < 0))
+    curve = lower - 2 * mid + upper  # negative at a peak up to rounding, 0 for a constant score
+    vertex = np.divide(0.5 * (lower - upper), curve, out=np.zeros_like(curve), where=curve < 0)
     position = top + np.clip(vertex, -0.5, 0.5)
     # every free curve at its best peak, then each curve's other peaks in turn
     ranks = np.zeros((1 + (k - 1) * (j - 1), j - 1), dtype=int)

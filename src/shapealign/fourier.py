@@ -65,8 +65,8 @@ def make_grid(n: int) -> SamplingGrid:
 @functools.lru_cache(maxsize=8)
 def _twiddle_table(n: int, m: int) -> np.ndarray:
     """Read-only rows e^{-i l t_s}, l = -m..m, t_s = 2*pi*s/n, any n >= 1 (scan grids too); row -l is
-    conj(row l) and column n-s conj(column s), 0 < s < n/2, so a real even sum of rows gives s and n-s
-    one modulus."""
+    conj(row l) and column n-s conj(column s), 0 < s < n/2, bit for bit, so a scan score that is
+    symmetric about offset 0 is symmetric in its bits too."""
     half = n // 2 + 1
     pos = np.exp(-1j * np.outer(np.arange(1, m + 1), TWO_PI * np.arange(half) / n))
     table = np.empty((2 * m + 1, n), dtype=complex)

@@ -152,30 +152,35 @@ def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1
     return 0.5 * (hess + hess.T)
 
 
+def scan_scores(ctx: CriterionContext, grid_size: int) -> list[list[float]]:
+    """Each free curve's start-scan score on ``grid_size`` offsets, as the scan forms it for this
+    one problem (the product's last bits depend on how BLAS blocks it)."""
+    m = ctx.d_ac.shape[1] // 2
+    return np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, m))[1:].tolist()
+
+
+def score_peaks(row: list[float]) -> list[int]:
+    """Offsets s of a circular score with row[s] > row[s-1] and row[s] >= row[s+1], in offset order."""
+    return [s for s in range(len(row)) if row[s] > row[s - 1] and row[s] >= row[(s + 1) % len(row)]]
+
+
 def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.ndarray]:
     """Start candidates by one curve's peaks at a time and one criterion call per candidate.
 
     Same scores, peak rule, candidates and ranking rule as ``fit.initialize_shifts``:
-    each free curve keeps its k highest circular peaks (score above the offset before,
-    not below the one after), each moved to its parabola vertex within half a step,
-    padded with its best peak, or its best offset if it has none; then every free
-    curve at its best peak, then, curve by curve, each of that curve's other peaks
-    with the rest at their best.  The scores are the scan's own product for this one
-    problem (the product's last bits depend on how BLAS blocks it); the peaks, their
-    vertices and the candidates are found in plain Python, and each candidate is
-    ranked by its own scale profile and public criterion call.
+    each free curve keeps its k highest peaks, each moved to its parabola vertex within
+    half a step, padded with its best peak, or its best offset if it has none; then
+    every free curve at its best peak, then, curve by curve, each of that curve's other
+    peaks with the rest at their best.  Here the peaks, their vertices and the
+    candidates are found in plain Python, and each candidate is ranked by its own
+    scale profile and public criterion call.
     """
-    j, m = ctx.n_curves, ctx.d_ac.shape[1] // 2
     grid_size = config.theta_grid_size or ctx.n
-    scores = np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, m)).tolist()
-
     k = min(config.n_multistart, grid_size)
     per_curve = []
-    for row in scores[1:]:
-        peaks = [s for s in range(grid_size) if row[s] > row[s - 1] and row[s] >= row[(s + 1) % grid_size]]
-        peaks.sort(key=lambda s: -row[s])  # stable: equal peaks by offset
+    for row in scan_scores(ctx, grid_size):
         positions = []
-        for s in peaks[:k]:
+        for s in sorted(score_peaks(row), key=lambda s: -row[s])[:k]:  # stable: equal peaks by offset
             lower, mid, upper = row[s - 1], row[s], row[(s + 1) % grid_size]
             curve = lower - 2 * mid + upper
             vertex = 0.5 * (lower - upper) / curve if curve < 0 else 0.0

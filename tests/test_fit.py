@@ -25,7 +25,6 @@ from shapealign.fit import (
     fit_batch,
     initialize_shifts,
 )
-from shapealign.fourier import _twiddle_table
 from shapealign.io import dumps_canonical, load_study_config, read_panel, result_document
 from shapealign.model import ConstraintRegime, Regime, generate_panels
 from shapealign.montecarlo import run_study
@@ -37,6 +36,8 @@ from oracles import (
     newton_per_start,
     numeric_hessian,
     profile_amplitude,
+    scan_scores,
+    score_peaks,
 )
 
 
@@ -195,13 +196,6 @@ def test_initialize_shifts_batch_equals_lone_scans(rng):
         assert np.array_equal(batched, _scan([ctx], config)[0])
 
 
-def _score_peaks(ctx, grid_size):
-    """The strict circular maxima of each free curve's scan score, by plain comparison: a list per curve."""
-    scores = np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, ctx.d_ac.shape[1] // 2))
-    return [[s for s in range(grid_size) if row[s] > row[s - 1] and row[s] >= row[(s + 1) % grid_size]]
-            for row in scores[1:]]
-
-
 def _within_half_a_step(position, peaks, grid_size):
     """Whether the grid position lies, circularly, within half a step of one of ``peaks``."""
     return any(abs((position - s + grid_size / 2) % grid_size - grid_size / 2) <= 0.5 for s in peaks)
@@ -214,11 +208,14 @@ def test_initialize_shifts_starts_at_each_score_peak_not_at_its_neighbours():
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.2, 3: 0.5})
     truth = sa.ParameterSet(theta=[0.0, 1.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     ctx = CriterionContext(sa.generate_panel(truth, shape, grid, seed=0), 3)
-    peaks = _score_peaks(ctx, 61)[0]
+    row = scan_scores(ctx, 61)[0]
+    peaks = sorted(score_peaks(row), key=lambda s: -row[s])
+    step = 2 * np.pi / 61
+    assert _circ(peaks[0] * step, 1.0) <= step and _circ(peaks[1] * step, 1.0 + np.pi) <= step
     positions = _scan([ctx], FitConfig(m=3))[0][:, 1] * 61 / (2 * np.pi)
     assert all(_within_half_a_step(p, peaks, 61) for p in positions)
-    for shift in (1.0, 1.0 + np.pi):  # a start within half a step of each peak
-        assert min(abs((p - shift * 61 / (2 * np.pi) + 30.5) % 61 - 30.5) for p in positions) <= 1.0
+    for peak in peaks[:2]:
+        assert any(_within_half_a_step(p, [peak], 61) for p in positions)
 
 
 @pytest.mark.parametrize("grid_size", [1, 2, 3])
@@ -226,10 +223,9 @@ def test_initialize_shifts_on_tiny_scan_grids_keeps_the_best_offset(grid_size, r
     # one or two offsets have no neighbours to fit a parabola through; three have one peak
     truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
     ctx = CriterionContext(sa.generate_panel(truth, shape, sa.make_grid(61), seed=1), 3)
-    scores = np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, 3))[1:]
+    best = np.argmax(scan_scores(ctx, grid_size), axis=1)
     starts = _scan([ctx], FitConfig(m=3, theta_grid_size=grid_size))[0]
     assert np.isfinite(starts).all() and np.all(starts[:, 0] == 0.0)
-    best = np.argmax(scores, axis=1)
     positions = starts[:, 1:] * grid_size / (2 * np.pi)
     if grid_size < 3:
         assert np.all(positions == best)
@@ -242,11 +238,10 @@ def test_initialize_shifts_flat_score_keeps_offset_zero():
     grid = sa.make_grid(41)
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.3})
     truth = sa.ParameterSet(theta=[0.0, 0.0, 2.0], a=[1.0, 1.0, 1.0], upsilon=[0.0, 0.0, 0.0], sigma=0.0)
-    panel = sa.generate_panel(truth, shape, grid, seed=0)
-    y = panel.y.copy()
+    y = sa.generate_panel(truth, shape, grid, seed=0).y.copy()
     y[1] = 3.0
     ctx = CriterionContext(sa.CurvePanel(grid=grid, y=y), 3)
-    assert _score_peaks(ctx, 41)[0] == []
+    assert score_peaks(scan_scores(ctx, 41)[0]) == []
     starts = _scan([ctx], FitConfig(m=3))[0]
     assert np.isfinite(starts).all() and np.all(starts[:, 1] == 0.0)
     assert np.all(_circ(starts[0, 2], 2.0) <= np.pi / 41)
@@ -258,10 +253,9 @@ def test_initialize_shifts_flat_score_keeps_offset_zero():
 def test_initialize_shifts_refines_each_peak_within_half_a_step_property(seed, j, sigma, grid_size, k):
     truth, shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=3, sigma=sigma)
     ctx = CriterionContext(sa.generate_panel(truth, shape, sa.make_grid(61), seed=seed % 1000), 3)
-    config = FitConfig(m=3, theta_grid_size=grid_size, n_multistart=k)
     size = grid_size or 61
-    peaks = _score_peaks(ctx, size)
-    starts = _scan([ctx], config)[0]
+    peaks = [score_peaks(row) for row in scan_scores(ctx, size)]
+    starts = _scan([ctx], FitConfig(m=3, theta_grid_size=grid_size, n_multistart=k))[0]
     assert np.isfinite(starts).all()
     for start in starts:
         for position, curve_peaks in zip(start[1:] * size / (2 * np.pi), peaks):
