@@ -9,7 +9,6 @@ its theoretical covariance.
 """
 
 from .criterion import (
-    CriterionContext,
     criterion_gradient,
     criterion_value,
     profiled_coefficients,

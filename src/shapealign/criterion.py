@@ -19,62 +19,25 @@ C - lambda_max(Q(theta)) over the shifts, Q = Re(W W^H) / J, W_jl = e^{i l theta
 minimising shifts, so the fit minimizes it with C the spread about the means,
 and reports it with each job's C, which adds a binding A0 level box's gap.
 :func:`shift_objective_stack` gives it with its gradient and exact Hessian.
+
+The data enter only through a :class:`model.Band` (d, ybar, spread): the fitter
+stacks bands row by row; the public functions take one panel's ``panel.band(m)``
+and read only a regime's ``kind``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateAmplitude, DegenerateSpectrum
 from .fourier import ShapeSpectrum
-from .model import ConstraintRegime, CurvePanel, Regime, rowdot
+from .model import Band, ConstraintRegime, Regime, rowdot
 
 # Leading-eigenvalue gap below which the scale profile is a tie: the
 # eigenvector, and with it the shift Hessian, is not determined.
 EIGENVALUE_TIE = 1e-10
-
-
-@dataclass
-class CriterionContext:
-    """One panel's data for the criterion at band m under one regime: a one-row view of what the fitter stacks.
-
-    ``d_ac``, ``ybar``, ``mean_sq``, ``ac_trace`` and ``spread`` are the panel's read-only :meth:`CurvePanel.band`
-    arrays (``d_ac[j, l + m]`` is curve j's DFT coefficient for 1 <= |l| <= m, zero at l = 0: the
-    means enter through ``ybar``); ``shift_constant`` is :func:`shift_constants` of the panel.
-
-    Raises
-    ------
-    BandTooWide
-        If m < 1 or 2*m >= n.
-    NonFiniteData
-        If the moments or the DFT coefficients overflow to non-finite values.
-    """
-
-    panel: CurvePanel
-    m: int
-    regime: ConstraintRegime = field(default_factory=ConstraintRegime)
-
-    def __post_init__(self):
-        self.d_ac, self.ybar, self.mean_sq, self.ac_trace, self.spread = self.panel.band(self.m)
-        self.freqs = np.arange(-self.m, self.m + 1)
-        self.a1 = self.regime.kind is Regime.A1
-        self.shift_constant = float(shift_constants(self.ybar[None], self.spread, np.array([self.a1]),
-                                                    np.array([self.regime.upsilon_max]))[0])
-
-    @property
-    def n_curves(self) -> int:
-        return self.panel.n_curves
-
-    @property
-    def n(self) -> int:
-        return self.panel.grid.n
-
-    def require_energy(self):
-        """Raise DegenerateSpectrum if the band carries no energy (constant curves)."""
-        require_energy(self.ac_trace, self.mean_sq)
 
 
 def require_energy(ac_trace, mean_sq):
@@ -117,69 +80,70 @@ def criterion_stack(d_ac, ybar, spread, a1, theta, a, upsilon) -> tuple[np.ndarr
     return residual(spread, ybar, upsilon) - (np.abs(coeffs) ** 2).sum(axis=1), coeffs
 
 
-def profiled_coefficients(ctx: CriterionContext, theta, a) -> ShapeSpectrum:
-    """Best-fitting shape coefficients chat_l for fixed shifts and scales.
+def profiled_coefficients(band: Band, theta, a) -> ShapeSpectrum:
+    """Best-fitting shape coefficients chat_l of one panel's :class:`Band` for fixed shifts and scales.
 
     Only frequencies 1 <= |l| <= m are filled: on this grid the exponential
     sums at those frequencies kill any constant level, so level centering
     cannot change them.  The l = 0 slot is left at zero; see
-    :func:`profiled_mean` for the A1 mean coefficient.
+    :func:`profiled_mean` for the A1 mean coefficient.  One row of :func:`criterion_stack`.
     """
-    return ShapeSpectrum(m=ctx.m, coeffs=_one_point(ctx, False, theta, a, np.zeros(ctx.n_curves))[1])
+    coeffs = criterion_stack(band.d_ac[None], band.ybar[None], band.spread, False, [theta], [a], band.ybar[None])[1][0]
+    return ShapeSpectrum(m=len(coeffs) // 2, coeffs=coeffs)
 
 
-def profiled_mean(ctx: CriterionContext, a, upsilon) -> float:
-    """Mean coefficient chat_0 = sum_j a_j (ybar_j - upsilon_j) / sum_j a_j^2."""
-    return float(_one_point(ctx, True, np.zeros(ctx.n_curves), a, upsilon)[1][ctx.m].real)
+def profiled_mean(band: Band, a, upsilon) -> float:
+    """Mean coefficient chat_0 = sum_j a_j (ybar_j - upsilon_j) / sum_j a_j^2 of one panel's :class:`Band`."""
+    coeffs = criterion_stack(band.d_ac[None], band.ybar[None], band.spread, True,
+                             np.zeros_like(band.ybar)[None], [a], [upsilon])[1][0]
+    return float(coeffs[len(coeffs) // 2].real)
 
 
-def criterion_value(ctx: CriterionContext, theta, a, upsilon) -> float:
-    """Objective value at (theta, a, upsilon) under the context's regime."""
-    return float(_one_point(ctx, ctx.a1, theta, a, upsilon)[0])
+def criterion_value(band: Band, regime: ConstraintRegime, theta, a, upsilon) -> float:
+    """Objective value of one panel's :class:`Band` at (theta, a, upsilon) under ``regime.kind``: one row of
+    :func:`criterion_stack`."""
+    a1 = regime.kind is Regime.A1
+    return float(criterion_stack(band.d_ac[None], band.ybar[None], band.spread, a1, [theta], [a], [upsilon])[0][0])
 
 
-def _one_point(ctx: CriterionContext, a1: bool, theta, a, upsilon):
-    """Value and coefficients of :func:`criterion_stack` for one context at one point, under A1 if ``a1``."""
-    values, coeffs = criterion_stack(ctx.d_ac[None], ctx.ybar[None], ctx.spread, a1, [theta], [a], [upsilon])
-    return values[0], coeffs[0]
-
-
-def criterion_gradient(ctx: CriterionContext, theta, a, upsilon) -> np.ndarray:
-    """Analytic gradient over the free coordinates.
+def criterion_gradient(band: Band, regime: ConstraintRegime, theta, a, upsilon) -> np.ndarray:
+    """Analytic gradient of :func:`criterion_value` over the free coordinates, by its own formula.
 
     Layout matches :func:`model.free_parameter_labels`: shifts 2..J, then
     scales 2..J in the sphere chart a_1 = sqrt(J - sum_{j>=2} a_j^2), then
-    the free levels (all J under A0, curves 2..J under A1).
+    the free levels (all J under A0, curves 2..J under A1, by ``regime.kind``).
     """
     theta = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
-    j = ctx.n_curves
+    j = len(band.ybar)
     ssq = float(a @ a)
     if ssq < np.finfo(float).tiny:
         raise DegenerateAmplitude("amplitude vector is zero")
 
-    phases = np.exp(1j * np.outer(theta, ctx.freqs))
-    weighted = a[:, None] * phases * ctx.d_ac       # row j: a_j e^{il theta_j} d_jl
+    m = band.d_ac.shape[1] // 2
+    freqs = np.arange(-m, m + 1)
+    phases = np.exp(1j * np.outer(theta, freqs))
+    weighted = a[:, None] * phases * band.d_ac       # row j: a_j e^{il theta_j} d_jl
     chat = weighted.sum(axis=0) / ssq
 
     # d|chat_l|^2 / dtheta_k = 2 Re(conj(chat_l) * i l a_k e^{il theta_k} d_kl) / ssq
-    il = 1j * ctx.freqs
+    il = 1j * freqs
     denergy_dtheta = 2.0 * np.real((np.conj(chat) * il)[None, :] * weighted).sum(axis=1) / ssq
 
     # Unconstrained scale derivative; the normalization sum a^2 in chat
     # contributes the -2 a_k * energy term.
-    per_curve = phases * ctx.d_ac
+    per_curve = phases * band.d_ac
     energy_ac = float(np.real(np.vdot(chat, chat)))
     denergy_da = 2.0 * (
         np.real(np.conj(chat)[None, :] * per_curve).sum(axis=1) - 2.0 * a * energy_ac
     ) / ssq
 
-    grad_ups = 2.0 * (upsilon - ctx.ybar) / j
+    grad_ups = 2.0 * (upsilon - band.ybar) / j
 
-    if ctx.regime.kind is Regime.A1:
-        c0 = profiled_mean(ctx, a, upsilon)
-        resid = ctx.ybar - upsilon
+    if regime.kind is Regime.A1:
+        c0 = profiled_mean(band, a, upsilon)
+        resid = band.ybar - upsilon
         # chat_0 depends on both the scales and the levels.
         denergy_da += 2.0 * c0 * (resid - 2.0 * a * c0) / ssq
         grad_ups = grad_ups + 2.0 * c0 * a / ssq

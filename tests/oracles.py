@@ -14,9 +14,9 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 import numpy as np
 
 from shapealign.criterion import (
-    CriterionContext,
     criterion_gradient,
     criterion_value,
+    require_energy,
     shift_objective_stack,
 )
 from shapealign.errors import ConfigInvalid, ConstraintViolation, GridMismatch, ParseError, RaggedColumns
@@ -25,6 +25,7 @@ from shapealign.fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_s
 from shapealign.inference import a1_covariance, efficiency_blocks
 from shapealign.io import _integer, _number, _object, _require
 from shapealign.model import (
+    Band,
     ConstraintRegime,
     CurvePanel,
     ParameterSet,
@@ -78,8 +79,8 @@ class AmplitudeProfile:
     tie_break: bool
 
 
-def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
-    """Scales on the sphere sum a^2 = J minimizing the criterion at ``theta``.
+def profile_amplitude(band: Band, theta) -> AmplitudeProfile:
+    """Scales on the sphere sum a^2 = J minimizing the criterion of one panel's band at ``theta``.
 
     With Q[j,k] = Re sum_{1<=|l|<=m} d_jl conj(d_kl) e^{il(theta_j-theta_k)} / J,
     the captured energy on the sphere is a'Qa/J, so the optimum is sqrt(J)
@@ -92,9 +93,9 @@ def profile_amplitude(ctx: CriterionContext, theta) -> AmplitudeProfile:
         If Q carries no energy at all (constant curves).
     """
     theta = np.asarray(theta, dtype=float)
-    ctx.require_energy()
+    require_energy(band.ac_trace, band.mean_sq)
     # one row of the stacked kernel; only differences of shifts enter
-    ev = shift_objective_stack(ctx.d_ac[None], [0], [theta[1:] - theta[0]], ctx.shift_constant)
+    ev = shift_objective_stack(band.d_ac[None], [0], [theta[1:] - theta[0]], band.spread)
     return AmplitudeProfile(a=_sphere_scales(ev.lead)[0], energy=float(ev.energy[0]),
                             tie_break=bool(ev.tie_break[0]))
 
@@ -121,7 +122,7 @@ def contrast_oracle(
     return total + float(diff @ diff) / truth.n_curves
 
 
-def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1e-6) -> np.ndarray:
+def numeric_hessian(band: Band, params: ParameterSet, step: float = 1e-6) -> np.ndarray:
     """Central-difference Hessian of the criterion over the free coordinates.
 
     Differences the analytic gradient in the chart of
@@ -142,7 +143,7 @@ def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1
             ups = ups_free
         else:
             ups = np.concatenate([[0.0], ups_free])
-        return criterion_gradient(ctx, theta, a, ups)
+        return criterion_gradient(band, params.regime, theta, a, ups)
 
     hess = np.empty((dim, dim))
     for k in range(dim):
@@ -152,11 +153,11 @@ def numeric_hessian(ctx: CriterionContext, params: ParameterSet, step: float = 1
     return 0.5 * (hess + hess.T)
 
 
-def scan_scores(ctx: CriterionContext, grid_size: int) -> list[list[float]]:
+def scan_scores(band: Band, grid_size: int) -> list[list[float]]:
     """Each free curve's start-scan score on ``grid_size`` offsets, as the scan forms it for this
     one problem (the product's last bits depend on how BLAS blocks it)."""
-    m = ctx.d_ac.shape[1] // 2
-    return np.abs((ctx.d_ac[:1] * np.conj(ctx.d_ac)) @ _twiddle_table(grid_size, m))[1:].tolist()
+    m = band.d_ac.shape[1] // 2
+    return np.abs((band.d_ac[:1] * np.conj(band.d_ac)) @ _twiddle_table(grid_size, m))[1:].tolist()
 
 
 def score_peaks(row: list[float]) -> list[int]:
@@ -164,8 +165,8 @@ def score_peaks(row: list[float]) -> list[int]:
     return [s for s in range(len(row)) if row[s] > row[s - 1] and row[s] >= row[(s + 1) % len(row)]]
 
 
-def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.ndarray]:
-    """Start candidates by one curve's peaks at a time and one criterion call per candidate.
+def initialize_shifts_loop(band: Band, regime: ConstraintRegime, n: int, config: FitConfig) -> list[np.ndarray]:
+    """Start candidates of one panel's band on n points, one curve's peaks at a time, one criterion call a candidate.
 
     Same scores, peak rule, candidates and ranking rule as ``fit.initialize_shifts``:
     each free curve keeps its k highest peaks, each moved to its parabola vertex within
@@ -175,10 +176,10 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     candidates are found in plain Python, and each candidate is ranked by its own
     scale profile and public criterion call.
     """
-    grid_size = config.theta_grid_size or ctx.n
+    grid_size = config.theta_grid_size or n
     k = min(config.n_multistart, grid_size)
     per_curve = []
-    for row in scan_scores(ctx, grid_size):
+    for row in scan_scores(band, grid_size):
         positions = []
         for s in sorted(score_peaks(row), key=lambda s: -row[s])[:k]:  # stable: equal peaks by offset
             lower, mid, upper = row[s - 1], row[s], row[(s + 1) % grid_size]
@@ -197,16 +198,16 @@ def initialize_shifts_loop(ctx: CriterionContext, config: FitConfig) -> list[np.
     ranked = []
     for combo in combos:
         theta = np.array([0.0] + [TWO_PI * position / grid_size for position in combo])
-        amp = profile_amplitude(ctx, theta)
-        value = criterion_value(ctx, theta, amp.a, context_levels(ctx, amp.a))
+        amp = profile_amplitude(band, theta)
+        value = criterion_value(band, regime, theta, amp.a, band_levels(band, regime, amp.a))
         ranked.append((value, theta))
     ranked.sort(key=lambda item: item[0])
     return [theta for _, theta in ranked[: config.n_multistart]]
 
 
-def context_levels(ctx: CriterionContext, a) -> np.ndarray:
-    """The fitter's profiled levels of one context at scales ``a``."""
-    return _profiled_levels(ctx.ybar[None], np.array([ctx.a1]), np.array([ctx.regime.upsilon_max]),
+def band_levels(band: Band, regime: ConstraintRegime, a) -> np.ndarray:
+    """The fitter's profiled levels of one panel's band under ``regime`` at scales ``a``."""
+    return _profiled_levels(band.ybar[None], np.array([regime.kind is Regime.A1]), np.array([regime.upsilon_max]),
                             np.asarray(a, dtype=float)[None])[0]
 
 

@@ -14,7 +14,6 @@ import pytest
 
 import shapealign as sa
 from shapealign.cli import main
-from shapealign.criterion import CriterionContext
 from shapealign.model import ConstraintRegime
 from conftest import (
     bandlimited_truth,
@@ -89,19 +88,19 @@ def test_criterion_03_gradient_correctness():
         j = int(rng.integers(2, 5))
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.8)
         panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=300 + p)
-        ctx = CriterionContext(panel, 5, ConstraintRegime())
+        band, regime = panel.band(5), ConstraintRegime()
         for _ in range(10):
             theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, j - 1)])
             a = sphere_scales(rng, j)
             ups = rng.uniform(-2, 2, j)
-            grad = sa.criterion_gradient(ctx, theta, a, ups)
+            grad = sa.criterion_gradient(band, regime, theta, a, ups)
             free0 = np.concatenate([theta[1:], a[1:], ups])
 
             def value_at(free):
                 th = np.concatenate([[0.0], free[: j - 1]])
                 tail = free[j - 1 : 2 * (j - 1)]
                 aa = np.concatenate([[np.sqrt(j - tail @ tail)], tail])
-                return sa.criterion_value(ctx, th, aa, free[2 * (j - 1):])
+                return sa.criterion_value(band, regime, th, aa, free[2 * (j - 1):])
 
             h = 1e-6
             fd = np.empty_like(free0)
@@ -123,18 +122,18 @@ def test_criterion_04_criterion_identity():
         j = int(rng.integers(2, 5))
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
         panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=400 + trial)
-        ctx = CriterionContext(panel, 5, ConstraintRegime())
+        band, regime = panel.band(5), ConstraintRegime()
         theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, j - 1)])
         a = sphere_scales(rng, j)
         ups = rng.uniform(-2, 2, j)
-        spec = sa.profiled_coefficients(ctx, theta, a)
+        spec = sa.profiled_coefficients(band, theta, a)
         residual = 0.0
         for c in range(j):
             fitted = sa.evaluate_spectrum(spec, panel.grid.points - theta[c])
             r = panel.y[c] - a[c] * fitted - ups[c]
             residual += float(r @ r)
         residual /= panel.grid.n * j
-        value = sa.criterion_value(ctx, theta, a, ups)
+        value = sa.criterion_value(band, regime, theta, a, ups)
         worst = max(worst, abs(value - residual))
     _report(4, "spectral criterion equals direct residual", worst <= 1e-10,
             f"worst gap {worst:.2e} over 20 panels", time.perf_counter() - start, 10.0)

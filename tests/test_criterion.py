@@ -9,22 +9,20 @@ from hypothesis import strategies as st
 
 import shapealign as sa
 from shapealign.criterion import (
-    CriterionContext,
     criterion_stack,
+    shift_constants,
     shift_objective_stack,
 )
 from shapealign.model import ConstraintRegime, Regime
 from conftest import bandlimited_truth, sphere_scales
-from oracles import context_levels, contrast_oracle, phase_weight, profile_amplitude
+from oracles import band_levels, contrast_oracle, phase_weight, profile_amplitude
+
+A0 = ConstraintRegime()
 
 
-def _context(panel, m, kind=Regime.A0):
-    return CriterionContext(panel, m, ConstraintRegime(kind=kind))
-
-
-def _one_row(ctx, x, hessian=False):
-    """The stacked shift kernel at one row of free shifts ``x`` of ``ctx``."""
-    return shift_objective_stack(ctx.d_ac[None], [0], np.atleast_2d(x), ctx.shift_constant, hessian)
+def _one_row(band, x, hessian=False):
+    """The stacked shift kernel at one row of free shifts ``x`` of one panel's ``band``."""
+    return shift_objective_stack(band.d_ac[None], [0], np.atleast_2d(x), band.spread, hessian)
 
 
 @settings(max_examples=200, deadline=None)
@@ -32,30 +30,30 @@ def _one_row(ctx, x, hessian=False):
        levels=st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=6),
        sigma=st.sampled_from([0.0, 0.3]), n=st.sampled_from([21, 201]))
 def test_shift_constant_is_one_for_both_regimes_property(seed, j, levels, sigma, n):
-    # under a box that does not bind, both regimes take levels ybar, so C_A0 and C_A1 are the
-    # spread about the means bit for bit: the constant the fit searches a panel's shifts on
+    # under a box that does not bind, both regimes take levels ybar, so the A0 and A1 rows of
+    # shift_constants are the spread about the means bit for bit: the constant the fit searches
+    # a panel's shifts on
     rng = np.random.default_rng(seed)
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=sigma)
     truth = dataclasses.replace(truth, upsilon=np.array(levels[:j]))
-    panel = sa.generate_panel(truth, shape, sa.make_grid(n), seed=seed)
-    a0, a1 = (_context(panel, 3, kind) for kind in (Regime.A0, Regime.A1))
-    assert np.abs(a0.ybar).max() < a0.regime.upsilon_max
-    assert a0.shift_constant.hex() == a1.shift_constant.hex()
-    assert a0.d_ac is a1.d_ac
+    band = sa.generate_panel(truth, shape, sa.make_grid(n), seed=seed).band(3)
+    assert np.abs(band.ybar).max() < A0.upsilon_max
+    a0, a1 = shift_constants(np.stack([band.ybar] * 2), band.spread, np.array([False, True]),
+                             np.full(2, A0.upsilon_max))
+    assert a0.hex() == a1.hex() == band.spread.hex()
 
 
 def test_contexts_share_the_band_arrays_read_only():
-    # the regimes' contexts of one panel share its band arrays, so neither may write them
+    # every regime reads a panel's one cached band, so nothing may write its arrays
     panel = sa.CurvePanel(grid=sa.make_grid(31), y=np.random.default_rng(2).normal(size=(3, 31)))
-    a0, a1 = _context(panel, 4), _context(panel, 4, Regime.A1)
-    assert a0.d_ac is a1.d_ac and a0.ybar is a1.ybar
-    before = a0.d_ac.copy(), a0.ybar.copy()
-    for ctx in (a0, a1):
-        with pytest.raises(ValueError):
-            ctx.d_ac[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            ctx.ybar[0] = 1.0
-    assert np.array_equal(a0.d_ac, before[0]) and np.array_equal(a0.ybar, before[1])
+    band = panel.band(4)
+    assert panel.band(4) is band
+    before = band.d_ac.copy(), band.ybar.copy()
+    with pytest.raises(ValueError):
+        band.d_ac[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        band.ybar[0] = 1.0
+    assert np.array_equal(band.d_ac, before[0]) and np.array_equal(band.ybar, before[1])
 
 
 def _random_valid_point(rng, j, kind=Regime.A0):
@@ -83,8 +81,8 @@ def test_profiled_coefficients_identical_curves():
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.3 - 0.2j})
     truth = sa.ParameterSet(theta=[0.0, 0.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
-    ctx = _context(panel, 4)
-    spec = sa.profiled_coefficients(ctx, [0.0, 0.0], [1.0, 1.0])
+    band = panel.band(4)
+    spec = sa.profiled_coefficients(band, [0.0, 0.0], [1.0, 1.0])
     d1 = sa.dft(panel.y, grid, 4)[0]
     for l in range(-4, 5):
         if l == 0:
@@ -96,8 +94,8 @@ def test_profiled_coefficients_recover_truth(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=3)
     grid = sa.make_grid(61)
     panel = sa.generate_panel(truth, shape, grid, seed=1)
-    ctx = _context(panel, 3)
-    spec = sa.profiled_coefficients(ctx, truth.theta, truth.a)
+    band = panel.band(3)
+    spec = sa.profiled_coefficients(band, truth.theta, truth.a)
     for l in range(-3, 4):
         if l == 0:
             continue
@@ -112,10 +110,10 @@ def test_profiled_coefficients_phase_equivariance(rng):
     shifted_theta -= shifted_theta[0]
     shifted_theta = np.mod(shifted_theta, 2 * np.pi)
     panel = sa.generate_panel(truth, shape, grid, seed=2)
-    ctx = _context(panel, 2)
-    base = sa.profiled_coefficients(ctx, truth.theta, truth.a)
+    band = panel.band(2)
+    base = sa.profiled_coefficients(band, truth.theta, truth.a)
     # rotating every shift by the same delta multiplies chat_l by e^{il delta}
-    rotated = sa.profiled_coefficients(ctx, truth.theta + delta, truth.a)
+    rotated = sa.profiled_coefficients(band, truth.theta + delta, truth.a)
     for l in range(-2, 3):
         if l == 0:
             continue
@@ -126,9 +124,9 @@ def test_level_centering_is_noop_on_banded_coefficients(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=2, sigma=0.4)
     grid = sa.make_grid(41)
     panel = sa.generate_panel(truth, shape, grid, seed=3)
-    ctx = _context(panel, 4)
+    band = panel.band(4)
     theta, a, _ = _random_valid_point(rng, 2)
-    spec = sa.profiled_coefficients(ctx, theta, a)
+    spec = sa.profiled_coefficients(band, theta, a)
     ups = np.array([17.0, -6.0])
     centered_rows = panel.y - ups[:, None]
     blocks = sa.dft(centered_rows, grid, 4)
@@ -143,8 +141,8 @@ def test_level_centering_is_noop_on_banded_coefficients(rng):
 def test_criterion_zero_at_truth_noiseless(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=4)
-    ctx = _context(panel, 5)
-    value = sa.criterion_value(ctx, truth.theta, truth.a, truth.upsilon)
+    band = panel.band(5)
+    value = sa.criterion_value(band, A0, truth.theta, truth.a, truth.upsilon)
     assert abs(value) < 1e-12
 
 
@@ -154,12 +152,12 @@ def test_criterion_equals_residual_oracle(kind, rng):
         j = int(rng.integers(2, 5))
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.6)
         panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=100 + trial)
-        ctx = _context(panel, 5, kind)
+        band, regime = panel.band(5), ConstraintRegime(kind=kind)
         theta, a, ups = _random_valid_point(rng, j, kind)
-        spec = sa.profiled_coefficients(ctx, theta, a)
-        c0 = sa.profiled_mean(ctx, a, ups) if kind is Regime.A1 else 0.0
+        spec = sa.profiled_coefficients(band, theta, a)
+        c0 = sa.profiled_mean(band, a, ups) if kind is Regime.A1 else 0.0
         oracle = _residual_oracle(panel, spec, theta, a, ups, c0)
-        value = sa.criterion_value(ctx, theta, a, ups)
+        value = sa.criterion_value(band, regime, theta, a, ups)
         assert abs(value - oracle) < 1e-10
 
 
@@ -169,8 +167,8 @@ def test_criterion_wrong_shift_matches_contrast(rng):
     shape = sa.ShapeSpectrum.from_onesided({1: 0.7})
     truth = sa.ParameterSet(theta=[0.0, 0.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
-    ctx = _context(panel, 1)
-    value = sa.criterion_value(ctx, [0.0, np.pi], [1.0, 1.0], [0.0, 0.0])
+    band = panel.band(1)
+    value = sa.criterion_value(band, A0, [0.0, np.pi], [1.0, 1.0], [0.0, 0.0])
     w = phase_weight([0.0, np.pi], [1.0, 1.0], [1.0, 1.0])
     assert abs(w) < 1e-15
     expected = 2 * 0.7**2 * (1 - abs(w) ** 2)
@@ -180,18 +178,18 @@ def test_criterion_wrong_shift_matches_contrast(rng):
 def test_criterion_invariant_under_full_turns(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=2, sigma=0.3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(41), seed=6)
-    ctx = _context(panel, 3)
+    band = panel.band(3)
     theta, a, ups = _random_valid_point(rng, 3)
-    v1 = sa.criterion_value(ctx, theta, a, ups)
-    v2 = sa.criterion_value(ctx, theta + 2 * np.pi * np.array([0, 3, -2]), a, ups)
+    v1 = sa.criterion_value(band, A0, theta, a, ups)
+    v2 = sa.criterion_value(band, A0, theta + 2 * np.pi * np.array([0, 3, -2]), a, ups)
     assert v1 == v2
 
 
 def test_gradient_zero_at_noiseless_truth(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=7)
-    ctx = _context(panel, 5)
-    grad = sa.criterion_gradient(ctx, truth.theta, truth.a, truth.upsilon)
+    band = panel.band(5)
+    grad = sa.criterion_gradient(band, A0, truth.theta, truth.a, truth.upsilon)
     assert np.max(np.abs(grad)) < 1e-9
 
 
@@ -200,10 +198,10 @@ def test_gradient_matches_finite_differences(kind, rng):
     j = 3
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.8)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=8)
-    ctx = _context(panel, 5, kind)
+    band, regime = panel.band(5), ConstraintRegime(kind=kind)
     for _ in range(10):
         theta, a, ups = _random_valid_point(rng, j, kind)
-        grad = sa.criterion_gradient(ctx, theta, a, ups)
+        grad = sa.criterion_gradient(band, regime, theta, a, ups)
         free0 = np.concatenate([
             theta[1:], a[1:], ups if kind is Regime.A0 else ups[1:],
         ])
@@ -214,7 +212,7 @@ def test_gradient_matches_finite_differences(kind, rng):
             aa = np.concatenate([[np.sqrt(j - tail @ tail)], tail])
             uf = free[2 * (j - 1) :]
             u = uf if kind is Regime.A0 else np.concatenate([[0.0], uf])
-            return sa.criterion_value(ctx, th, aa, u)
+            return sa.criterion_value(band, regime, th, aa, u)
 
         h = 1e-6
         fd = np.empty_like(free0)
@@ -229,10 +227,10 @@ def test_gradient_matches_finite_differences(kind, rng):
 def test_level_gradient_vanishes_at_column_means(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=2, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(41), seed=9)
-    ctx = _context(panel, 3)
+    band = panel.band(3)
     theta, a, _ = _random_valid_point(rng, 2)
     means = panel.y.mean(axis=1)
-    grad = sa.criterion_gradient(ctx, theta, a, means)
+    grad = sa.criterion_gradient(band, A0, theta, a, means)
     assert np.all(grad[-2:] == 0.0)
 
 
@@ -240,13 +238,13 @@ def test_level_separability(rng):
     # the column means minimize the criterion in the levels for any (theta, a)
     truth, shape = bandlimited_truth(rng, j=2, degree=2, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(41), seed=10)
-    ctx = _context(panel, 3)
+    band = panel.band(3)
     theta, a, _ = _random_valid_point(rng, 2)
     means = panel.y.mean(axis=1)
-    best = sa.criterion_value(ctx, theta, a, means)
+    best = sa.criterion_value(band, A0, theta, a, means)
     for _ in range(20):
         ups = means + rng.normal(scale=0.5, size=2)
-        assert sa.criterion_value(ctx, theta, a, ups) >= best
+        assert sa.criterion_value(band, A0, theta, a, ups) >= best
 
 
 def test_phase_weight_bound(rng):
@@ -289,11 +287,11 @@ def test_noiseless_criterion_matches_contrast_on_grid(rng):
     # band-limited shape, band covered by the fit: the two agree exactly
     truth, shape = bandlimited_truth(rng, j=2, degree=2)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=11)
-    ctx = _context(panel, 2)
+    band = panel.band(2)
     for _ in range(25):
         theta, a, ups = _random_valid_point(rng, 2)
         beta = sa.ParameterSet(theta=theta, a=a, upsilon=ups, sigma=1.0)
-        value = sa.criterion_value(ctx, theta, a, ups)
+        value = sa.criterion_value(band, A0, theta, a, ups)
         oracle = contrast_oracle(beta, truth, shape)
         assert abs(value - oracle) < 1e-10
 
@@ -303,14 +301,14 @@ def test_noiseless_criterion_matches_contrast_on_grid(rng):
 def test_shift_kernel_matches_criterion_and_gradient(kind, j, rng):
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=20 + j)
-    ctx = _context(panel, 4, kind)
+    band, regime = panel.band(4), ConstraintRegime(kind=kind)
     for _ in range(5):
         theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, j - 1)])
-        ev = _one_row(ctx, theta[1:])
-        a = profile_amplitude(ctx, theta).a
-        ups = context_levels(ctx, a)
-        value = sa.criterion_value(ctx, theta, a, ups)
-        grad = sa.criterion_gradient(ctx, theta, a, ups)[: j - 1]
+        ev = _one_row(band, theta[1:])
+        a = profile_amplitude(band, theta).a
+        ups = band_levels(band, regime, a)
+        value = sa.criterion_value(band, regime, theta, a, ups)
+        grad = sa.criterion_gradient(band, regime, theta, a, ups)[: j - 1]
         assert ev.hess is None
         assert abs(ev.value[0] - value) <= 1e-12 * max(1.0, abs(value))
         assert np.max(np.abs(ev.grad[0] - grad)) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
@@ -321,17 +319,17 @@ def test_shift_kernel_matches_criterion_and_gradient(kind, j, rng):
 def test_shift_kernel_hessian_matches_finite_differences(kind, j, rng):
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=40 + j)
-    ctx = _context(panel, 4, kind)
+    band, regime = panel.band(4), ConstraintRegime(kind=kind)
     h = 1e-6
     for _ in range(5):
         x = rng.uniform(0, 2 * np.pi, j - 1)
-        ev = _one_row(ctx, x, hessian=True)
+        ev = _one_row(band, x, hessian=True)
         assert not ev.tie_break[0]
         fd = np.empty((j - 1, j - 1))
         for k in range(j - 1):
             e = np.zeros(j - 1)
             e[k] = h
-            fd[:, k] = (_one_row(ctx, x + e).grad[0] - _one_row(ctx, x - e).grad[0]) / (2 * h)
+            fd[:, k] = (_one_row(band, x + e).grad[0] - _one_row(band, x - e).grad[0]) / (2 * h)
         assert np.max(np.abs(ev.hess[0] - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-6
 
 
@@ -340,8 +338,8 @@ def test_shift_kernel_no_hessian_at_eigenvalue_tie():
     # of the identity, so the leading eigenvalue is tied
     grid = sa.make_grid(41)
     y = np.vstack([np.cos(grid.points), np.cos(grid.points)])
-    ctx = _context(sa.CurvePanel(grid=grid, y=y), 1)
-    ev = _one_row(ctx, [np.pi / 2], hessian=True)
+    band = sa.CurvePanel(grid=grid, y=y).band(1)
+    ev = _one_row(band, [np.pi / 2], hessian=True)
     assert ev.tie_break[0]
     assert not np.isfinite(ev.hess[0]).any()  # the zero gap leaves no Hessian to use
 
@@ -351,17 +349,17 @@ def test_shift_kernel_no_hessian_at_eigenvalue_tie():
 @pytest.mark.parametrize("j", [2, 3, 5, 8, 12])
 def test_shift_kernel_stack_rows_do_not_interact(j, m, rng):
     # rows of two fits, in any mix: each row's bits equal the lone one-row kernel
-    contexts = []
-    for k, kind in enumerate((Regime.A0, Regime.A1)):
+    bands = []
+    for k in range(2):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
-        contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k), m, kind))
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k).band(m))
+    d_ac = np.stack([band.d_ac for band in bands])
     owner = rng.integers(0, 2, 50)
     x = rng.uniform(0, 2 * np.pi, (50, j - 1))
-    constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
+    constant = np.array([band.spread for band in bands])[owner]
     values, grads = shift_objective_stack(d_ac, owner, x, constant)[:2]
     for k in range(50):
-        ev = _one_row(contexts[owner[k]], x[k])
+        ev = _one_row(bands[owner[k]], x[k])
         assert ev.value[0].tobytes() == values[k].tobytes()
         assert ev.grad[0].tobytes() == grads[k].tobytes()
     subset = rng.permutation(50)[:7]
@@ -374,14 +372,14 @@ def test_shift_kernel_stack_rows_do_not_interact(j, m, rng):
 @pytest.mark.parametrize("j", [2, 3, 5, 8])
 def test_shift_kernel_stack_hessian_rows_do_not_interact(j, m, rng):
     # stacked Hessians: each row's bits equal the lone one-row kernel's, in any mix
-    contexts = []
-    for k, kind in enumerate((Regime.A0, Regime.A1)):
+    bands = []
+    for k in range(2):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.7)
-        contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k), m, kind))
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(41), seed=k).band(m))
+    d_ac = np.stack([band.d_ac for band in bands])
     owner = rng.integers(0, 2, 30)
     x = rng.uniform(0, 2 * np.pi, (30, j - 1))
-    constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
+    constant = np.array([band.spread for band in bands])[owner]
     stack = shift_objective_stack(d_ac, owner, x, constant, hessian=True)
     plain = shift_objective_stack(d_ac, owner, x, constant)
     assert plain.hess is None and stack.hess.shape == (30, j - 1, j - 1)
@@ -389,7 +387,7 @@ def test_shift_kernel_stack_hessian_rows_do_not_interact(j, m, rng):
         if want is not None:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     for k in range(30):
-        ev = _one_row(contexts[owner[k]], x[k], hessian=True)
+        ev = _one_row(bands[owner[k]], x[k], hessian=True)
         assert ev.tie_break[0] == stack.tie_break[k]
         assert ev.hess[0].tobytes() == stack.hess[k].tobytes()
         assert ev.lead[0].tobytes() == stack.lead[k].tobytes()
@@ -401,18 +399,20 @@ def test_shift_kernel_stack_hessian_rows_do_not_interact(j, m, rng):
 
 def test_criterion_stack_rows_equal_lone_evaluations(rng):
     # A0 and A1 rows in one stack: each value, coefficient and A1 mean is that row's alone
-    contexts, points = [], []
+    bands, regimes, points = [], [], []
     for k in range(6):
         kind = (Regime.A0, Regime.A1)[k % 2]
         truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.7)
-        contexts.append(_context(sa.generate_panel(truth, shape, sa.make_grid(61), seed=k), 4, kind))
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(61), seed=k).band(4))
+        regimes.append(ConstraintRegime(kind=kind))
         points.append(_random_valid_point(rng, 3, kind))
     theta, a, ups = (np.array(v) for v in zip(*points))
-    d_ac, ybar, spread, a1 = (np.array([getattr(ctx, k) for ctx in contexts]) for k in ("d_ac", "ybar", "spread", "a1"))
+    d_ac, ybar, spread = (np.array([getattr(band, k) for band in bands]) for k in ("d_ac", "ybar", "spread"))
+    a1 = np.array([regime.kind is Regime.A1 for regime in regimes])
     values, coeffs = criterion_stack(d_ac, ybar, spread, a1, theta, a, ups)
-    for k, ctx in enumerate(contexts):
-        assert np.float64(sa.criterion_value(ctx, theta[k], a[k], ups[k])).tobytes() == values[k].tobytes()
-        lone = sa.profiled_coefficients(ctx, theta[k], a[k]).coeffs
-        mean = sa.profiled_mean(ctx, a[k], ups[k]) if ctx.regime.kind is Regime.A1 else 0.0
+    for k, (band, regime) in enumerate(zip(bands, regimes)):
+        assert np.float64(sa.criterion_value(band, regime, theta[k], a[k], ups[k])).tobytes() == values[k].tobytes()
+        lone = sa.profiled_coefficients(band, theta[k], a[k]).coeffs
+        mean = sa.profiled_mean(band, a[k], ups[k]) if regime.kind is Regime.A1 else 0.0
         assert np.delete(lone, 4).tobytes() == np.delete(coeffs[k], 4).tobytes()
         assert coeffs[k][4] == mean

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext, ShiftEvaluation, rowdot, shift_objective_stack
+from shapealign.criterion import ShiftEvaluation, rowdot, shift_constants, shift_objective_stack
 from shapealign.errors import ConfigInvalid, DegenerateSpectrum
 from shapealign.fit import (
     NOISE_FLOOR,
@@ -30,7 +30,7 @@ from shapealign.model import ConstraintRegime, Regime, generate_panels
 from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth, sphere_scales
 from oracles import (
-    context_levels,
+    band_levels,
     first_best,
     initialize_shifts_loop,
     newton_per_start,
@@ -45,11 +45,11 @@ def _circ(x, y):
     return np.abs(np.mod(np.asarray(x) - np.asarray(y) + np.pi, 2 * np.pi) - np.pi)
 
 
-def _scan(contexts, config):
-    """Start scan of contexts of one (J, m), given the coefficient and constant stacks the fitter builds."""
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
-    constants = np.array([ctx.shift_constant for ctx in contexts])
-    return initialize_shifts(d_ac, constants, config.theta_grid_size or contexts[0].n, config)
+def _scan(bands, n, config):
+    """Start scan of panel bands of one (J, m) on n points, given the coefficient and constant stacks the fitter builds."""
+    d_ac = np.stack([band.d_ac for band in bands])
+    constants = np.array([band.spread for band in bands])
+    return initialize_shifts(d_ac, constants, config.theta_grid_size or n, config)
 
 
 def test_fit_config_validation():
@@ -74,26 +74,26 @@ def test_profile_amplitude_identical_curves():
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: -0.4})
     truth = sa.ParameterSet(theta=[0.0, 0.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
-    ctx = CriterionContext(panel, 3)
-    amp = profile_amplitude(ctx, np.zeros(2))
+    band = panel.band(3)
+    amp = profile_amplitude(band, np.zeros(2))
     assert_allclose(amp.a, [1.0, 1.0], atol=1e-12)
 
 
 def test_profile_amplitude_recovers_truth(rng):
     truth, shape = bandlimited_truth(rng, j=4, degree=3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=1)
-    ctx = CriterionContext(panel, 4)
-    amp = profile_amplitude(ctx, truth.theta)
+    band = panel.band(4)
+    amp = profile_amplitude(band, truth.theta)
     assert np.max(np.abs(amp.a - truth.a)) < 1e-8
 
 
 def test_profile_amplitude_always_on_sphere(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=2, sigma=1.0)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=2)
-    ctx = CriterionContext(panel, 3)
+    band = panel.band(3)
     for _ in range(20):
         theta = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, 2)])
-        amp = profile_amplitude(ctx, theta)
+        amp = profile_amplitude(band, theta)
         assert abs(float(amp.a @ amp.a) - 3.0) < 1e-12
         assert amp.a[0] > 0
 
@@ -101,17 +101,17 @@ def test_profile_amplitude_always_on_sphere(rng):
 def test_profile_amplitude_degenerate():
     grid = sa.make_grid(21)
     panel = sa.CurvePanel(grid=grid, y=np.ones((2, 21)))
-    ctx = CriterionContext(panel, 2)
+    band = panel.band(2)
     with pytest.raises(DegenerateSpectrum):
-        profile_amplitude(ctx, np.zeros(2))
+        profile_amplitude(band, np.zeros(2))
 
 
 def test_initialize_shifts_near_truth(rng):
     truth, shape = bandlimited_truth(rng, j=3, degree=3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=3)
-    ctx = CriterionContext(panel, 3)
+    band = panel.band(3)
     config = FitConfig(m=3)
-    best = _scan([ctx], config)[0][0]
+    best = _scan([band], 101, config)[0][0]
     step = 2 * np.pi / 101
     assert np.all(_circ(best, truth.theta) <= step + 1e-12)
 
@@ -121,8 +121,8 @@ def test_initialize_shifts_identical_curves():
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.2})
     truth = sa.ParameterSet(theta=[0.0, 0.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
-    ctx = CriterionContext(panel, 3)
-    best = _scan([ctx], FitConfig(m=3))[0][0]
+    band = panel.band(3)
+    best = _scan([band], 41, FitConfig(m=3))[0][0]
     assert best[1] == 0.0
 
 
@@ -140,13 +140,13 @@ def test_initialize_shifts_grid_equivariance():
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.3, 3: -0.1})
     truth = sa.ParameterSet(theta=[0.0, 1.0723], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
     panel = sa.generate_panel(truth, shape, grid, seed=0)
-    ctx = CriterionContext(panel, 3)
-    best = _scan([ctx], FitConfig(m=3))[0][0]
+    band = panel.band(3)
+    best = _scan([band], 41, FitConfig(m=3))[0][0]
 
     rolled = panel.y.copy()
     rolled[1] = np.roll(panel.y[1], 1)  # curve 2 delayed by one grid step
-    ctx2 = CriterionContext(sa.CurvePanel(grid=grid, y=rolled), 3)
-    best2 = _scan([ctx2], FitConfig(m=3))[0][0]
+    band2 = sa.CurvePanel(grid=grid, y=rolled).band(3)
+    best2 = _scan([band2], 41, FitConfig(m=3))[0][0]
     step = 2 * np.pi / 41
     assert _circ(best2[1], best[1] + step) < 1e-9
 
@@ -157,12 +157,12 @@ def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
     # J = 6 has 1 + 4 * 5 = 21 candidates; the second config keeps 3 per curve on a 24-point grid
     truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=30 + j)
-    ctx = CriterionContext(panel, 3, ConstraintRegime(kind=kind))
+    band, regime = panel.band(3), ConstraintRegime(kind=kind)
     # scan grids of n points, of fewer (even) points and of more (even) points than the panel's 61
     for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24),
                    FitConfig(m=3, theta_grid_size=100)):
-        batched = _scan([ctx], config)[0]
-        looped = initialize_shifts_loop(ctx, config)
+        batched = _scan([band], 61, config)[0]
+        looped = initialize_shifts_loop(band, regime, 61, config)
         assert len(batched) == len(looped)
         for got, want in zip(batched, looped):
             assert np.array_equal(got, want)
@@ -171,29 +171,28 @@ def test_initialize_shifts_matches_loop_oracle(kind, j, rng):
 @pytest.mark.parametrize("j", [2, 3, 4, 6])
 def test_initialize_shifts_batch_matches_loop_oracle(j, rng):
     # A0 and A1 jobs of one (J, m) in one batch
-    contexts = []
+    bands, regimes = [], []
     for k, kind in enumerate((Regime.A0, Regime.A1, Regime.A0)):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
-        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=50 + k)
-        contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=kind)))
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(61), seed=50 + k).band(3))
+        regimes.append(ConstraintRegime(kind=kind))
     for config in (FitConfig(m=3), FitConfig(m=3, n_multistart=3, theta_grid_size=24)):
-        for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
-            looped = initialize_shifts_loop(ctx, config)
+        for band, regime, batched in zip(bands, regimes, _scan(bands, 61, config), strict=True):
+            looped = initialize_shifts_loop(band, regime, 61, config)
             assert len(batched) == len(looped)
             for got, want in zip(batched, looped):
                 assert np.array_equal(got, want)
 
 
 def test_initialize_shifts_batch_equals_lone_scans(rng):
-    # 12 jobs at J = 6, A0 and A1 alternating, ranked in one stacked eigenvalue call
-    contexts = []
+    # 12 panels at J = 6, ranked in one stacked eigenvalue call
+    bands = []
     for k in range(12):
         truth, shape = bandlimited_truth(rng, j=6, degree=3, sigma=0.5)
-        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=k)
-        contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=(Regime.A0, Regime.A1)[k % 2])))
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(61), seed=k).band(3))
     config = FitConfig(m=3)
-    for ctx, batched in zip(contexts, _scan(contexts, config), strict=True):
-        assert np.array_equal(batched, _scan([ctx], config)[0])
+    for band, batched in zip(bands, _scan(bands, 61, config), strict=True):
+        assert np.array_equal(batched, _scan([band], 61, config)[0])
 
 
 def _within_half_a_step(position, peaks, grid_size):
@@ -207,12 +206,12 @@ def test_initialize_shifts_starts_at_each_score_peak_not_at_its_neighbours():
     grid = sa.make_grid(61)
     shape = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.2, 3: 0.5})
     truth = sa.ParameterSet(theta=[0.0, 1.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=0.0)
-    ctx = CriterionContext(sa.generate_panel(truth, shape, grid, seed=0), 3)
-    row = scan_scores(ctx, 61)[0]
+    band = sa.generate_panel(truth, shape, grid, seed=0).band(3)
+    row = scan_scores(band, 61)[0]
     peaks = sorted(score_peaks(row), key=lambda s: -row[s])
     step = 2 * np.pi / 61
     assert _circ(peaks[0] * step, 1.0) <= step and _circ(peaks[1] * step, 1.0 + np.pi) <= step
-    positions = _scan([ctx], FitConfig(m=3))[0][:, 1] * 61 / (2 * np.pi)
+    positions = _scan([band], 61, FitConfig(m=3))[0][:, 1] * 61 / (2 * np.pi)
     assert all(_within_half_a_step(p, peaks, 61) for p in positions)
     for peak in peaks[:2]:
         assert any(_within_half_a_step(p, [peak], 61) for p in positions)
@@ -222,9 +221,9 @@ def test_initialize_shifts_starts_at_each_score_peak_not_at_its_neighbours():
 def test_initialize_shifts_on_tiny_scan_grids_keeps_the_best_offset(grid_size, rng):
     # one or two offsets have no neighbours to fit a parabola through; three have one peak
     truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
-    ctx = CriterionContext(sa.generate_panel(truth, shape, sa.make_grid(61), seed=1), 3)
-    best = np.argmax(scan_scores(ctx, grid_size), axis=1)
-    starts = _scan([ctx], FitConfig(m=3, theta_grid_size=grid_size))[0]
+    band = sa.generate_panel(truth, shape, sa.make_grid(61), seed=1).band(3)
+    best = np.argmax(scan_scores(band, grid_size), axis=1)
+    starts = _scan([band], 61, FitConfig(m=3, theta_grid_size=grid_size))[0]
     assert np.isfinite(starts).all() and np.all(starts[:, 0] == 0.0)
     positions = starts[:, 1:] * grid_size / (2 * np.pi)
     if grid_size < 3:
@@ -240,9 +239,9 @@ def test_initialize_shifts_flat_score_keeps_offset_zero():
     truth = sa.ParameterSet(theta=[0.0, 0.0, 2.0], a=[1.0, 1.0, 1.0], upsilon=[0.0, 0.0, 0.0], sigma=0.0)
     y = sa.generate_panel(truth, shape, grid, seed=0).y.copy()
     y[1] = 3.0
-    ctx = CriterionContext(sa.CurvePanel(grid=grid, y=y), 3)
-    assert score_peaks(scan_scores(ctx, 41)[0]) == []
-    starts = _scan([ctx], FitConfig(m=3))[0]
+    band = sa.CurvePanel(grid=grid, y=y).band(3)
+    assert score_peaks(scan_scores(band, 41)[0]) == []
+    starts = _scan([band], 41, FitConfig(m=3))[0]
     assert np.isfinite(starts).all() and np.all(starts[:, 1] == 0.0)
     assert np.all(_circ(starts[0, 2], 2.0) <= np.pi / 41)
 
@@ -252,10 +251,10 @@ def test_initialize_shifts_flat_score_keeps_offset_zero():
        grid_size=st.sampled_from([None, 24, 100]), k=st.integers(1, 7))
 def test_initialize_shifts_refines_each_peak_within_half_a_step_property(seed, j, sigma, grid_size, k):
     truth, shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=3, sigma=sigma)
-    ctx = CriterionContext(sa.generate_panel(truth, shape, sa.make_grid(61), seed=seed % 1000), 3)
+    band = sa.generate_panel(truth, shape, sa.make_grid(61), seed=seed % 1000).band(3)
     size = grid_size or 61
-    peaks = [score_peaks(row) for row in scan_scores(ctx, size)]
-    starts = _scan([ctx], FitConfig(m=3, theta_grid_size=grid_size, n_multistart=k))[0]
+    peaks = [score_peaks(row) for row in scan_scores(band, size)]
+    starts = _scan([band], 61, FitConfig(m=3, theta_grid_size=grid_size, n_multistart=k))[0]
     assert np.isfinite(starts).all()
     for start in starts:
         for position, curve_peaks in zip(start[1:] * size / (2 * np.pi), peaks):
@@ -334,10 +333,10 @@ def test_fit_profile_equals_a_fresh_profile_at_the_reported_shifts_property(seed
     jobs = _wrapping_jobs(seed, j, n, np.array(offsets), sigma)
     config = FitConfig(m=3)
     for (panel, regime), result in zip(jobs, fit_batch(jobs, config), strict=True):
-        ctx = CriterionContext(panel, 3, regime)
+        band = panel.band(3)
         theta = result.beta_hat.theta
-        profile = shift_objective_stack(ctx.d_ac[None], np.zeros(1, dtype=int), theta[None, 1:],
-                                        np.array([ctx.shift_constant]))
+        profile = shift_objective_stack(band.d_ac[None], np.zeros(1, dtype=int), theta[None, 1:],
+                                        np.array([band.spread]))
         a = _sphere_scales(profile.lead)
         ssq = rowdot(a, a)
         a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)[0]
@@ -672,9 +671,9 @@ def test_fit_certifies_a_binding_box_on_the_panels_own_profile():
     # levels near 1e6 against a box of 1: the A0 shifts are the stationary point of the panel's
     # profile on its spread, as exactly as the A1 fit's
     panel, (boxed, _, a1) = _boxed_and_unboxed_fits(3, 3, 201, 0.3, 1e6, 1.0)
-    ctx = CriterionContext(panel, boxed.m, ConstraintRegime(kind=Regime.A1))
-    ev = shift_objective_stack(ctx.d_ac[None], [0], boxed.beta_hat.theta[None, 1:], ctx.shift_constant)
-    assert ctx.shift_constant == ctx.spread
+    band = panel.band(boxed.m)
+    ev = shift_objective_stack(band.d_ac[None], [0], boxed.beta_hat.theta[None, 1:], band.spread)
+    assert shift_constants(band.ybar[None], band.spread, np.array([True]), np.array([1.0]))[0] == band.spread
     assert boxed.converged
     assert np.abs(ev.grad).max() <= 1e-8 * max(1.0, abs(float(ev.value[0])))
     assert boxed.beta_hat.theta.tobytes() == a1.beta_hat.theta.tobytes()
@@ -700,13 +699,14 @@ def test_fit_monotone_multistart(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=3, sigma=1.0)
     panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=5)
     config = FitConfig(m=4)
-    result = sa.fit(panel, ConstraintRegime(), config)
-    ctx = sa.CriterionContext(panel, 4, ConstraintRegime())
-    starts = initialize_shifts(ctx.d_ac[None], np.array([ctx.shift_constant]), ctx.n, config)[0]
+    regime = ConstraintRegime()
+    result = sa.fit(panel, regime, config)
+    band = panel.band(4)
+    starts = initialize_shifts(band.d_ac[None], np.array([band.spread]), panel.grid.n, config)[0]
     assert len(starts) == config.n_multistart
     for theta in starts:  # the criterion at each start, scales and levels profiled
-        a = profile_amplitude(ctx, theta).a
-        start_value = sa.criterion_value(ctx, theta, a, context_levels(ctx, a))
+        a = profile_amplitude(band, theta).a
+        start_value = sa.criterion_value(band, regime, theta, a, band_levels(band, regime, a))
         assert result.objective <= start_value + 1e-12
 
 
@@ -842,8 +842,7 @@ def test_numeric_hessian_positive_definite_at_minimum(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=3, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=12)
     result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
-    ctx = CriterionContext(panel, 3, ConstraintRegime())
-    hess = numeric_hessian(ctx, result.beta_hat)
+    hess = numeric_hessian(panel.band(3), result.beta_hat)
     eigvals = np.linalg.eigvalsh(hess)
     assert np.min(eigvals) > 0.0
 
@@ -853,8 +852,7 @@ def test_numeric_hessian_curvature_scale(rng):
     truth, shape = bandlimited_truth(rng, j=2, degree=3, sigma=0.3)
     panel = sa.generate_panel(truth, shape, sa.make_grid(201), seed=13)
     result = sa.fit(panel, ConstraintRegime(), FitConfig(m=3))
-    ctx = CriterionContext(panel, 3, ConstraintRegime())
-    hess = numeric_hessian(ctx, result.beta_hat)
+    hess = numeric_hessian(panel.band(3), result.beta_hat)
     blocks = sa.efficiency_blocks(
         result.beta_hat.a, result.shape_hat, max(result.sigma_hat, 1e-12))
     target = (2.0 / 2) * blocks.h
@@ -863,31 +861,30 @@ def test_numeric_hessian_curvature_scale(rng):
     assert np.all(diag_ratio < 1.5)
 
 
-def _start_stack(rng, j, kind, config):
+def _start_stack(rng, j, config):
     """Scan starts plus uniform random starts of three panels of one (J, m), as one stack.
 
     The last row is an eigenvalue tie: J identical single-tone curves at equally
     spaced shifts, as in :func:`_polish_batch`.
     """
-    contexts = []
+    bands = []
     for seed in range(3):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
-        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=40 + seed)
-        contexts.append(CriterionContext(panel, config.m, ConstraintRegime(kind=kind)))
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(61), seed=40 + seed).band(config.m))
     x0, owner = [], []
-    for i, ctx in enumerate(contexts):
-        starts = [theta[1:] for theta in _scan([ctx], config)[0]]
+    for i, band in enumerate(bands):
+        starts = [theta[1:] for theta in _scan([band], 61, config)[0]]
         starts += list(rng.uniform(0.0, 2 * np.pi, (3, j - 1)))
         x0 += starts
         owner += [i] * len(starts)
     grid = sa.make_grid(61)
     tone = sa.CurvePanel(grid=grid, y=np.tile(np.cos(grid.points), (j, 1)))
-    contexts.append(CriterionContext(tone, config.m, ConstraintRegime(kind=kind)))
+    bands.append(tone.band(config.m))
     x0.append(2 * np.pi * np.arange(1, j) / (4 if j == 2 else j))
-    owner.append(len(contexts) - 1)
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
+    owner.append(len(bands) - 1)
+    d_ac = np.stack([band.d_ac for band in bands])
     owner = np.array(owner)
-    constant = np.array([ctx.shift_constant for ctx in contexts])[owner]
+    constant = np.array([band.spread for band in bands])[owner]
 
     def fun(xs, rows, hessian=False):
         return shift_objective_stack(d_ac, owner[rows], xs, constant[rows], hessian)
@@ -917,8 +914,10 @@ def _assert_matches_per_start(fun, x0, config):
 @pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
 def test_lockstep_newton_matches_per_start_oracle(kind, j, rng):
+    # the fitter searches a panel's A0 and A1 jobs on its one profile, spread - lambda_max(Q),
+    # so the stack, and this check, are the same for either kind
     config = FitConfig(m=3)
-    fun, x0 = _start_stack(rng, j, kind, config)
+    fun, x0 = _start_stack(rng, j, config)
     _, iterations = _assert_matches_per_start(fun, x0, config)
     assert len(set(iterations)) > 1  # rows stop at different iterations
     x, iterations = _assert_matches_per_start(fun, x0, FitConfig(m=3, max_iters=1))
@@ -936,7 +935,7 @@ def test_lockstep_bfgs_line_search_exhaustion_matches_oracle(rng):
     # gradient: a step of any length, down to 2**-59, is exact and an ascent, so
     # those rows exhaust their 60 halvings in the first iteration; the others go on
     config = FitConfig(m=3)
-    smooth, x0 = _start_stack(rng, 3, Regime.A0, config)
+    smooth, x0 = _start_stack(rng, 3, config)
     x0[::2] = 0.0
     weight = np.where(np.arange(len(x0)) % 2 == 0, 1e12, 0.0)
 
@@ -1006,36 +1005,35 @@ _POLISH_FACTORS = (1.0, -1.0, 1.0, 0.0, 1.0, np.nan)
 
 
 def _polish_batch(rng, j):
-    """Contexts of one (J, m) with A0 and A1 mixed, their Hessian factors, and start rows.
+    """Panel bands of one (J, m), their Hessian factors, and start rows.
 
-    The last context has J identical single-tone curves; its one start, equally
+    The last band has J identical single-tone curves; its one start, equally
     spaced shifts, is an eigenvalue tie.
     """
-    contexts = []
+    bands = []
     for k in range(len(_POLISH_FACTORS)):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
-        panel = sa.generate_panel(truth, shape, sa.make_grid(61), seed=80 + k)
-        contexts.append(CriterionContext(panel, 3, ConstraintRegime(kind=(Regime.A0, Regime.A1)[k % 2])))
+        bands.append(sa.generate_panel(truth, shape, sa.make_grid(61), seed=80 + k).band(3))
     grid = sa.make_grid(61)
     tone = sa.CurvePanel(grid=grid, y=np.tile(np.cos(grid.points), (j, 1)))
-    contexts.append(CriterionContext(tone, 3, ConstraintRegime(kind=Regime.A1)))
+    bands.append(tone.band(3))
     x0, owner = [], []
-    for i, ctx in enumerate(contexts[:-1]):
-        best = _scan([ctx], FitConfig(m=3))[0][0][1:]
+    for i, band in enumerate(bands[:-1]):
+        best = _scan([band], 61, FitConfig(m=3))[0][0][1:]
         x0 += [best, best + rng.normal(0.0, 1e-3, j - 1), rng.uniform(0.0, 2 * np.pi, j - 1)]
         owner += [i] * 3
     x0.append(2 * np.pi * np.arange(1, j) / (4 if j == 2 else j))
-    owner.append(len(contexts) - 1)
+    owner.append(len(bands) - 1)
     factors = np.array(_POLISH_FACTORS + (1.0,))
-    return contexts, factors, np.array(x0), np.array(owner)
+    return bands, factors, np.array(x0), np.array(owner)
 
 
 @pytest.mark.parametrize("max_iters", [500, 1])
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
 def test_lockstep_newton_on_polish_batch_matches_per_start_oracle(j, max_iters, rng):
-    contexts, factors, x0, owner = _polish_batch(rng, j)
-    d_ac = np.stack([ctx.d_ac for ctx in contexts])
-    constant = np.array([ctx.shift_constant for ctx in contexts])
+    bands, factors, x0, owner = _polish_batch(rng, j)
+    d_ac = np.stack([band.d_ac for band in bands])
+    constant = np.array([band.spread for band in bands])
 
     def fun(xs, rows, hessian=False):
         ev = shift_objective_stack(d_ac, owner[rows], xs, constant[owner[rows]], hessian)

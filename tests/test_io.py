@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import shapealign as sa
-from shapealign.criterion import CriterionContext
 from shapealign.errors import (
     ConfigInvalid,
     GridMismatch,
@@ -122,7 +121,7 @@ def test_panel_and_context_reject_non_finite_values():
     huge = y.copy()
     huge[1, 4] = 1e308
     with pytest.raises(NonFiniteData):
-        CriterionContext(sa.CurvePanel(grid=grid, y=huge), 3)
+        sa.CurvePanel(grid=grid, y=huge).band(3)
 
 
 def test_read_panel_tolerates_bom_and_crlf(tmp_path):
