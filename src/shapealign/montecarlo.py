@@ -42,10 +42,12 @@ from .model import (
 
 _QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 _MAX_FAILURE_FRACTION = 0.05
-# The largest grid a study draws panels on.  A fit's DFT table at the default band there holds
-# 63 x (10^6 + 1) complex numbers, about 1 GB; a larger n_list entry is a config error, raised
-# before anything of its size is allocated.
+# The largest grid a study draws panels on, and the largest twiddle table its fits build, in
+# entries: the DFT table of the default band there, 63 x (10^6 + 1) complex numbers, about 1 GB.
+# A larger n_list entry, or a fit band and scan grid whose table is larger, is a config error,
+# raised before anything of its size is allocated.
 _MAX_GRID = 10**6 + 1
+_MAX_TABLE = (2 * FitConfig().resolve_m(_MAX_GRID) + 1) * _MAX_GRID
 
 
 # Fits a worker needs before forking it and shipping its chunk pays off: on two
@@ -127,7 +129,10 @@ class StudyConfig:
             raise ConfigInvalid("n_list must not be empty")
         _check_grids(self.n_list, self.shape.m)
         for n in self.n_list:
-            self.fit_config.resolve_m(n)
+            m, size = self.fit_config.resolve_m(n), max(n, self.fit_config.theta_grid_size or n)
+            if (2 * m + 1) * size > _MAX_TABLE:
+                raise ConfigInvalid(f"fit band {m} and scan grid {size} at n={n} need a table of "
+                                    f"{(2 * m + 1) * size} entries, above the largest study table, {_MAX_TABLE}")
         if self.truth.regime.kind is not Regime.A0:
             raise ConfigInvalid("study truth must be given under regime A0")
         if not self.regimes:

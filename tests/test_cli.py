@@ -308,6 +308,24 @@ def test_simulate_rejects_a_grid_too_large_to_allocate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_list, fit", [([1000001], {"m": 400000}), ([201], {"theta_grid_size": 10**9})],
+                         ids=["fit-band", "scan-grid"])
+def test_simulate_rejects_a_fit_table_too_large_to_allocate(n_list, fit, tmp_path, capsys):
+    # the shipped study with a fit band or scan grid whose twiddle table would hold 8e11 or 1.1e10
+    # complex numbers: an input error before any panel or table is allocated, and no report
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json")) as fh:
+        doc = json.load(fh)
+    doc["n_list"] = n_list
+    doc.setdefault("fit", {}).update(fit)
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(doc))
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fit band ") and "largest study table" in err[0]
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_json(tmp_path):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text("{ not json")

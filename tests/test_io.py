@@ -432,6 +432,23 @@ def test_parse_study_config_bounds_the_shape_band_before_allocating(shape, n_lis
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n_list, fit, message", [
+    ([1000001], {"m": 400000}, "fit band 400000 and scan grid 1000001 at n=1000001 need a table of "
+                               "800001800001 entries, above the largest study table, 63000063"),
+    ([41], {"m": 3, "theta_grid_size": 10**9}, "fit band 3 and scan grid 1000000000 at n=41 need a table of "
+                                               "7000000000 entries, above the largest study table, 63000063"),
+    ([1000001], {"theta_grid_size": 1000002}, "fit band 31 and scan grid 1000002 at n=1000001 need a table of "
+                                              "63000126 entries, above the largest study table, 63000063"),
+], ids=["fit-band", "scan-grid", "one-past-the-default-table"])
+def test_parse_study_config_bounds_the_fit_table_before_allocating(n_list, fit, message):
+    # the DFT table (2m+1) x n and the scan table (2m+1) x theta_grid_size may hold no more entries than
+    # the default band's DFT table on the largest grid; a config is checked before anything is allocated
+    assert parse_study_config(_config_doc(n_list=[1000001], fit={})).n_list == (1000001,)
+    with pytest.raises(ConfigInvalid) as info:
+        parse_study_config(_config_doc(n_list=n_list, fit=fit))
+    assert str(info.value) == message
+
+
 def test_parse_study_config_fit_block_takes_fit_config_defaults():
     assert parse_study_config(_config_doc(fit={})).fit_config == FitConfig()
     parsed = parse_study_config(_config_doc(fit={"m": "auto", "n_multistart": 3})).fit_config
