@@ -680,6 +680,29 @@ def test_fit_certifies_a_binding_box_on_the_panels_own_profile():
     assert boxed.objective > a1.objective
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), n=st.sampled_from([41, 201]),
+       sigma=st.sampled_from([0.0, 0.5]), setup=st.sampled_from(["a0", "box", "a1"]))
+def test_fit_objective_is_the_public_criterion_at_its_estimates_property(seed, j, n, sigma, setup):
+    # the fit reports its job's C - lambda_max(Q) from the stacked kernel; the public criterion
+    # recomputes the residual from the band at the reported (theta, a, upsilon): equal to rounding
+    truth, shape = bandlimited_truth(np.random.default_rng(seed), j=j, degree=3, sigma=sigma)
+    regime = ConstraintRegime()
+    if setup == "box":  # levels of 7 to 13 against a box of 1: every level is clipped
+        truth = dataclasses.replace(truth, upsilon=truth.upsilon + 10.0)
+        regime = ConstraintRegime(upsilon_max=1.0)
+    elif setup == "a1":
+        regime = ConstraintRegime(kind=Regime.A1)
+    panel = sa.generate_panel(truth, shape, sa.make_grid(n), seed=seed % 1000)
+    result = sa.fit(panel, regime)
+    est, band = result.beta_hat, panel.band(result.m)
+    if setup == "box":
+        assert np.all(np.abs(est.upsilon) == 1.0)
+    value = sa.criterion_value(band, regime, est.theta, est.a, est.upsilon)
+    residual = band.spread + np.mean((band.ybar - est.upsilon) ** 2)
+    assert abs(value - result.objective) <= 64 * np.finfo(float).eps * residual
+
+
 @pytest.mark.xfail(strict=True, reason="the certificate's gradient tolerance is absolute where f is near 0, "
                                        "but the gradient's rounding floor grows with the data")
 def test_fit_certifies_a_noiseless_panel_at_any_scale():
