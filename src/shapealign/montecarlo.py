@@ -129,10 +129,11 @@ class StudyConfig:
             raise ConfigInvalid("n_list must not be empty")
         _check_grids(self.n_list, self.shape.m)
         for n in self.n_list:
-            m, size = self.fit_config.resolve_m(n), max(n, self.fit_config.theta_grid_size or n)
-            if (2 * m + 1) * size > _MAX_TABLE:
-                raise ConfigInvalid(f"fit band {m} and scan grid {size} at n={n} need a table of "
-                                    f"{(2 * m + 1) * size} entries, above the largest study table, {_MAX_TABLE}")
+            m, grid = self.fit_config.resolve_m(n), self.fit_config.theta_grid_size or n
+            if (2 * m + 1) * max(n, grid) > _MAX_TABLE:
+                raise ConfigInvalid(f"fit band {m} and scan grid {grid} at n={n} need a table of "
+                                    f"{(2 * m + 1) * max(n, grid)} entries, above the largest study table, "
+                                    f"{_MAX_TABLE}")
         if self.truth.regime.kind is not Regime.A0:
             raise ConfigInvalid("study truth must be given under regime A0")
         if not self.regimes:

@@ -46,7 +46,7 @@ def _circ(x, y):
 
 
 def _scan(bands, n, config):
-    """Start scan of panel bands of one (J, m) on n points, given the coefficient and constant stacks the fitter builds."""
+    """Start scan of panel bands of one (J, m) on n points, from the coefficient and spread stacks the fitter builds."""
     d_ac = np.stack([band.d_ac for band in bands])
     constants = np.array([band.spread for band in bands])
     return initialize_shifts(d_ac, constants, config.theta_grid_size or n, config)
