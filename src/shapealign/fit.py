@@ -12,7 +12,8 @@ curve's score peaks and linear in J, are ranked with one eigenvalue call; one
 lockstep modified-Newton search with the exact Hessian, a row per start, which
 runs each row until its gradient vanishes to rounding or no step can shrink it;
 and the assembly of the estimates, whose scales, tie flag and ``converged``
-certificate read the search's last evaluation of each panel's best row.  The
+certificate read the search's last evaluation of each panel's best row, and
+which :func:`model.project_rows` puts on the constraint set.  The
 regime and the A0 box enter the shift criterion only through C, which cannot
 move its minimisers, so each panel is one shift problem, on its spread, whatever
 the regimes of its jobs.
@@ -34,7 +35,7 @@ from .criterion import (
     shift_constants,
     shift_objective_stack,
 )
-from .errors import ConfigInvalid, ZeroReferenceAmplitude
+from .errors import ConfigInvalid
 from .fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_spectrum
 from .model import (
     Band,
@@ -43,6 +44,7 @@ from .model import (
     ParameterSet,
     Regime,
     band_stack,
+    project_rows,
     rowdot,
 )
 
@@ -90,17 +92,12 @@ class FitConfig:
         return min(m, (n - 1) // 2)
 
 
-def _sphere_scales(lead: np.ndarray) -> np.ndarray:
-    """Rows of unit eigenvectors (K, J) as scales on the sphere, first nonzero coordinate positive."""
-    first = np.take_along_axis(lead, np.argmax(lead != 0, axis=1)[:, None], axis=1)
-    return np.sqrt(lead.shape[1]) * np.where(first < 0, -lead, lead)
-
-
-def _profiled_levels(ybar: np.ndarray, a1: np.ndarray, bound: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Exact level profiles (F, J) given means and scales (F, J), under A1 where ``a1``, else within +-``bound``."""
-    ups = np.clip(ybar, -bound[:, None], bound[:, None])
-    ups[a1] = ybar[a1] - a[a1] * (ybar[a1, :1] / a[a1, :1])
-    ups[a1, 0] = 0.0
+def _profiled_levels(ybar: np.ndarray, a1: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Exact level profiles (F, J) given means and scales (F, J), before :func:`model.project_rows` clips
+    or zeroes them: the means, less a_j ybar_1 / a_1 under A1 where ``a1``."""
+    ups = ybar.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):  # project_rows raises at a zero a_1
+        ups[a1] -= a[a1] * (ybar[a1, :1] / a[a1, :1])
     return ups
 
 
@@ -294,10 +291,11 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
 
     Job f fits panel ``rows[f]`` under A1 where ``a1[f]``, else within +-``bound[f]``; callers
     validate the estimates.  Each panel is one shift problem, spread - lambda_max(Q), scanned,
-    searched, picked, profiled and certified once, in one search over every start of every
-    panel.  Its best row gives the certificate and, unless wrapping its shifts into [0, 2*pi)
-    changed a bit, lambda_max, the scale profile and the tie flag.  Regime and box reach only
-    a job's levels and objective: its own :func:`shift_constants` minus that lambda_max.
+    searched, picked and certified once, in one search over every start of every panel.  Its
+    best row gives the certificate and, unless wrapping its shifts into [0, 2*pi) changed a bit,
+    lambda_max, the scale profile and the tie flag; :func:`model.project_rows` puts each job's
+    estimates on its constraint set.  Regime and box reach only a job's levels and objective:
+    its own :func:`shift_constants` minus that lambda_max.
     """
     require_energy(band.ac_trace, band.mean_sq)
     starts = initialize_shifts(band.d_ac, band.spread, config.theta_grid_size or n, config)
@@ -313,32 +311,27 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
         config.tol_objective)
     value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
 
-    x_best = x_end[best]
-    theta = np.mod(np.concatenate([np.zeros((count, 1)), x_best], axis=1), TWO_PI)
-    theta[theta >= TWO_PI] = 0.0
-    # the profile at the wrapped shifts is the search's last evaluation, unless the wrap changed bits
-    energy, lead, tie_break = ev.energy[best], ev.lead[best], tie.copy()
-    moved = (theta[:, 1:].view(np.int64) != x_best.view(np.int64)).any(axis=1)
-    if moved.any():
-        profile = shift_objective_stack(band.d_ac, np.flatnonzero(moved), theta[moved, 1:], band.spread[moved])
-        energy[moved], lead[moved], tie_break[moved] = profile.energy, profile.lead, profile.tie_break
-    # project_to_constraints row-wise, levels from the scales before their rescaling; the
-    # sign rule of _sphere_scales already leaves a_1 >= 0, so no row needs a flip
-    a = _sphere_scales(lead)
-    if np.any(a[:, 0] == 0.0):
-        raise ZeroReferenceAmplitude("reference amplitude is zero after rescaling")
     gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
     certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    theta, a, energy, certified, tie_break, iterations = (  # each panel's to its jobs
-        v[rows] for v in (theta, a, energy, certified, tie_break, iters.reshape(count, per_problem).sum(axis=1)))
+    theta = np.concatenate([np.zeros((count, 1)), x_end[best]], axis=1)
+    theta, energy, lead, tie_break, certified, iterations = (  # each panel's to its jobs
+        v[rows] for v in (theta, ev.energy[best], ev.lead[best], tie, certified,
+                          iters.reshape(count, per_problem).sum(axis=1)))
 
     ybar, spread = band.ybar[rows], band.spread[rows]
+    while True:  # the profile at the projected shifts is the search's last evaluation, unless their wrap changed bits
+        a = np.sqrt(j) * lead  # the levels take the scales before their rescaling and sign flip
+        projected = project_rows(theta, a, _profiled_levels(ybar, a1, a), a1, bound)
+        moved = (projected[0].view(np.int64) != theta.view(np.int64)).any(axis=1)
+        if not moved.any():  # projected shifts project onto themselves, so this holds on the second pass
+            break
+        theta = projected[0]
+        profile = shift_objective_stack(band.d_ac, rows[moved], theta[moved, 1:], spread[moved])
+        energy[moved], lead[moved], tie_break[moved] = profile.energy, profile.lead, profile.tie_break
+    theta, a, upsilon, _ = projected
     objective = shift_constants(ybar, spread, a1, bound) - energy  # the kernel's value, bitwise, where C is the spread
-    upsilon = _profiled_levels(ybar, a1, bound, a)
-    ssq = rowdot(a, a)
-    a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)
     coeffs = criterion_stack(band.d_ac[rows], ybar, spread, a1, theta, a, upsilon)[1]
     finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
     above = objective > NOISE_FLOOR * np.sqrt(spread * band.mean_sq[rows])  # False for a NaN objective too

@@ -202,7 +202,8 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
     """Per-parameter normal confidence intervals from the plug-in covariance.
 
     Shift intervals are reported on the circle: endpoints are wrapped to
-    [0, 2*pi), so ``lo > hi`` means the interval crosses zero.  With a
+    [0, 2*pi), so ``lo > hi`` means the interval crosses zero, except that a
+    half-width of pi or more gives lo = 0 and hi = 2*pi, the whole circle.  With a
     zero noise estimate the intervals degenerate to points and the report
     is flagged.
 

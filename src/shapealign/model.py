@@ -11,6 +11,10 @@ identifiability regimes are supported:
   centered (no mean term), and levels are bounded by ``upsilon_max``.
 * ``A1`` (alternative): same shift/scale constraints, but the shape keeps
   its mean and the first curve's level is pinned to zero instead.
+
+:func:`project_rows` is the one map onto these sets: the fitter assembles
+its estimates through it, and :func:`project_to_constraints` is its call
+for one parameter vector.
 """
 
 from __future__ import annotations
@@ -236,54 +240,56 @@ def center_shape(spec: ShapeSpectrum) -> tuple[ShapeSpectrum, float]:
     return spec.centered(), c0
 
 
-def project_to_constraints(
-    theta,
-    a,
-    upsilon,
-    regime: ConstraintRegime,
-    sigma: float = 1.0,
-) -> tuple[ParameterSet, bool]:
-    """Map raw (theta, a, upsilon) onto the regime's constraint set.
+def project_rows(theta, a, upsilon, a1, bound):
+    """Map rows (F, J) of raw shifts, scales and levels onto the constraint set, under A1 where ``a1``,
+    else within +-``bound``: each row bitwise its own :func:`project_to_constraints`, the first bad row
+    failing as it would alone.
 
-    Shifts are referenced to curve 1 and wrapped to [0, 2*pi); amplitudes
-    are rescaled onto the sphere sum a^2 = J and globally sign-flipped so
-    a[0] > 0 (the compensating shape flip f <- -f is the caller's
-    responsibility); levels are clipped to the A0 box, or the reference
-    level is zeroed under A1.  Returns ``(params, flipped)`` and is exactly
-    idempotent: inputs already satisfying the constraints pass through
-    bit-for-bit.
+    Shifts are referenced to curve 1 and wrapped to [0, 2*pi); scales are rescaled onto the sphere
+    sum a^2 = J and sign-flipped so a_1 > 0 (the compensating shape flip f <- -f is the caller's);
+    A0 levels are clipped to the box, the A1 reference level is zeroed.  Returns ``(theta, a,
+    upsilon, flipped)``, new arrays; rows already on the set pass through bit for bit.
+
+    Raises DegenerateAmplitude for a zero scale row, ZeroReferenceAmplitude for a zero a_1.
     """
-    theta = np.asarray(theta, dtype=float).copy()
-    a = np.asarray(a, dtype=float).copy()
-    upsilon = np.asarray(upsilon, dtype=float).copy()
-    j = theta.size
-
-    if theta[0] != 0.0:
-        theta = theta - theta[0]
+    j = a.shape[1]
+    theta = np.where(theta[:, :1] != 0.0, theta - theta[:, :1], theta)
     outside = (theta < 0.0) | (theta >= TWO_PI)
-    if np.any(outside):
-        theta[outside] = np.mod(theta[outside], TWO_PI)
-        theta[theta >= TWO_PI] = 0.0  # mod can round up to the period itself
-    theta[0] = 0.0
+    theta[outside] = np.mod(theta[outside], TWO_PI)  # only there: mod would turn -0.0 into 0.0
+    theta[theta >= TWO_PI] = 0.0  # mod can round up to the period itself
+    theta[:, 0] = 0.0
 
-    ssq = float(a @ a)
-    if ssq < np.finfo(float).tiny:
-        raise DegenerateAmplitude("amplitude vector is zero")
-    if abs(ssq - j) > 1e-12 * j:
-        a = a * np.sqrt(j / ssq)
-    if a[0] == 0.0:
+    ssq = rowdot(a, a)
+    degenerate = ssq < np.finfo(float).tiny
+    off = ~degenerate & (np.abs(ssq - j) > 1e-12 * j)
+    a = a.copy()
+    a[off] *= np.sqrt(j / ssq[off])[:, None]
+    bad = degenerate | (a[:, 0] == 0.0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if degenerate[row]:
+            raise DegenerateAmplitude("amplitude vector is zero")
         raise ZeroReferenceAmplitude("reference amplitude is zero after rescaling")
-    flipped = a[0] < 0.0
-    if flipped:
-        a = -a
+    flipped = a[:, 0] < 0.0
+    a[flipped] = -a[flipped]
 
-    if regime.kind is Regime.A0:
-        bound = regime.upsilon_max
-        np.clip(upsilon, -bound, bound, out=upsilon)
-    else:
-        upsilon[0] = 0.0
+    a1 = np.asarray(a1, dtype=bool)
+    bound = np.asarray(bound, dtype=float)[:, None]
+    upsilon = np.where(a1[:, None], upsilon, np.clip(upsilon, -bound, bound))
+    upsilon[a1, 0] = 0.0
+    return theta, a, upsilon, flipped
 
-    return ParameterSet(theta=theta, a=a, upsilon=upsilon, sigma=sigma, regime=regime), flipped
+
+def project_to_constraints(theta, a, upsilon, regime: ConstraintRegime, sigma: float = 1.0) -> tuple[ParameterSet, bool]:
+    """Map raw (theta, a, upsilon) onto the regime's constraint set: :func:`project_rows` of one row.
+
+    Returns ``(params, flipped)``, ``flipped`` where the scales changed sign; inputs already
+    satisfying the constraints pass through bit for bit.
+    """
+    theta, a, upsilon, flipped = project_rows(
+        *(np.asarray(v, dtype=float).reshape(1, -1) for v in (theta, a, upsilon)),
+        [regime.kind is Regime.A1], [regime.upsilon_max])
+    return ParameterSet(theta=theta[0], a=a[0], upsilon=upsilon[0], sigma=sigma, regime=regime), bool(flipped[0])
 
 
 def reparameterize_to_a1(

@@ -5,8 +5,8 @@ Each replicate's panel is generated once, from one truth and a derived seed
 the fits aggregate into deterministic summaries: mean bias, the empirical
 covariance of sqrt(n)-scaled errors against its closed-form target,
 shape-estimator integrated squared error, and boxplot-style quantiles.  A
-study splits its replicates into contiguous chunks, one per worker of a
-process pool that gets at least _FITS_PER_WORKER fits a worker, at most
+study splits its replicates into contiguous seed ranges, each fitted at every
+grid size, one per worker of a process pool that gets at least _FITS_PER_WORKER fits a worker, at most
 SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
 the usable CPUs; below two workers it runs as one chunk in this process.
 Each chunk's panels of one grid size are generated in one pass and kept as
@@ -86,28 +86,21 @@ _Fits = namedtuple("_Fits", "free converged sigma coeffs")
 
 def _map_ordered(truth, shape, kinds, cells, seeds) -> list[tuple[_Fits, ...]]:
     """Per cell ``(n, config)``, one ``_Fits`` per kind of its replicates at ``seeds``, fitted by
-    ``_replicate_chunk`` in contiguous chunks, one per worker; a cell split between chunks is joined."""
-    reps, total, none = len(seeds), len(cells) * len(seeds), np.zeros((0, truth.n_curves))
-    if not total:  # no replicates: every cell holds no fits
+    ``_replicate_chunk`` in chunks, one per worker, each a contiguous range of every cell's seeds;
+    a cell's pieces are joined in chunk order."""
+    reps, none = len(seeds), np.zeros((0, truth.n_curves))
+    if not reps:  # no replicates: every cell holds no fits
         return [tuple(_Fits(free_columns(none, none, none, kind), none[:, 0] > 0, none[:, 0], none.astype(complex))
                       for kind in kinds) for _ in cells]
-    count = max(1, min(worker_count(), total, total * len(kinds) // _FITS_PER_WORKER))
-    bounds = [total * w // count for w in range(count + 1)]
-    chunks = [(truth, shape, kinds, [(c, *cells[c], seeds[max(lo - c * reps, 0):min(hi - c * reps, reps)])
-                                     for c in range(lo // reps, -(-hi // reps))])
-              for lo, hi in zip(bounds, bounds[1:])]
+    count = max(1, min(worker_count(), reps, reps * len(cells) * len(kinds) // _FITS_PER_WORKER))
+    bounds = [reps * w // count for w in range(count + 1)]
+    chunks = [(truth, shape, kinds, [(*cell, seeds[lo:hi]) for cell in cells]) for lo, hi in zip(bounds, bounds[1:])]
     if count == 1:
-        parts = _replicate_chunk(chunks[0])
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            parts = [part for chunk in pool.map(_replicate_chunk, chunks) for part in chunk]
-    split: dict[int, list] = {}
-    for c, fits in parts:
-        split.setdefault(c, []).append(fits)
-    return [pieces[0] if len(pieces) == 1 else
-            tuple(_Fits(*map(np.concatenate, zip(*kind))) for kind in zip(*pieces))
-            for pieces in split.values()]
+        return _replicate_chunk(chunks[0])
+    from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        parts = list(pool.map(_replicate_chunk, chunks))
+    return [tuple(_Fits(*map(np.concatenate, zip(*kind))) for kind in zip(*pieces)) for pieces in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -152,14 +145,14 @@ def _check_grids(n_list, band: int):
             raise ConfigInvalid(f"shape band {band} violates 2*m < n for n={n}")
 
 
-def _replicate_chunk(args) -> list[tuple[int, tuple[_Fits, ...]]]:
-    """One ``_Fits`` per kind for each run ``(cell, n, config, seeds)`` of a chunk: the run's panels
+def _replicate_chunk(args) -> list[tuple[_Fits, ...]]:
+    """One ``_Fits`` per kind for each run ``(n, config, seeds)`` of a chunk: the run's panels
     generated in one pass, their bands in one call, every panel under every kind fitted as one group
     and validated in one pass."""
     truth, shape, kinds, runs = args
     a1 = np.array([kind is Regime.A1 for kind in kinds])
     out = []
-    for cell, n, config, seeds in runs:
+    for n, config, seeds in runs:
         grid = make_grid(n)
         panels = generate_panels(truth, shape, grid, seeds)
         band = band_stack(np.stack([panel.y for panel in panels]), grid, config.resolve_m(n))
@@ -168,10 +161,10 @@ def _replicate_chunk(args) -> list[tuple[int, tuple[_Fits, ...]]]:
         est = _fit_group(band, rows, jobs_a1, bound, n, config)
         validate_rows(est.theta, est.a, est.upsilon, est.sigma, jobs_a1, bound)
         k = len(kinds)
-        out.append((cell, tuple(
+        out.append(tuple(
             _Fits(free_columns(est.theta[i::k], est.a[i::k], est.upsilon[i::k], kind),
                   est.converged[i::k], est.sigma[i::k], est.coeffs[i::k])
-            for i, kind in enumerate(kinds))))
+            for i, kind in enumerate(kinds)))
     return out
 
 

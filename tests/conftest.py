@@ -78,6 +78,13 @@ def bandlimited_truth(rng: np.random.Generator, j: int = 3, degree: int = 3,
     return truth, shape
 
 
+def zero_reference_panel() -> sa.CurvePanel:
+    """J=3, n=41 panel whose first curve is the constant 2.0: its profiled scale a_1 is exactly 0."""
+    grid = sa.make_grid(41)
+    t = grid.points
+    return sa.CurvePanel(grid, np.array([np.full(41, 2.0), np.cos(t) + 0.1 * np.sin(2 * t), 0.5 * np.cos(t - 1)]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

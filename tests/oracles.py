@@ -20,7 +20,7 @@ from shapealign.criterion import (
     shift_objective_stack,
 )
 from shapealign.errors import ConfigInvalid, ConstraintViolation, GridMismatch, ParseError, RaggedColumns
-from shapealign.fit import FitConfig, _profiled_levels, _sphere_scales, fit
+from shapealign.fit import FitConfig, fit
 from shapealign.fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_shifted_on_grid, make_grid
 from shapealign.inference import a1_covariance, efficiency_blocks
 from shapealign.io import _integer, _number, _object, _require
@@ -96,7 +96,9 @@ def profile_amplitude(band: Band, theta) -> AmplitudeProfile:
     require_energy(band.ac_trace, band.mean_sq)
     # one row of the stacked kernel; only differences of shifts enter
     ev = shift_objective_stack(band.d_ac[None], [0], [theta[1:] - theta[0]], band.spread)
-    return AmplitudeProfile(a=_sphere_scales(ev.lead)[0], energy=float(ev.energy[0]),
+    lead = ev.lead[0]
+    first = lead[np.flatnonzero(lead)[0]]  # the first nonzero coordinate
+    return AmplitudeProfile(a=np.sqrt(lead.size) * (-lead if first < 0 else lead), energy=float(ev.energy[0]),
                             tie_break=bool(ev.tie_break[0]))
 
 
@@ -206,9 +208,14 @@ def initialize_shifts_loop(band: Band, regime: ConstraintRegime, n: int, config:
 
 
 def band_levels(band: Band, regime: ConstraintRegime, a) -> np.ndarray:
-    """The fitter's profiled levels of one panel's band under ``regime`` at scales ``a``."""
-    return _profiled_levels(band.ybar[None], np.array([regime.kind is Regime.A1]), np.array([regime.upsilon_max]),
-                            np.asarray(a, dtype=float)[None])[0]
+    """The fitter's profiled levels of one panel's band under ``regime`` at scales ``a``: the means,
+    clipped to the A0 box, or less a_j ybar_1 / a_1 with the reference level zeroed under A1."""
+    if regime.kind is Regime.A0:
+        return np.clip(band.ybar, -regime.upsilon_max, regime.upsilon_max)
+    a = np.asarray(a, dtype=float)
+    levels = band.ybar - a * (band.ybar[0] / a[0])
+    levels[0] = 0.0
+    return levels
 
 
 def newton_per_start(fun, x0, config: FitConfig):

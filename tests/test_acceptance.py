@@ -223,7 +223,7 @@ def test_criterion_09_consistency_trend():
     for n in (101, 801):
         errs = []
         for r in range(50):
-            [(_, (fits,))] = _replicate_chunk((truth, shape, (ConstraintRegime().kind,), [(0, n, sa.FitConfig(), [5 + r])]))
+            [(fits,)] = _replicate_chunk((truth, shape, (ConstraintRegime().kind,), [(n, sa.FitConfig(), [5 + r])]))
             e = fits.free[0] - truth.free_values()
             e[0] = np.mod(e[0] + np.pi, 2 * np.pi) - np.pi
             errs.append(float(np.max(np.abs(e))))

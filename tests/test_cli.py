@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import shapealign as sa
 from shapealign.cli import _build_parser, main
 from shapealign.io import dumps_canonical, write_atomic, write_panel
+from conftest import zero_reference_panel
 
 FIXTURE_PANEL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_panel.csv")
 
@@ -142,6 +143,14 @@ def test_fit_zero_noise_a1_renders_covariance_and_half_widths_as_zero(tmp_path):
 def test_fit_accepts_unbounded_levels(tmp_path):
     out = tmp_path / "r.json"
     assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), "--upsilon-max", "inf"]) == 0
+
+
+def test_fit_constant_reference_curve_is_an_input_error(tmp_path, capsys):
+    panel, out = tmp_path / "panel.csv", tmp_path / "r.json"
+    write_panel(str(panel), zero_reference_panel())
+    assert main(["fit", "--input", str(panel), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: reference amplitude is zero after rescaling"]
+    assert not out.exists()
 
 
 def test_fit_band_guard_exit_code(tmp_path, capsys):

@@ -14,21 +14,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.criterion import ShiftEvaluation, rowdot, shift_constants, shift_objective_stack
-from shapealign.errors import ConfigInvalid, DegenerateSpectrum
+from shapealign.criterion import ShiftEvaluation, shift_constants, shift_objective_stack
+from shapealign.errors import ConfigInvalid, DegenerateSpectrum, ZeroReferenceAmplitude
 from shapealign.fit import (
     NOISE_FLOOR,
     FitConfig,
     _best_starts,
     _lockstep_newton,
-    _sphere_scales,
     fit_batch,
     initialize_shifts,
 )
 from shapealign.io import dumps_canonical, load_study_config, read_panel, result_document
 from shapealign.model import ConstraintRegime, Regime, generate_panels
 from shapealign.montecarlo import run_study
-from conftest import bandlimited_truth, sphere_scales
+from conftest import bandlimited_truth, sphere_scales, zero_reference_panel
 from oracles import (
     band_levels,
     first_best,
@@ -299,6 +298,13 @@ def test_fit_batch_spends_one_polish_budget_in_total(rng, monkeypatch):
     assert 1 <= sum(hessians) <= 8
 
 
+@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
+def test_fit_of_a_constant_reference_curve_raises_zero_reference_amplitude(kind):
+    # a constant first curve has no shape to scale: its profiled a_1 is exactly 0 under either regime
+    with pytest.raises(ZeroReferenceAmplitude, match="reference amplitude is zero after rescaling"):
+        sa.fit(zero_reference_panel(), ConstraintRegime(kind=kind))
+
+
 def test_lone_fit_without_a_wrap_profiles_at_the_search_evaluation(rng, monkeypatch):
     # shifts far from 0: the endpoints lie in [0, 2*pi), so the assembly reads the
     # search's last evaluation and asks the kernel for no Hessian-free profile
@@ -337,9 +343,11 @@ def test_fit_profile_equals_a_fresh_profile_at_the_reported_shifts_property(seed
         theta = result.beta_hat.theta
         profile = shift_objective_stack(band.d_ac[None], np.zeros(1, dtype=int), theta[None, 1:],
                                         np.array([band.spread]))
-        a = _sphere_scales(profile.lead)
-        ssq = rowdot(a, a)
-        a = np.where((np.abs(ssq - j) > 1e-12 * j)[:, None], a * np.sqrt(j / ssq)[:, None], a)[0]
+        lead = profile.lead[0]
+        a = np.sqrt(j) * (-lead if lead[np.flatnonzero(lead)[0]] < 0 else lead)  # first nonzero coordinate positive
+        ssq = float(a @ a)
+        if abs(ssq - j) > 1e-12 * j:
+            a = a * np.sqrt(j / ssq)
         assert result.beta_hat.a.tobytes() == a.tobytes()
         assert result.tie_break == bool(profile.tie_break[0])
         alone = sa.fit(panel, regime, config)
@@ -934,11 +942,10 @@ def _assert_matches_per_start(fun, x0, config):
     return x, iterations
 
 
-@pytest.mark.parametrize("kind", [Regime.A0, Regime.A1])
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
-def test_lockstep_newton_matches_per_start_oracle(kind, j, rng):
+def test_lockstep_newton_matches_per_start_oracle(j, rng):
     # the fitter searches a panel's A0 and A1 jobs on its one profile, spread - lambda_max(Q),
-    # so the stack, and this check, are the same for either kind
+    # so the stack, and this check, hold for either regime
     config = FitConfig(m=3)
     fun, x0 = _start_stack(rng, j, config)
     _, iterations = _assert_matches_per_start(fun, x0, config)

@@ -165,6 +165,17 @@ def test_interval_arithmetic():
     assert theta_iv.circular
 
 
+def test_interval_of_a_half_width_of_pi_or_more_is_the_whole_circle():
+    # eleven noisy points of a weak tone: the shift's 99% half-width is about 4.88 > pi
+    truth = sa.ParameterSet(theta=[0.0, 1.0], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=1.0)
+    panel = sa.generate_panel(truth, sa.ShapeSpectrum.from_onesided({1: 0.2}), sa.make_grid(11), seed=2)
+    fit = sa.fit(panel, ConstraintRegime())
+    assert fit.converged
+    theta_iv = sa.confidence_intervals(fit, 0.99).intervals[0]
+    assert theta_iv.name == "theta_2" and abs(theta_iv.half_width - 4.88) < 5e-3
+    assert (theta_iv.lo, theta_iv.hi) == (0.0, 2 * np.pi)
+
+
 def test_interval_monotone_in_level():
     fit = _tone_fit()
     widths = [

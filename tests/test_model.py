@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
-from shapealign.errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData
-from shapealign.model import ConstraintRegime, Regime, band_stack, validate_rows
+from hypothesis.extra import numpy as hnp
+
+from shapealign.errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData, ZeroReferenceAmplitude
+from shapealign.model import ConstraintRegime, Regime, band_stack, project_rows, validate_rows
 from conftest import bandlimited_truth, boxplot_truth, parabola_spectrum
 from oracles import generate_panel_per_seed
 
@@ -219,6 +221,42 @@ def test_project_idempotent_exactly():
 def test_project_degenerate_amplitude():
     with pytest.raises(DegenerateAmplitude):
         sa.project_to_constraints([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], ConstraintRegime())
+
+
+def test_project_zero_reference_amplitude():
+    with pytest.raises(ZeroReferenceAmplitude, match="reference amplitude is zero after rescaling"):
+        sa.project_to_constraints([0, 1], [0, 2], [0, 0], ConstraintRegime())
+
+
+def test_project_rows_raise_at_the_first_bad_row():
+    zeros, degenerate, zero_reference = np.zeros((1, 2)), np.zeros((1, 2)), np.array([[0.0, 2.0]])
+    for scales, error in (([degenerate, zero_reference], DegenerateAmplitude),
+                          ([zero_reference, degenerate], ZeroReferenceAmplitude)):
+        with pytest.raises(error):
+            project_rows(np.zeros((2, 2)), np.vstack(scales), np.vstack([zeros, zeros]), [False, True], [1.0, 1.0])
+
+
+_ROWS = st.shared(st.tuples(st.integers(1, 6), st.integers(2, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=_ROWS.flatmap(lambda fj: hnp.arrays(float, fj, elements=st.floats(-20.0, 20.0))),
+       a=_ROWS.flatmap(lambda fj: hnp.arrays(float, fj, elements=st.floats(-3.0, 3.0))),
+       upsilon=_ROWS.flatmap(lambda fj: hnp.arrays(float, fj, elements=st.floats(-10.0, 10.0))),
+       a1=_ROWS.flatmap(lambda fj: hnp.arrays(bool, fj[0])),
+       bound=_ROWS.flatmap(lambda fj: hnp.arrays(float, fj[0], elements=st.floats(0.5, 5.0))))
+def test_project_rows_equal_each_rows_projection_property(theta, a, upsilon, a1, bound):
+    # rows with a_1 of either sign, scales off the sphere, levels beyond the box, A0 and A1 mixed
+    a[:, 0] = np.where(np.abs(a[:, 0]) < 0.1, -0.5, a[:, 0])
+    out = project_rows(theta, a, upsilon, a1, bound)
+    for f in range(len(theta)):
+        alone, flipped = sa.project_to_constraints(
+            theta[f], a[f], upsilon[f], ConstraintRegime(kind=Regime.A1 if a1[f] else Regime.A0, upsilon_max=bound[f]))
+        assert [v[f].tobytes() for v in out[:3]] == [v.tobytes() for v in (alone.theta, alone.a, alone.upsilon)]
+        assert out[3][f] == flipped
+    again = project_rows(*out[:3], a1, bound)  # rows on the set pass through
+    assert [v.tobytes() for v in again[:3]] == [v.tobytes() for v in out[:3]]
+    assert not again[3].any()
 
 
 def test_a1_reparameterization_matches_bitwise():

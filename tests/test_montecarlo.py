@@ -63,8 +63,8 @@ def test_replicates_extend_without_changing_prefix():
     truth, shape = _small_truth()
     regime = ConstraintRegime()
     cfg = sa.FitConfig(m=4)
-    [(_, (first,))] = _replicate_chunk((truth, shape, (regime.kind,), [(0, 41, cfg, range(7, 10))]))
-    [(_, (again,))] = _replicate_chunk((truth, shape, (regime.kind,), [(0, 41, cfg, range(7, 13))]))
+    [(first,)] = _replicate_chunk((truth, shape, (regime.kind,), [(41, cfg, range(7, 10))]))
+    [(again,)] = _replicate_chunk((truth, shape, (regime.kind,), [(41, cfg, range(7, 13))]))
     first, again = first.free, again.free
     for a, b in zip(first, again[:3]):
         assert np.array_equal(a, b)
@@ -209,6 +209,24 @@ def test_pool_gets_at_least_the_fits_per_worker(monkeypatch):
     assert opened == [3]
 
 
+def test_pooled_chunks_take_a_seed_range_of_every_grid(monkeypatch):
+    # 4 replicates over 3 workers: seeds 5, 6 and 7-8, each range at both grid sizes
+    monkeypatch.setattr(montecarlo, "_FITS_PER_WORKER", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
+    opened = _record_pools(monkeypatch, _InProcessPool)
+    runs, generate = [], montecarlo.generate_panels
+
+    def recording(truth, shape, grid, seeds):
+        runs.append((grid.n, list(seeds)))
+        return generate(truth, shape, grid, seeds)
+
+    monkeypatch.setattr(montecarlo, "generate_panels", recording)
+    sa.run_study(_two_grid_config())
+    assert opened == [3]
+    assert runs == [(41, [5]), (61, [5]), (41, [6]), (61, [6]), (41, [7, 8]), (61, [7, 8])]
+
+
 def test_figure2_study_opens_no_pool(monkeypatch):
     # 200 fits are below one worker's share, so two allowed workers still mean serial
     monkeypatch.setenv("SHAPEALIGN_THREADS", "2")
@@ -251,6 +269,15 @@ def test_mise_zero_for_covered_band_noiseless():
     for point in curve.points:
         assert point.m >= 2
         assert point.total < 1e-18
+
+
+def test_zero_replicates_give_a_nan_mise_point_per_grid_and_no_regime_comparison():
+    truth, shape = _small_truth()
+    curve = sa.mise_curve(truth, shape, [41, 81], replicates=0)
+    assert [p.n for p in curve.points] == [41, 81]
+    assert all(np.isnan([p.inband, p.tail]).all() for p in curve.points)
+    with pytest.raises(ConfigInvalid, match="only 0 of 0 paired fits converged"):
+        sa.compare_regimes(truth, shape, 41, replicates=0)
 
 
 def test_calibration_improves_with_sample_size():
