@@ -118,10 +118,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_simulate(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ShapeAlignError as exc:
+    except (_UsageError, ShapeAlignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:  # reads already raise ShapeAlignError, so this is an output write

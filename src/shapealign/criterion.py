@@ -117,15 +117,14 @@ def criterion_gradient(band: Band, regime: ConstraintRegime, theta, a, upsilon) 
     a = np.asarray(a, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
     j = len(band.ybar)
+    a1 = regime.kind is Regime.A1
+    chat = criterion_stack(band.d_ac[None], band.ybar[None], band.spread, a1, [theta], [a], [upsilon])[1][0]
+    m = len(chat) // 2
+    c0, chat[m] = chat[m].real, 0.0  # the mean coefficient enters through its own terms
     ssq = float(a @ a)
-    if ssq < np.finfo(float).tiny:
-        raise DegenerateAmplitude("amplitude vector is zero")
-
-    m = band.d_ac.shape[1] // 2
     freqs = np.arange(-m, m + 1)
     phases = np.exp(1j * np.outer(theta, freqs))
     weighted = a[:, None] * phases * band.d_ac       # row j: a_j e^{il theta_j} d_jl
-    chat = weighted.sum(axis=0) / ssq
 
     # d|chat_l|^2 / dtheta_k = 2 Re(conj(chat_l) * i l a_k e^{il theta_k} d_kl) / ssq
     il = 1j * freqs
@@ -141,11 +140,9 @@ def criterion_gradient(band: Band, regime: ConstraintRegime, theta, a, upsilon) 
 
     grad_ups = 2.0 * (upsilon - band.ybar) / j
 
-    if regime.kind is Regime.A1:
-        c0 = profiled_mean(band, a, upsilon)
-        resid = band.ybar - upsilon
+    if a1:
         # chat_0 depends on both the scales and the levels.
-        denergy_da += 2.0 * c0 * (resid - 2.0 * a * c0) / ssq
+        denergy_da += 2.0 * c0 * (band.ybar - upsilon - 2.0 * a * c0) / ssq
         grad_ups = grad_ups + 2.0 * c0 * a / ssq
         grad_ups = grad_ups[1:]
 

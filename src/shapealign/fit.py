@@ -11,8 +11,8 @@ interact: a cross-correlation grid scan whose start candidates, built from each
 curve's score peaks and linear in J, are ranked with one eigenvalue call; one
 lockstep modified-Newton search with the exact Hessian, a row per start, which
 runs each row until its gradient vanishes to rounding or no step can shrink it;
-and the assembly of the estimates, whose scales, tie flag and ``converged``
-certificate read the search's last evaluation of each panel's best row, and
+and the assembly of the estimates at each panel's best endpoint, wrapped once,
+whose ``converged`` certificate reads the search's last evaluation there, and
 which :func:`model.project_rows` puts on the constraint set.  The
 regime and the A0 box enter the shift criterion only through C, which cannot
 move its minimisers, so each panel is one shift problem, on its spread, whatever
@@ -46,6 +46,7 @@ from .model import (
     band_stack,
     project_rows,
     rowdot,
+    wrap_shifts,
 )
 
 # An objective at or below NOISE_FLOOR * sqrt(spread * mean_sq) reads as zero noise: a noiseless
@@ -271,16 +272,15 @@ def fit_batch(jobs, config: FitConfig = FitConfig()) -> list[FitResult]:
 def fit(panel: CurvePanel, regime: ConstraintRegime, config: FitConfig = FitConfig()) -> FitResult:
     """Minimize the criterion over the regime's constraint set.
 
-    Levels are profiled in closed form, scales by the leading eigenvector, and the free
-    shifts searched by modified Newton from every cross-correlation candidate on the
-    panel's profile f = spread - lambda_max(Q), which neither regime nor box changes; the
-    best endpoint is the estimate.  ``converged`` certifies a minimum of f from the search's
-    last evaluation there: finite estimates, max|g| <= 1e-8 * max(1, |f|) and a positive
-    definite shift Hessian (waived at an eigenvalue tie); the best point is returned
-    regardless.  The objective is C - lambda_max(Q) at the estimate, C the residual at the
-    profiled levels (f unless a box binds), and the noise estimate its sqrt, or zero where
-    it is at most :data:`NOISE_FLOOR` times the root of the spread times the mean square
-    (``zero_noise``).
+    Levels are profiled in closed form, scales by the leading eigenvector, and the free shifts
+    searched by modified Newton from every cross-correlation candidate on the panel's profile
+    f = spread - lambda_max(Q), which neither regime nor box changes; the best endpoint, wrapped into
+    [0, 2*pi), is the estimate, and the scales are profiled there.  ``converged`` certifies a minimum
+    of f from the search's last evaluation at the endpoint: finite estimates, max|g| <= 1e-8 *
+    max(1, |f|) and a positive definite shift Hessian (waived at an eigenvalue tie); the best point is
+    returned regardless.  The objective is C - lambda_max(Q) at the estimate, C the residual at the
+    profiled levels (f unless a box binds), and the noise estimate its sqrt, or zero where it is at
+    most :data:`NOISE_FLOOR` times the root of the spread times the mean square (``zero_noise``).
     """
     return fit_batch([(panel, regime)], config)[0]
 
@@ -291,11 +291,12 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
 
     Job f fits panel ``rows[f]`` under A1 where ``a1[f]``, else within +-``bound[f]``; callers
     validate the estimates.  Each panel is one shift problem, spread - lambda_max(Q), scanned,
-    searched, picked and certified once, in one search over every start of every panel.  Its
-    best row gives the certificate and, unless wrapping its shifts into [0, 2*pi) changed a bit,
-    lambda_max, the scale profile and the tie flag; :func:`model.project_rows` puts each job's
-    estimates on its constraint set.  Regime and box reach only a job's levels and objective:
-    its own :func:`shift_constants` minus that lambda_max.
+    searched, picked and certified once, in one search over every start of every panel.  Its best
+    endpoint, wrapped by :func:`model.wrap_shifts` like every ranking key, is the estimate; lambda_max,
+    the scales and the tie flag are the search's last evaluation there, or, where the wrap moved the
+    endpoint, one Hessian-free kernel row's per panel.  :func:`model.project_rows` puts each job's
+    estimates on its constraint set.  Regime and box reach only a job's levels and objective: its own
+    :func:`shift_constants` minus that lambda_max.
     """
     require_energy(band.ac_trace, band.mean_sq)
     starts = initialize_shifts(band.d_ac, band.spread, config.theta_grid_size or n, config)
@@ -306,31 +307,27 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
         return shift_objective_stack(band.d_ac, owner[subset], xs, band.spread[owner[subset]], hessian)
 
     x_end, ev, iters = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
+    wrapped = wrap_shifts(x_end)  # the ranking key and the estimate
     best = per_problem * np.arange(count) + _best_starts(
-        ev.value.reshape(count, per_problem), np.mod(x_end, TWO_PI).reshape(count, per_problem, j - 1),
-        config.tol_objective)
+        ev.value.reshape(count, per_problem), wrapped.reshape(count, per_problem, j - 1), config.tol_objective)
     value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
 
     gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
     certified = gnorm_ok & tie  # the shift Hessian is checked where there is no tie
     need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
-    theta = np.concatenate([np.zeros((count, 1)), x_end[best]], axis=1)
+    moved = best[((x_end[best] < 0.0) | (x_end[best] >= TWO_PI)).any(axis=1)]  # endpoints the wrap moved
+    if moved.size:  # profiled anew at their wrapped shifts, a row per panel
+        profile = kernel(wrapped[moved], moved, False)
+        ev.energy[moved], ev.lead[moved], ev.tie_break[moved] = profile.energy, profile.lead, profile.tie_break
+    theta = np.concatenate([np.zeros((count, 1)), wrapped[best]], axis=1)
     theta, energy, lead, tie_break, certified, iterations = (  # each panel's to its jobs
-        v[rows] for v in (theta, ev.energy[best], ev.lead[best], tie, certified,
+        v[rows] for v in (theta, ev.energy[best], ev.lead[best], ev.tie_break[best], certified,
                           iters.reshape(count, per_problem).sum(axis=1)))
 
     ybar, spread = band.ybar[rows], band.spread[rows]
-    while True:  # the profile at the projected shifts is the search's last evaluation, unless their wrap changed bits
-        a = np.sqrt(j) * lead  # the levels take the scales before their rescaling and sign flip
-        projected = project_rows(theta, a, _profiled_levels(ybar, a1, a), a1, bound)
-        moved = (projected[0].view(np.int64) != theta.view(np.int64)).any(axis=1)
-        if not moved.any():  # projected shifts project onto themselves, so this holds on the second pass
-            break
-        theta = projected[0]
-        profile = shift_objective_stack(band.d_ac, rows[moved], theta[moved, 1:], spread[moved])
-        energy[moved], lead[moved], tie_break[moved] = profile.energy, profile.lead, profile.tie_break
-    theta, a, upsilon, _ = projected
+    a = np.sqrt(j) * lead  # the levels take the scales before their rescaling and sign flip
+    theta, a, upsilon, _ = project_rows(theta, a, _profiled_levels(ybar, a1, a), a1, bound)
     objective = shift_constants(ybar, spread, a1, bound) - energy  # the kernel's value, bitwise, where C is the spread
     coeffs = criterion_stack(band.d_ac[rows], ybar, spread, a1, theta, a, upsilon)[1]
     finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)

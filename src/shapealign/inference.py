@@ -25,7 +25,7 @@ from .errors import (
     ZeroAmplitudeCoordinate,
 )
 from .fourier import TWO_PI, ShapeSpectrum
-from .model import Regime, free_parameter_labels
+from .model import Regime, free_parameter_labels, wrap_shifts
 from .normal import inverse_normal_cdf
 
 _MIN_AMPLITUDE = 1e-12
@@ -201,11 +201,10 @@ class ConfidenceReport:
 def confidence_intervals(result, level: float) -> ConfidenceReport:
     """Per-parameter normal confidence intervals from the plug-in covariance.
 
-    Shift intervals are reported on the circle: endpoints are wrapped to
-    [0, 2*pi), so ``lo > hi`` means the interval crosses zero, except that a
-    half-width of pi or more gives lo = 0 and hi = 2*pi, the whole circle.  With a
-    zero noise estimate the intervals degenerate to points and the report
-    is flagged.
+    Shift intervals are reported on the circle: :func:`model.wrap_shifts` puts the endpoints in
+    [0, 2*pi), so an endpoint a hair below 0 reads 0 and ``lo > hi`` means the interval crosses
+    zero, except that a half-width of pi or more gives lo = 0 and hi = 2*pi, the whole circle.
+    With a zero noise estimate the intervals degenerate to points and the report is flagged.
 
     Raises
     ------
@@ -226,12 +225,9 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
     for idx, (name, est) in enumerate(zip(labels, estimates)):
         hw = z * float(np.sqrt(max(cov[idx, idx], 0.0)))
         circular = name.startswith("theta")
-        if circular:
-            lo, hi = float(np.mod(est - hw, TWO_PI)), float(np.mod(est + hw, TWO_PI))
-            if hw >= np.pi:  # interval wraps the whole circle
-                lo, hi = 0.0, TWO_PI
-        else:
-            lo, hi = est - hw, est + hw
+        lo, hi = est - hw, est + hw
+        if circular:  # both ends wrapped onto the circle, or the whole circle from a half-width of pi
+            lo, hi = (0.0, TWO_PI) if hw >= np.pi else wrap_shifts([lo, hi]).tolist()
         intervals.append(ParameterInterval(name, float(est), hw, lo, hi, circular))
 
     return ConfidenceReport(

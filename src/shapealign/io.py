@@ -42,14 +42,14 @@ _TEMP_NAMES = count()  # with the pid, a name no other writer in this process or
 # canonical JSON
 # ---------------------------------------------------------------------------
 
+# format(v, ".17g") of the floats JSON cannot spell, and of -0.0, which would re-parse as the integer 0
+_FLOAT_MENDS = {"nan": "null", "inf": "null", "-inf": "null", "-0": "0"}
+
+
 def _render_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):  # most values: ahead of the rest of the dispatch
-        v = float(value)
-        if math.isnan(v) or math.isinf(v):
-            return "null"
-        if v == 0.0:
-            v = 0.0  # "-0" would re-parse as the integer 0
-        return format(v, ".17g")
+        text = format(float(value), ".17g")
+        return _FLOAT_MENDS.get(text, text)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -63,10 +63,6 @@ def _render_scalar(value) -> str:
 
 def _is_scalar(value) -> bool:
     return isinstance(value, (float, bool, int, str, np.integer, np.floating)) or value is None
-
-
-# format(v, ".17g") of the floats JSON cannot spell, and of -0.0, which would re-parse as the integer 0
-_FLOAT_MENDS = {"nan": "null", "inf": "null", "-inf": "null", "-0": "0"}
 
 
 def _render_floats(values: list) -> str:

@@ -13,8 +13,8 @@ identifiability regimes are supported:
   its mean and the first curve's level is pinned to zero instead.
 
 :func:`project_rows` is the one map onto these sets: the fitter assembles
-its estimates through it, and :func:`project_to_constraints` is its call
-for one parameter vector.
+its estimates through it, :func:`project_to_constraints` is its call for
+one parameter vector, and :func:`wrap_shifts` is its wrap of the shifts.
 """
 
 from __future__ import annotations
@@ -240,23 +240,29 @@ def center_shape(spec: ShapeSpectrum) -> tuple[ShapeSpectrum, float]:
     return spec.centered(), c0
 
 
+def wrap_shifts(theta) -> np.ndarray:
+    """Shifts in [0, 2*pi), a new array: -0.0, NaN and angles in range keep their bits, np.mod's 2*pi is 0."""
+    theta = np.array(theta, dtype=float)
+    outside = (theta < 0.0) | (theta >= TWO_PI)
+    theta[outside] = np.mod(theta[outside], TWO_PI)  # only there: mod would turn -0.0 into 0.0
+    theta[theta >= TWO_PI] = 0.0
+    return theta
+
+
 def project_rows(theta, a, upsilon, a1, bound):
     """Map rows (F, J) of raw shifts, scales and levels onto the constraint set, under A1 where ``a1``,
     else within +-``bound``: each row bitwise its own :func:`project_to_constraints`, the first bad row
     failing as it would alone.
 
-    Shifts are referenced to curve 1 and wrapped to [0, 2*pi); scales are rescaled onto the sphere
-    sum a^2 = J and sign-flipped so a_1 > 0 (the compensating shape flip f <- -f is the caller's);
-    A0 levels are clipped to the box, the A1 reference level is zeroed.  Returns ``(theta, a,
-    upsilon, flipped)``, new arrays; rows already on the set pass through bit for bit.
+    Shifts are referenced to curve 1 and put in [0, 2*pi) by :func:`wrap_shifts`; scales are rescaled
+    onto the sphere sum a^2 = J and sign-flipped so a_1 > 0 (the compensating shape flip f <- -f is
+    the caller's); A0 levels are clipped to the box, the A1 reference level is zeroed.  Returns
+    ``(theta, a, upsilon, flipped)``, new arrays; rows already on the set pass through bit for bit.
 
     Raises DegenerateAmplitude for a zero scale row, ZeroReferenceAmplitude for a zero a_1.
     """
     j = a.shape[1]
-    theta = np.where(theta[:, :1] != 0.0, theta - theta[:, :1], theta)
-    outside = (theta < 0.0) | (theta >= TWO_PI)
-    theta[outside] = np.mod(theta[outside], TWO_PI)  # only there: mod would turn -0.0 into 0.0
-    theta[theta >= TWO_PI] = 0.0  # mod can round up to the period itself
+    theta = wrap_shifts(np.where(theta[:, :1] != 0.0, theta - theta[:, :1], theta))
     theta[:, 0] = 0.0
 
     ssq = rowdot(a, a)

@@ -330,6 +330,30 @@ def _wrapping_jobs(seed, j, n, offsets, sigma):
     return jobs
 
 
+def test_assembly_profiles_each_wrapped_panel_once(monkeypatch):
+    # one noiseless panel whose true shifts lie a fraction of a grid step below 0, fitted under A0,
+    # A1 and a binding box in one batch: its endpoints wrap, and the assembly profiles the panel
+    # anew in one Hessian-free kernel row, not a row per job
+    jobs = _wrapping_jobs(11, 3, 51, np.array([-0.3, -0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 0.0)[:2]
+    panel = jobs[0][0]
+    jobs.append((panel, ConstraintRegime(upsilon_max=0.5)))
+    assert np.abs(panel.y.mean(axis=1)).max() > 0.5  # the box binds
+    fit_module = importlib.import_module("shapealign.fit")
+    kernel, rows = fit_module.shift_objective_stack, []
+
+    def recording(d_ac, owner, x, constant, hessian=False):
+        if not hessian:
+            rows.append(len(x))
+        return kernel(d_ac, owner, x, constant, hessian)
+
+    monkeypatch.setattr(fit_module, "shift_objective_stack", recording)
+    results = fit_batch(jobs, FitConfig(m=3))
+    assert rows == [1]
+    assert all(result.converged for result in results)
+    assert results[0].beta_hat.theta.tolist() == results[2].beta_hat.theta.tolist()
+    assert (results[0].beta_hat.theta[1:] > np.pi).all()  # wrapped from just below 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), n=st.sampled_from([31, 51, 201]),
        offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), sigma=st.sampled_from([0.0, 0.01, 0.3]))

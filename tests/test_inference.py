@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import shapealign as sa
@@ -174,6 +176,40 @@ def test_interval_of_a_half_width_of_pi_or_more_is_the_whole_circle():
     theta_iv = sa.confidence_intervals(fit, 0.99).intervals[0]
     assert theta_iv.name == "theta_2" and abs(theta_iv.half_width - 4.88) < 5e-3
     assert (theta_iv.lo, theta_iv.hi) == (0.0, 2 * np.pi)
+
+
+def _two_tone_fit(theta_2, sigma, n=101):
+    """Converged fit of two unit-scale curves of shape {1: 1, 2: 0.5}: the shift's 95% half-width is
+    1.96 sigma sqrt(1/(2n)), about 0.138 sigma at n = 101."""
+    params = sa.ParameterSet(theta=[0.0, theta_2], a=[1.0, 1.0], upsilon=[0.0, 0.0], sigma=sigma)
+    return sa.FitResult(
+        beta_hat=params, sigma_hat=sigma, shape_hat=sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.5}),
+        objective=sigma**2, iterations=1, restarts=1, converged=True, zero_noise=sigma == 0.0,
+        tie_break=False, n=n, m=2,
+    )
+
+
+@pytest.mark.parametrize("theta_2", [0.0, 1e-17])
+def test_interval_endpoint_a_hair_below_zero_wraps_to_zero(theta_2):
+    # the half-width (about 1.4e-17) takes the lower endpoint a hair below 0, where np.mod rounds up to 2*pi
+    iv = sa.confidence_intervals(_two_tone_fit(theta_2, 1e-16), 0.95).intervals[0]
+    assert iv.name == "theta_2" and 0.0 < iv.half_width < 1e-16
+    assert iv.lo == 0.0
+    assert 0.0 <= iv.hi < 2 * np.pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(est=st.floats(0.0, 2 * np.pi, exclude_max=True),
+       sigma=st.one_of(st.floats(0.0, 1e-12), st.floats(0.0, 72.5)))
+def test_shift_interval_endpoints_lie_on_the_circle_property(est, sigma):
+    # half-widths from 0 to about 10, tiny ones included: each endpoint lies in [0, 2*pi),
+    # or a half-width of pi or more gives exactly the whole circle
+    iv = sa.confidence_intervals(_two_tone_fit(est, sigma), 0.95).intervals[0]
+    assert iv.estimate == est and iv.half_width <= 10.1
+    if iv.half_width >= np.pi:
+        assert (iv.lo, iv.hi) == (0.0, 2 * np.pi)
+    else:
+        assert 0.0 <= iv.lo < 2 * np.pi and 0.0 <= iv.hi < 2 * np.pi
 
 
 def test_interval_monotone_in_level():

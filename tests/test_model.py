@@ -1,5 +1,6 @@
 """Parameter constraints, synthetic generation, centering, projection."""
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -12,8 +13,8 @@ import shapealign as sa
 from hypothesis.extra import numpy as hnp
 
 from shapealign.errors import ConstraintViolation, DegenerateAmplitude, NonFiniteData, ZeroReferenceAmplitude
-from shapealign.model import ConstraintRegime, Regime, band_stack, project_rows, validate_rows
-from conftest import bandlimited_truth, boxplot_truth, parabola_spectrum
+from shapealign.model import ConstraintRegime, Regime, band_stack, project_rows, validate_rows, wrap_shifts
+from conftest import bandlimited_truth, boxplot_truth, parabola_spectrum, sphere_scales
 from oracles import generate_panel_per_seed
 
 
@@ -257,6 +258,41 @@ def test_project_rows_equal_each_rows_projection_property(theta, a, upsilon, a1,
     again = project_rows(*out[:3], a1, bound)  # rows on the set pass through
     assert [v.tobytes() for v in again[:3]] == [v.tobytes() for v in out[:3]]
     assert not again[3].any()
+
+
+_ANGLES = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e-15, 1e-15), st.floats(-1e15, 1e15),
+                    st.sampled_from([-0.0, np.nan, 2 * np.pi, -2 * np.pi, -1e-17, np.nextafter(2 * np.pi, 0.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 5)), elements=_ANGLES))
+def test_wrap_shifts_keeps_angles_in_range_and_takes_mod_elsewhere_property(theta):
+    out = wrap_shifts(theta)
+    inside = (theta >= 0.0) & (theta < 2 * np.pi)
+    kept = inside | np.isnan(theta)  # -0.0 is in range; NaN is not outside it
+    assert out[kept].tobytes() == theta[kept].tobytes()
+    rest, moved = np.mod(theta[~kept], 2 * np.pi), out[~kept]
+    assert ((moved >= 0.0) & (moved < 2 * np.pi)).all()
+    assert np.array_equal(moved, np.where(rest == 2 * np.pi, 0.0, rest))
+    assert theta is not out and out.shape == theta.shape
+
+
+def test_wrap_shifts_maps_a_round_up_to_the_period_onto_zero():
+    assert np.mod(-1e-17, 2 * np.pi) == 2 * np.pi
+    assert wrap_shifts([-1e-17, -0.0, 2 * np.pi, -np.pi]).tolist() == [0.0, -0.0, 0.0, np.pi]
+    assert np.signbit(wrap_shifts([-0.0])[0])
+    assert wrap_shifts(-1e-17).shape == ()
+
+
+def test_sphere_scales_draws_many_curves_in_bounded_time():
+    # at J = 120 the redraws succeed about once in 10^9 tries; past 10^4 the draw is direct
+    rng = np.random.default_rng(3)
+    start = time.perf_counter()
+    a = sphere_scales(rng, 120)
+    assert time.perf_counter() - start < 1.0
+    assert abs(float(a @ a) - 120) <= 1e-10 * 120
+    assert a[0] > 0.0 and np.min(np.abs(a)) >= 0.2
+    sa.ParameterSet(theta=np.zeros(120), a=a, upsilon=np.zeros(120), sigma=0.0)  # a valid truth
 
 
 def test_a1_reparameterization_matches_bitwise():
