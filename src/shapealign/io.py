@@ -21,7 +21,7 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ConfigInvalid, GridMismatch, ParseError, RaggedColumns
+from .errors import ConfigInvalid, GridMismatch, ParseError, RaggedColumns, ZeroReferenceAmplitude
 from .fit import FitConfig, FitResult
 from .fourier import TWO_PI, ShapeSpectrum, evaluate_spectrum, make_grid
 from .inference import ConfidenceReport
@@ -136,9 +136,8 @@ def read_panel(path: str) -> CurvePanel:
     whitespace aside, must hold the equidistant grid 2*pi*i/n (radians, within
     1e-9); otherwise every column is a curve and the row count, which must be
     odd, implies the grid.  Every cell must be a finite number, whitespace aside.
-    Records end at \r\n, \r or \n.  A file holding a quote anywhere is read with ``csv``;
-    any other is split at line ends and commas directly, to the records ``csv`` gives,
-    and a cell longer than ``csv.field_size_limit()`` is rejected as ``csv`` rejects it.
+    Every file is read with ``csv``, whose records end at \r\n, \r or \n; a ``csv.Error``,
+    such as a cell longer than csv's field size limit, is a ParseError.
     """
     try:
         with open(path, "rb") as fh:
@@ -147,19 +146,10 @@ def read_panel(path: str) -> CurvePanel:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # its position is the byte offset in the file
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    if '"' in text:
-        try:  # csv's records end at \r\n, \r or \n, as in a file opened with newline=""
-            rows = list(csv.reader(StringIO(text, newline="")))
-        except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
-            raise ParseError(f"{path} is not valid CSV: {exc}") from exc
-    else:
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if lines[-1] == "":
-            lines.pop()  # nothing follows the last line end
-        rows = [line.split(",") if line else [] for line in lines]  # a blank line is an empty record
-        limit = csv.field_size_limit()  # csv rejects a longer cell; a text shorter than this skips the check
-        if len(text) > limit and max(map(len, lines)) > limit and max(map(len, chain.from_iterable(rows))) > limit:
-            raise ParseError(f"{path} is not valid CSV: field larger than field limit ({limit})")
+    try:  # csv's records end at \r\n, \r or \n, as in a file opened with newline=""
+        rows = list(csv.reader(StringIO(text, newline="")))
+    except csv.Error as exc:  # such as a field beyond csv's field size limit
+        raise ParseError(f"{path} is not valid CSV: {exc}") from exc
     if not rows:
         raise ParseError("empty file", line=1)
     header, body = rows[0], rows[1:]
@@ -348,26 +338,9 @@ def _numbers(value, key: str) -> np.ndarray:
     return np.array([_number(v, key) for v in value], dtype=float)
 
 
-def _shape_columns(entries) -> tuple[list[int], np.ndarray] | None:
-    """The entries' frequencies and a (2, K) array of their real and imaginary parts, read in one
-    pass, or None unless every value is a plain int or float, every l integral and every part finite."""
-    ls = [e.get("l") for e in entries]
-    parts = [[e.get("re") for e in entries], [e.get("im", 0.0) for e in entries]]
-    if not set(map(type, chain(ls, *parts))) <= {int, float}:
-        return None
-    try:
-        freqs = list(map(int, ls))  # a nan or inf l raises
-        values = np.array(parts, dtype=float)  # an integer beyond the double range raises
-    except (ValueError, OverflowError):
-        return None
-    if freqs != ls or not np.isfinite(values).all():
-        return None
-    return freqs, values
-
-
 def _checked_columns(entries, m: int) -> tuple[list[int], np.ndarray]:
-    """The frequencies and parts of :func:`_shape_columns`, each entry checked on its own and in order,
-    so the first bad entry raises; valid values that are not plain (a numpy float) are read here too."""
+    """The entries' frequencies and a (2, K) array of their real and imaginary parts, each entry
+    checked on its own and in order, so the first bad entry raises."""
     seen, freqs, parts = set(), [], []
     for entry in entries:
         l = _integer(_require(entry, "l", "shape.coeffs entry"), "shape.coeffs.l")
@@ -386,8 +359,7 @@ def _checked_columns(entries, m: int) -> tuple[list[int], np.ndarray]:
 def _parse_shape(node, n_list=()) -> ShapeSpectrum:
     """The configured spectrum; a frequency given on one side only gets its conjugate pair.
 
-    The entries are read and checked as whole columns; only where that check fails are they
-    checked one at a time, so an error names the first bad entry as a per-entry parse would.
+    The entries are read and checked one at a time, so an error names the first bad entry.
     The grid sizes ``n_list`` and the band are checked as :class:`StudyConfig` checks them
     before any coefficient is allocated, so a band of 10**15 fails as one of 200 does.
     """
@@ -396,19 +368,15 @@ def _parse_shape(node, n_list=()) -> ShapeSpectrum:
         raise ConfigInvalid("shape.coeffs must be a nonempty list")
     if not all(isinstance(e, dict) for e in entries):
         raise ConfigInvalid("shape.coeffs entries must be JSON objects")
-    columns = _shape_columns(entries)
     m = node.get("m")
     if m is None:
-        m = (max(map(abs, columns[0])) if columns is not None
-             else max(abs(_integer(e.get("l", 0), "shape.coeffs.l")) for e in entries))
+        m = max(abs(_integer(e.get("l", 0), "shape.coeffs.l")) for e in entries)
     m = _integer(m, "shape.m")
     if m < 1:
         raise ConfigInvalid("shape band must be >= 1")
     _check_grids(n_list, m)
+    freqs, (re, im) = _checked_columns(entries, m)
     coeffs = np.zeros(2 * m + 1, dtype=complex)
-    if columns is None or max(map(abs, columns[0])) > m or len(set(columns[0])) < len(entries):
-        columns = _checked_columns(entries, m)  # raises unless only the spelling was not plain
-    freqs, (re, im) = columns
     index = np.add(freqs, m)
     coeffs.real[index] = re
     coeffs.imag[index] = im
@@ -442,7 +410,9 @@ def parse_study_config(doc: dict) -> StudyConfig:
     shape, scales off the sphere); it is canonicalized to the identifiable
     representation: the shape mean moves into the levels, the scales are
     rescaled onto the sphere with the shape absorbing the inverse factor,
-    and shifts are wrapped.
+    and shifts are wrapped.  The represented curves stay the configured ones:
+    a canonical level outside +-``upsilon_max`` or a zero first scale is
+    ConfigInvalid, not clipped or left to the projection.
     """
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a JSON object")
@@ -473,7 +443,15 @@ def parse_study_config(doc: dict) -> StudyConfig:
     scale = math.sqrt(j / ssq)
     coeffs = centered.coeffs / scale
     regime = ConstraintRegime(kind=Regime.A0, upsilon_max=upsilon_max)
-    truth, flipped = project_to_constraints(theta, a * scale, upsilon, regime, sigma=sigma)
+    outside = np.flatnonzero(np.abs(upsilon) > upsilon_max)  # levels the projection would clip
+    if outside.size:
+        k = int(outside[0])
+        raise ConfigInvalid(f"canonical truth level upsilon_{k + 1} = {float(upsilon[k])!r} "
+                            f"lies outside the bound upsilon_max = {upsilon_max!r}")
+    try:
+        truth, flipped = project_to_constraints(theta, a * scale, upsilon, regime, sigma=sigma)
+    except ZeroReferenceAmplitude as exc:
+        raise ConfigInvalid(f"first truth scale: {exc}") from exc
     if flipped:
         coeffs = -coeffs
     canonical_shape = ShapeSpectrum(m=centered.m, coeffs=coeffs)

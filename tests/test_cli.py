@@ -335,6 +335,24 @@ def test_simulate_rejects_a_fit_table_too_large_to_allocate(n_list, fit, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("truth, message", [
+    ({"upsilon_max": 1}, "error: canonical truth level upsilon_1 = 5.0 lies outside the bound upsilon_max = 1.0"),
+    ({"a": [0, 1.4]}, "error: first truth scale: reference amplitude is zero after rescaling"),
+], ids=["level-outside-the-box", "zero-first-scale"])
+def test_simulate_rejects_a_truth_its_canonical_form_would_change(truth, message, tmp_path, capsys):
+    # the shipped study whose canonical first level, 5.0, lies outside a box of 1, or whose first
+    # scale is zero: an input error, not a study of clipped or unreferenced curves, and no report
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json")) as fh:
+        doc = json.load(fh)
+    doc["truth"].update(truth)
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(doc))
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_json(tmp_path):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text("{ not json")

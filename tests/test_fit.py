@@ -275,7 +275,7 @@ def _count_hessian_calls(monkeypatch):
     return hessians
 
 
-def test_fit_polishes_the_best_start_only(rng, monkeypatch):
+def test_fit_makes_few_hessian_calls(rng, monkeypatch):
     truth, shape = bandlimited_truth(rng, j=3, degree=3, sigma=0.5)
     panel = sa.generate_panel(truth, shape, sa.make_grid(101), seed=14)
     hessians = _count_hessian_calls(monkeypatch)
@@ -285,7 +285,7 @@ def test_fit_polishes_the_best_start_only(rng, monkeypatch):
     assert 1 <= sum(hessians) <= 8
 
 
-def test_fit_batch_spends_one_polish_budget_in_total(rng, monkeypatch):
+def test_fit_batch_makes_few_hessian_calls_in_total(rng, monkeypatch):
     # six jobs of one (J, m) share each stacked Hessian call: at most 8 in all
     jobs = []
     for k in range(6):
@@ -429,8 +429,8 @@ def test_search_from_one_start_per_peak_needs_at_most_four_kernel_calls(monkeypa
 
 
 def test_figure2_part_needs_few_stacked_kernel_calls_in_all(monkeypatch):
-    # search and assembly of each five-replicate figure-2 part: the search finishes
-    # every row itself, so no polish call re-evaluates its endpoints
+    # search and assembly of each five-replicate figure-2 part: the search's own Newton
+    # steps finish every row, so no later pass re-evaluates its endpoints with a Hessian
     monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
     study = load_study_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json"))
     calls = _count_hessian_calls(monkeypatch)
@@ -920,7 +920,7 @@ def _start_stack(rng, j, config):
     """Scan starts plus uniform random starts of three panels of one (J, m), as one stack.
 
     The last row is an eigenvalue tie: J identical single-tone curves at equally
-    spaced shifts, as in :func:`_polish_batch`.
+    spaced shifts, as in :func:`_hessian_factor_batch`.
     """
     bands = []
     for seed in range(3):
@@ -1051,21 +1051,21 @@ def test_fit_batch_equals_lone_fits_property(seed, jobs):
                 == dumps_canonical(result_document(alone, None)))
 
 
-# Hessian multiplier per panel of the polish batch: as computed, flipped (the
+# Hessian multiplier per panel of the Hessian-factor batch: as computed, flipped (the
 # modified step takes |lambda|, so the same step), zero (every eigenvalue at the
 # floor: a long step the line search cuts back), NaN (no Newton step: steepest
 # descent, and a stop once the gain is below the tolerance)
-_POLISH_FACTORS = (1.0, -1.0, 1.0, 0.0, 1.0, np.nan)
+_HESSIAN_FACTORS = (1.0, -1.0, 1.0, 0.0, 1.0, np.nan)
 
 
-def _polish_batch(rng, j):
+def _hessian_factor_batch(rng, j):
     """Panel bands of one (J, m), their Hessian factors, and start rows.
 
     The last band has J identical single-tone curves; its one start, equally
     spaced shifts, is an eigenvalue tie.
     """
     bands = []
-    for k in range(len(_POLISH_FACTORS)):
+    for k in range(len(_HESSIAN_FACTORS)):
         truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.5)
         bands.append(sa.generate_panel(truth, shape, sa.make_grid(61), seed=80 + k).band(3))
     grid = sa.make_grid(61)
@@ -1078,14 +1078,14 @@ def _polish_batch(rng, j):
         owner += [i] * 3
     x0.append(2 * np.pi * np.arange(1, j) / (4 if j == 2 else j))
     owner.append(len(bands) - 1)
-    factors = np.array(_POLISH_FACTORS + (1.0,))
+    factors = np.array(_HESSIAN_FACTORS + (1.0,))
     return bands, factors, np.array(x0), np.array(owner)
 
 
 @pytest.mark.parametrize("max_iters", [500, 1])
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
 def test_lockstep_newton_on_polish_batch_matches_per_start_oracle(j, max_iters, rng):
-    bands, factors, x0, owner = _polish_batch(rng, j)
+    bands, factors, x0, owner = _hessian_factor_batch(rng, j)
     d_ac = np.stack([band.d_ac for band in bands])
     constant = np.array([band.spread for band in bands])
 

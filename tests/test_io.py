@@ -158,8 +158,8 @@ def _long_cell_panel(tmp_path, length, quoted_header):
     return str(path)
 
 
-def test_read_panel_rejects_a_cell_beyond_the_csv_field_limit_on_both_paths(tmp_path):
-    # a file without quotes is split directly, one with a quote goes through csv: one answer for both
+def test_read_panel_rejects_a_cell_beyond_the_csv_field_limit_with_or_without_quotes(tmp_path):
+    # csv reads a file with a quoted header as it reads one without quotes: one answer for both
     limit = csv.field_size_limit()
     for quoted_header in (False, True):
         assert read_panel(_long_cell_panel(tmp_path, limit, quoted_header)).y[0, 0] == 0.0
@@ -228,15 +228,15 @@ _PADS = ("", "", " ", "  ", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2003", "\u3
 # str.strip also trims U+001C..U+001F, where float() fails.
 _ODD_NUMBERS = ("nan", "-inf", "Infinity", "1e400", "-1e400", "1_0", "+.5e-3", "-0", "1e-400", "\u0661\u0662",
                 "\x1c2.5", "-3\x1f", "\x1dnan")
-_BAD_CELLS = ("", " ", "\t ", "abc", "1 2", "0x10", "1e", ".", "--1", "1__0")
+_BAD_CELLS = ("", " ", "\t ", "abc", "1 2", "0x10", "1e", ".", "--1", "1__0", "\x00", "1\x002")
 
 
 @st.composite
 def _panel_text(draw):
     """A panel CSV text: padded cells, a few odd or bad ones, perhaps a ragged or blank row, perhaps quoting.
 
-    Line ends are LF, CRLF or lone CR.  Quoted body cells, one of which may hold a comma, and
-    header labels quoted around a comma or a line break reach both of the reader's paths.
+    Line ends are LF, CRLF or lone CR.  Body cells may be quoted, one of them around a comma,
+    and header labels quoted around a comma or a line break.
     """
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     n, curves = draw(st.sampled_from([3, 5, 7] * 3 + [0, 1, 2, 4])), draw(st.integers(2, 3))
@@ -413,6 +413,38 @@ def test_parse_study_config_rejects_bad_inputs():
     doc["shape"]["coeffs"][1]["l"] = 9
     with pytest.raises(ConfigInvalid):
         parse_study_config(doc)
+
+
+def _figure2_doc(**truth):
+    """The shipped figure-2 study config, its truth block updated with ``truth``."""
+    with open(Path(__file__).parent.parent / "fixtures" / "figure2.json") as fh:
+        doc = json.load(fh)
+    doc["truth"].update(truth)
+    return doc
+
+
+@pytest.mark.parametrize("truth, message", [
+    ({"upsilon_max": 1}, r"canonical truth level upsilon_1 = 5\.0 lies outside the bound upsilon_max = 1\.0"),
+    ({"upsilon_max": 4.9}, r"canonical truth level upsilon_1 = 5\.0 lies outside the bound upsilon_max = 4\.9"),
+    ({"upsilon": [-2.0, 0.5], "upsilon_max": 1},
+     r"canonical truth level upsilon_2 = 4\.4966\d* lies outside the bound upsilon_max = 1\.0"),
+    ({"upsilon": [-1e6 - 5.0, 0.5]},
+     r"canonical truth level upsilon_1 = -1000002\.5 lies outside the bound upsilon_max = 1000000\.0"),
+    ({"a": [0, 1.4]}, r"first truth scale: reference amplitude is zero after rescaling"),
+], ids=["box-of-1", "box-below-the-level", "second-level", "negative-level", "zero-first-scale"])
+def test_parse_study_config_rejects_a_truth_its_canonical_form_would_change(truth, message):
+    # the figure-2 shape's mean, 10/3, moves the levels (2.5, 0.5) to (5.0, 4.4967): a box that holds
+    # neither would clip them, and a zero first scale has no sign to fix, so the study would draw
+    # its panels from curves other than the configured ones
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        parse_study_config(_figure2_doc(**truth))
+
+
+def test_parse_study_config_keeps_a_truth_level_on_the_bound():
+    # validate_rows' rule is |upsilon| > bound, so a canonical level of exactly 5.0 fits a box of 5
+    levels = parse_study_config(_figure2_doc(upsilon_max=5.0)).truth.upsilon
+    assert levels[0] == 5.0
+    assert levels.tobytes() == parse_study_config(_figure2_doc()).truth.upsilon.tobytes()
 
 
 @pytest.mark.parametrize("shape, n_list, message", [
