@@ -433,9 +433,9 @@ def _figure2_doc(**truth):
     ({"a": [0, 1.4]}, r"first truth scale: reference amplitude is zero after rescaling"),
 ], ids=["box-of-1", "box-below-the-level", "second-level", "negative-level", "zero-first-scale"])
 def test_parse_study_config_rejects_a_truth_its_canonical_form_would_change(truth, message):
-    # the figure-2 shape's mean, 10/3, moves the levels (2.5, 0.5) to (5.0, 4.4967): a box that holds
-    # neither would clip them, and a zero first scale has no sign to fix, so the study would draw
-    # its panels from curves other than the configured ones
+    # the figure-2 shape's mean, 10/3, moves the levels (2.5, 0.5) to (5.0, 4.4967): a box that does
+    # not hold a level would clip it, and a zero first scale cannot be referenced, so the study would
+    # draw its panels from curves other than the configured ones
     with pytest.raises(ConfigInvalid, match=f"^{message}$"):
         parse_study_config(_figure2_doc(**truth))
 
