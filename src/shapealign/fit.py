@@ -49,6 +49,9 @@ from .model import (
     wrap_shifts,
 )
 
+# The line search's step lengths, 1, 1/2, ..., 2^-59.
+_HALVINGS = tuple(0.5**k for k in range(60))
+
 # An objective at or below NOISE_FLOOR * sqrt(spread * mean_sq) reads as zero noise: a noiseless
 # panel leaves rounding residue of either sign up to a few eps times that root, the rounding of
 # the centred rows (eps times the level) times the shape's size.
@@ -121,14 +124,15 @@ def initialize_shifts(d_ac: np.ndarray, constants: np.ndarray, grid_size: int, c
     freqs = np.arange(-m, m + 1)
     k = min(config.n_multistart, grid_size)
     scores = np.abs((d_ac[:, :1] * np.conj(d_ac)) @ _twiddle_table(grid_size, m))[:, 1:]  # (F, J-1, grid)
-    before, after = np.roll(scores, 1, axis=-1), np.roll(scores, -1, axis=-1)
-    peaks = (scores > before) & (scores >= after)
+    ring = np.concatenate([scores[:, :, -1:], scores, scores[:, :, :1]], axis=-1)  # offsets s-1, s, s+1 at s..s+2
+    peaks = (scores > ring[:, :, :-2]) & (scores >= ring[:, :, 2:])
     by_score = np.argsort(-np.where(peaks, scores, -1.0), axis=-1, kind="stable")[:, :, :k]  # peaks first
-    top = np.where(np.take_along_axis(peaks, by_score, axis=-1), by_score, by_score[:, :, :1])  # padded with the best
-    lower, mid, upper = (np.take_along_axis(v, top, axis=-1) for v in (before, scores, after))
+    problem, free = np.arange(len(scores))[:, None, None], np.arange(j - 1)[:, None]  # an open grid over (F, J-1)
+    top = np.where(peaks[problem, free, by_score], by_score, by_score[:, :, :1])  # padded with the best
+    lower, mid, upper = ring[problem, free, top], ring[problem, free, top + 1], ring[problem, free, top + 2]
     curve = lower - 2 * mid + upper  # negative at a peak up to rounding, 0 for a constant score
-    vertex = np.divide(0.5 * (lower - upper), curve, out=np.zeros_like(curve), where=curve < 0)
-    position = top + np.clip(vertex, -0.5, 0.5)
+    vertex = np.divide(0.5 * (lower - upper), curve, out=np.zeros(curve.shape), where=curve < 0)
+    position = top + vertex.clip(-0.5, 0.5, out=vertex)
     # every free curve at its best peak, then each curve's other peaks in turn
     ranks = np.zeros((1 + (k - 1) * (j - 1), j - 1), dtype=int)
     ranks[np.arange(1, len(ranks)), np.repeat(np.arange(j - 1), k - 1)] = np.tile(np.arange(1, k), j - 1)
@@ -159,35 +163,38 @@ def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
     """
     x = np.array(x0, dtype=float)
     ev = fun(x, np.arange(len(x)), True)
-    f, g, hess, tie = ev.value, ev.grad, ev.hess, ev.tie_break  # updated in place with ``ev``
     iterations, live = np.zeros(len(x), dtype=int), np.arange(len(x))
-    halvings = 0.5 ** np.arange(60)  # the line search's step lengths
     for _ in range(config.max_iters):  # rows live after the last round stop on their budget
-        iterations[live] += 1
-        xl, fl, gl, hl = x[live], f[live], g[live], hess[live]
+        now = live if live.size < len(x) else slice(None)  # with every row live, views rather than copies
+        iterations[now] += 1
+        xl, fl, gl, hl, tl = x[now], ev.value[now], ev.grad[now], ev.hess[now], ev.tie_break[now]
         gnorm, scale = np.abs(gl).max(axis=1), np.fmax(1.0, np.abs(fl))
         flat = gnorm <= 1e-15 * scale  # stop: the gradient vanished to rounding
-        keep = ~flat if flat.any() else slice(None)  # a slice gathers nothing
-        live, xl, fl, gl, hl, gnorm, scale = (a[keep] for a in (live, xl, fl, gl, hl, gnorm, scale))
+        if flat.any():
+            live, xl, fl, gl, hl, tl, gnorm, scale = (a[~flat] for a in (live, xl, fl, gl, hl, tl, gnorm, scale))
         if not live.size:
             break
-        curved = ~tie[live] & np.isfinite(hl).all(axis=(1, 2))
+        curved = ~tl & np.isfinite(hl).all(axis=(1, 2))
         newton = curved if not curved.all() else slice(None)
         lam, vec = np.linalg.eigh(hl[newton])
-        lam = np.fmax(np.abs(lam), 1e-8 * np.fmax(1.0, np.abs(lam).max(axis=1, keepdims=True)))[:, :, None]
-        direction = np.full_like(gl, np.nan)
-        direction[newton] = -(vec @ (vec.transpose(0, 2, 1) @ gl[newton][:, :, None] / lam))[:, :, 0]
+        lam = np.abs(lam)
+        lam = np.fmax(lam, 1e-8 * np.fmax(1.0, lam.max(axis=1, keepdims=True)))[:, :, None]
+        direction = -(vec @ (vec.transpose(0, 2, 1) @ gl[newton][:, :, None] / lam))[:, :, 0]
+        if newton is curved:  # the other rows take -g below
+            direction, steps = np.full_like(gl, np.nan), direction
+            direction[curved] = steps
         slope = rowdot(gl, direction)
         steepest = ~(slope < 0.0)
         if steepest.any():
             direction[steepest] = -gl[steepest]
             slope[steepest] = -rowdot(gl[steepest], gl[steepest])
         armijo = ~(-slope <= config.tol_objective * scale)
+        search = [live, xl, fl, direction, slope, armijo, gnorm]  # rows still searching
         stalled = ~armijo & steepest  # stop: below the tolerance only a Newton step is tried
-        keep = ~stalled if stalled.any() else slice(None)
-        search = [a[keep] for a in (live, xl, fl, direction, slope, armijo, gnorm)]  # rows still searching
+        if stalled.any():
+            search = [a[~stalled] for a in search]
         survivors = np.zeros(len(x), dtype=bool)
-        for step in halvings:  # stop: rows still searching after the last halving have no descent step
+        for step in _HALVINGS:  # stop: rows still searching after the last halving have no descent step
             rows, x_old, f_old, direction, slope, armijo, gnorm = search
             if not rows.size:
                 break
@@ -195,14 +202,19 @@ def _lockstep_newton(fun, x0: np.ndarray, config: FitConfig):
             trial = fun(x_try, rows, True)
             ok = np.where(armijo, trial.value <= f_old + 1e-4 * step * slope,
                           np.abs(trial.grad).max(axis=1) < gnorm)
-            took = ok if not ok.all() else slice(None)
-            target, f_new = rows[took], trial.value[took]
+            everyone = ok.all()
+            took = slice(None) if everyone else ok
+            f_new = trial.value[took]  # the stop test reads x_old and f_old, which may view x and ev, before any write
+            settled = armijo[took] & (np.abs(x_try[took] - x_old[took]).max(axis=1) <= config.tol_param) & (
+                f_old[took] - f_new <= config.tol_objective * np.fmax(1.0, np.abs(f_new)))  # stop: both small
+            target = rows[took]
+            survivors[target[~settled]] = True
+            if everyone and rows.size == len(x):  # every row took its trial: the trial is the new state as it is
+                x, ev = x_try, trial
+                break
             x[target] = x_try[took]
             for whole, part in zip(ev, trial):  # an accepted trial is the new state
                 whole[target] = part[took]
-            settled = armijo[took] & (np.abs(x_try[took] - x_old[took]).max(axis=1) <= config.tol_param) & (
-                f_old[took] - f_new <= config.tol_objective * np.fmax(1.0, np.abs(f_new)))  # stop: both small
-            survivors[target[~settled]] = True
             rejected = ~ok & ~armijo  # stop: the one Newton trial did not shrink max|g|
             retry = ~(ok | rejected)
             if not retry.any():

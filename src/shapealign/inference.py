@@ -12,6 +12,7 @@ shape's mean; that covariance is assembled by :func:`a1_covariance`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,12 @@ class ConfidenceReport:
     zero_noise: bool
 
 
+@functools.lru_cache(maxsize=64)  # computed once per confidence level in use, not once per report
+def _two_sided_quantile(level: float) -> float:
+    """The normal quantile z with P(|Z| <= z) = ``level``."""
+    return float(inverse_normal_cdf(0.5 * (1.0 + level)))
+
+
 def confidence_intervals(result, level: float) -> ConfidenceReport:
     """Per-parameter normal confidence intervals from the plug-in covariance.
 
@@ -218,17 +225,18 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
     params = result.beta_hat
     j = params.n_curves
     cov = scaled_covariance(params.a, result.shape_hat, result.sigma_hat, params.regime.kind) / result.n
-    z = float(inverse_normal_cdf(0.5 * (1.0 + level)))
     estimates = params.free_values()
+    variances = np.diag(cov)
+    half = _two_sided_quantile(float(level)) * np.sqrt(np.where(variances < 0.0, 0.0, variances))
+    lo, hi = estimates - half, estimates + half
+    shifts = j - 1  # the free coordinates start with theta_2..theta_J
+    ends = wrap_shifts([lo[:shifts], hi[:shifts]])  # both ends on the circle, or the whole circle from pi
+    whole = half[:shifts] >= np.pi
+    ends[0, whole], ends[1, whole] = 0.0, TWO_PI
+    lo[:shifts], hi[:shifts] = ends
     labels = free_parameter_labels(j, params.regime)
-    intervals = []
-    for idx, (name, est) in enumerate(zip(labels, estimates)):
-        hw = z * float(np.sqrt(max(cov[idx, idx], 0.0)))
-        circular = name.startswith("theta")
-        lo, hi = est - hw, est + hw
-        if circular:  # both ends wrapped onto the circle, or the whole circle from a half-width of pi
-            lo, hi = (0.0, TWO_PI) if hw >= np.pi else wrap_shifts([lo, hi]).tolist()
-        intervals.append(ParameterInterval(name, float(est), hw, lo, hi, circular))
+    intervals = [ParameterInterval(*row, k < shifts) for k, row in enumerate(zip(
+        labels, estimates.tolist(), half.tolist(), lo.tolist(), hi.tolist()))]
 
     return ConfidenceReport(
         level=level, intervals=intervals, covariance=cov, labels=labels, zero_noise=result.sigma_hat == 0.0,

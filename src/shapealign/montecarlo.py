@@ -48,6 +48,10 @@ _MAX_FAILURE_FRACTION = 0.05
 # raised before anything of its size is allocated.
 _MAX_GRID = 10**6 + 1
 _MAX_TABLE = (2 * FitConfig().resolve_m(_MAX_GRID) + 1) * _MAX_GRID
+# The most replicates a study config may ask for.  A serial figure-2 study (J=2, n=201, two
+# regimes) holds about 23 KB a replicate at once, so this many peak near 2.3 GB; a larger
+# count is a config error, raised before any seed is drawn.
+_MAX_REPLICATES = 10**5
 
 
 # Fits a worker needs before forking it and shipping its chunk pays off: on two

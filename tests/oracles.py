@@ -9,6 +9,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
@@ -22,7 +23,13 @@ from shapealign.criterion import (
 from shapealign.errors import ConfigInvalid, ConstraintViolation, GridMismatch, ParseError, RaggedColumns
 from shapealign.fit import FitConfig, fit
 from shapealign.fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_shifted_on_grid, make_grid
-from shapealign.inference import a1_covariance, efficiency_blocks
+from shapealign.inference import (
+    ConfidenceReport,
+    ParameterInterval,
+    a1_covariance,
+    efficiency_blocks,
+    scaled_covariance,
+)
 from shapealign.io import _integer, _number, _object, _require
 from shapealign.model import (
     Band,
@@ -32,6 +39,7 @@ from shapealign.model import (
     Regime,
     free_parameter_labels,
     reparameterize_to_a1,
+    wrap_shifts,
 )
 from shapealign.montecarlo import (
     _MAX_FAILURE_FRACTION,
@@ -413,9 +421,9 @@ def parse_shape_entries(node) -> ShapeSpectrum:
     """A study config's shape parsed one entry at a time: each l, re and im checked and converted on its own.
 
     Same rules, errors and messages as ``io._parse_shape``, which reads the entries as columns and
-    must match this bit for bit: the band m is given or the largest |l|, a bad entry raises at the
-    first failing check of the first bad entry, and a frequency given on one side only gets its
-    conjugate pair.
+    must match this bit for bit: the band m is given or the largest |l|, every entry is checked
+    before the 2m+1 coefficients are allocated, a bad entry raises at the first failing check of
+    the first bad entry, and a frequency given on one side only gets its conjugate pair.
     """
     entries = _require(_object(node, "shape"), "coeffs", "shape")
     if not isinstance(entries, list) or not entries:
@@ -428,20 +436,21 @@ def parse_shape_entries(node) -> ShapeSpectrum:
     m = _integer(m, "shape.m")
     if m < 1:
         raise ConfigInvalid("shape band must be >= 1")
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    seen = set()
+    given = {}
     for entry in entries:
         l = _integer(_require(entry, "l", "shape.coeffs entry"), "shape.coeffs.l")
         c = complex(_number(_require(entry, "re", "shape.coeffs entry"), "shape.coeffs.re"),
                     _number(entry.get("im", 0.0), "shape.coeffs.im"))
         if abs(l) > m:
             raise ConfigInvalid(f"shape frequency {l} outside band {m}")
-        if l in seen:
+        if l in given:
             raise ConfigInvalid(f"duplicate shape frequency {l}")
-        seen.add(l)
+        given[l] = c
+    coeffs = np.zeros(2 * m + 1, dtype=complex)
+    for l, c in given.items():
         coeffs[l + m] = c
     for l in range(1, m + 1):
-        has_pos, has_neg = l in seen, -l in seen
+        has_pos, has_neg = l in given, -l in given
         if has_pos and not has_neg:
             coeffs[m - l] = np.conj(coeffs[m + l])
         elif has_neg and not has_pos:
@@ -521,6 +530,65 @@ def dumps_canonical_recursive(doc) -> str:
     emit(doc, 0)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def dumps_canonical_by_isinstance(doc) -> str:
+    """Canonical JSON text with every value dispatched by isinstance checks, scalars first.
+
+    Same text as ``io.dumps_canonical``, which looks the usual scalars up by their exact type and
+    must match this for every document, error type and message included.  As there, a list of
+    Python floats is rendered with one ``format`` call a value and one join, any other list of
+    scalars one scalar at a time, and any other container one item a line.
+    """
+
+    def render_floats(values):
+        texts = list(map(float.__format__, values, repeat(".17g")))
+        return ", ".join("null" if t in ("nan", "inf", "-inf") else "0" if t == "-0" else t for t in texts)
+
+    def emit(value, pad):
+        if _is_scalar(value):
+            return _render_scalar(value)
+        inner = pad + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(str(key))}: {emit(item, inner)}"
+                                      for key, item in value.items()) + "\n" + pad + "}")
+        if isinstance(value, (list, tuple, np.ndarray)):
+            items = value if type(value) is list else list(value)
+            if not items:
+                return "[]"
+            if set(map(type, items)) == {float}:
+                return "[" + render_floats(items) + "]"
+            if all(map(_is_scalar, items)):
+                return "[" + ", ".join(map(_render_scalar, items)) + "]"
+            return "[\n" + ",\n".join(inner + emit(item, inner) for item in items) + "\n" + pad + "]"
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    return emit(doc, "") + "\n"
+
+
+def confidence_intervals_per_parameter(result, level: float) -> ConfidenceReport:
+    """``inference.confidence_intervals`` one parameter at a time: the quantile from
+    ``inverse_normal_cdf`` on each call, each half-width from its own variance, and each shift
+    interval wrapped on its own (the whole circle from a half-width of pi).
+
+    ``inference.confidence_intervals``, which works on whole columns, must match it bit for bit.
+    """
+    params = result.beta_hat
+    cov = scaled_covariance(params.a, result.shape_hat, result.sigma_hat, params.regime.kind) / result.n
+    z = float(inverse_normal_cdf(0.5 * (1.0 + level)))
+    labels = free_parameter_labels(params.n_curves, params.regime)
+    intervals = []
+    for idx, (name, est) in enumerate(zip(labels, params.free_values())):
+        hw = z * float(np.sqrt(max(cov[idx, idx], 0.0)))
+        circular = name.startswith("theta")
+        lo, hi = est - hw, est + hw
+        if circular:
+            lo, hi = (0.0, TWO_PI) if hw >= np.pi else wrap_shifts([lo, hi]).tolist()
+        intervals.append(ParameterInterval(name, float(est), hw, lo, hi, circular))
+    return ConfidenceReport(level=level, intervals=intervals, covariance=cov, labels=labels,
+                            zero_noise=result.sigma_hat == 0.0)
 
 
 def aggregate_cell(n, regime_kind, ref_truth, ref_shape, fits: _Fits) -> StudyCell:

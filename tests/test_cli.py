@@ -353,6 +353,20 @@ def test_simulate_rejects_a_truth_its_canonical_form_would_change(truth, message
     assert not out.exists()
 
 
+def test_simulate_rejects_more_replicates_than_a_study_holds(tmp_path, capsys):
+    # the shipped study at 10**12 replicates: an input error raised before any seed is drawn, not a
+    # run that allocates until memory runs out, and no report
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json")) as fh:
+        doc = json.load(fh)
+    doc["replicates"] = 10**12
+    cfg_path = str(tmp_path / "study.json")
+    write_atomic(cfg_path, dumps_canonical(doc))
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: replicates 1000000000000 exceeds the largest study, 100000"]
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_json(tmp_path):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text("{ not json")

@@ -1084,7 +1084,7 @@ def _hessian_factor_batch(rng, j):
 
 @pytest.mark.parametrize("max_iters", [500, 1])
 @pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
-def test_lockstep_newton_on_polish_batch_matches_per_start_oracle(j, max_iters, rng):
+def test_lockstep_newton_on_hessian_factor_batch_matches_per_start_oracle(j, max_iters, rng):
     bands, factors, x0, owner = _hessian_factor_batch(rng, j)
     d_ac = np.stack([band.d_ac for band in bands])
     constant = np.array([band.spread for band in bands])

@@ -16,6 +16,7 @@ from shapealign.errors import (
 )
 from shapealign.model import ConstraintRegime, Regime
 from conftest import boxplot_truth, random_hermitian_spectrum, sphere_scales
+from oracles import confidence_intervals_per_parameter
 
 TONE = sa.ShapeSpectrum.from_onesided({1: 0.5})  # |f|^2 = |f'|^2 = 1/2
 
@@ -210,6 +211,42 @@ def test_shift_interval_endpoints_lie_on_the_circle_property(est, sigma):
         assert (iv.lo, iv.hi) == (0.0, 2 * np.pi)
     else:
         assert 0.0 <= iv.lo < 2 * np.pi and 0.0 <= iv.hi < 2 * np.pi
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), kind=st.sampled_from(list(Regime)),
+       level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 100.0)), n=st.integers(3, 1001))
+def test_confidence_intervals_match_the_per_parameter_oracle(data, seed, j, kind, level, sigma, n):
+    # half-widths from 0 to far past pi, and shifts at and near 0 whose endpoints cross it
+    rng = np.random.default_rng(seed)
+    shift = st.one_of(st.floats(0.0, 2 * np.pi, exclude_max=True), st.sampled_from([0.0, 5e-324, 1e-17]),
+                      st.floats(2 * np.pi - 1e-9, 2 * np.pi, exclude_max=True))
+    theta = [0.0] + data.draw(st.lists(shift, min_size=j - 1, max_size=j - 1))
+    upsilon = rng.uniform(-5.0, 5.0, j)
+    if kind is Regime.A1:
+        upsilon[0] = 0.0
+    params = sa.ParameterSet(theta=theta, a=sphere_scales(rng, j), upsilon=upsilon, sigma=sigma,
+                             regime=ConstraintRegime(kind=kind))
+    fit = sa.FitResult(
+        beta_hat=params, sigma_hat=sigma, shape_hat=random_hermitian_spectrum(rng, int(rng.integers(1, 4))),
+        objective=sigma**2, iterations=1, restarts=1, converged=True, zero_noise=sigma == 0.0,
+        tie_break=False, n=n, m=3,
+    )
+    assert _interval_outcome(sa.confidence_intervals, fit, level) == _interval_outcome(
+        confidence_intervals_per_parameter, fit, level)
+
+
+def _interval_outcome(intervals, fit, level):
+    """A report's fields, its floats as bytes, or the type and message of its error (a level within
+    an ulp of 1 has no quantile)."""
+    try:
+        report = intervals(fit, level)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (report.level, report.labels, report.zero_noise, report.covariance.tobytes(),
+            [(iv.name, iv.circular) for iv in report.intervals],
+            np.array([[iv.estimate, iv.half_width, iv.lo, iv.hi] for iv in report.intervals]).tobytes())
 
 
 def test_interval_monotone_in_level():

@@ -1,5 +1,6 @@
 """Panel parsing, canonical JSON, config parsing, document round-trips."""
 
+import collections
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,7 +29,8 @@ from shapealign.io import (
     write_atomic,
     write_panel,
 )
-from oracles import dumps_canonical_recursive, parse_shape_entries, read_panel_cells
+from shapealign.montecarlo import _MAX_REPLICATES
+from oracles import dumps_canonical_by_isinstance, dumps_canonical_recursive, parse_shape_entries, read_panel_cells
 
 
 def _write(tmp_path, name, text):
@@ -327,10 +329,12 @@ _RENDER_SCALARS = st.one_of(
 )
 _RENDER_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64]),
                             hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
-_RENDER_LEAVES = _RENDER_SCALARS | _RENDER_ARRAYS | st.lists(st.floats(), max_size=5)
+_RENDER_LEAVES = (_RENDER_SCALARS | _RENDER_ARRAYS | st.lists(st.floats(), max_size=5)
+                  | st.sampled_from(["é", "温度 °C", "\u2028", "", (), {}, np.zeros(0)]))
 _RENDER_DOCS = st.recursive(_RENDER_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-    st.dictionaries(st.text(max_size=5), inner, max_size=4)), max_leaves=25)
+    st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    st.dictionaries(st.text(max_size=5), inner, max_size=3).map(collections.OrderedDict)), max_leaves=25)
 
 
 def _rendered(dumps, doc):
@@ -344,6 +348,15 @@ def _rendered(dumps, doc):
 @given(doc=_RENDER_DOCS)
 def test_canonical_json_matches_the_recursive_oracle(doc):
     assert _rendered(dumps_canonical, doc) == _rendered(dumps_canonical_recursive, doc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_RENDER_DOCS)
+def test_canonical_json_matches_the_isinstance_oracle(doc):
+    # nested documents of -0.0, NaN, +-inf, numpy scalars and arrays, bools, ints, None, non-ASCII
+    # strings, tuples, dict subclasses and empty containers: each value looked up by its exact type
+    # renders as the isinstance dispatch renders it, and anything else fails the same way
+    assert _rendered(dumps_canonical, doc) == _rendered(dumps_canonical_by_isinstance, doc)
 
 
 def test_canonical_json_float_lists_spell_nan_inf_and_negative_zero():
@@ -413,6 +426,16 @@ def test_parse_study_config_rejects_bad_inputs():
     doc["shape"]["coeffs"][1]["l"] = 9
     with pytest.raises(ConfigInvalid):
         parse_study_config(doc)
+
+
+@pytest.mark.parametrize("replicates", [10**12, _MAX_REPLICATES + 1])
+def test_parse_study_config_bounds_the_replicates(replicates):
+    # a study of 10**12 replicates would draw noise until memory ran out: the parser rejects it, and
+    # the run never starts
+    with pytest.raises(ConfigInvalid) as info:
+        parse_study_config(_config_doc(replicates=replicates))
+    assert str(info.value) == f"replicates {replicates} exceeds the largest study, 100000"
+    assert parse_study_config(_config_doc(replicates=_MAX_REPLICATES)).replicates == _MAX_REPLICATES
 
 
 def _figure2_doc(**truth):
@@ -576,6 +599,7 @@ def _parsed(parse, node):
 
 @settings(max_examples=600, deadline=None)
 @given(node=_shape_node())
+@example({"coeffs": [{"l": 2**70, "re": "0.5"}, {"l": 1, "re": 1.0}, {"l": -1, "re": 1.0}]})  # no band to allocate
 def test_parse_shape_matches_the_per_entry_oracle(node):
     assert _parsed(_parse_shape, node) == _parsed(parse_shape_entries, node)
 
