@@ -13,7 +13,7 @@ import sys
 
 from .errors import ShapeAlignError
 from .fit import FitConfig, fit
-from .inference import confidence_intervals
+from .inference import confidence_intervals, two_sided_quantile
 from .io import (
     dumps_canonical,
     load_study_config,
@@ -72,8 +72,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
-    if not 0.0 < args.level < 1.0:  # checked before the fit: an unconverged fit never reads it
-        raise _UsageError(f"--level must lie strictly in (0, 1), got {args.level!r}")
+    two_sided_quantile(args.level)  # the level rule, checked before the fit: an unconverged fit never reads it
     if args.period_days is not None and not (math.isfinite(args.period_days) and args.period_days > 0):
         raise _UsageError(f"--period-days must be positive and finite, got {args.period_days!r}")
     panel = read_panel(args.input)

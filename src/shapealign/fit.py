@@ -18,7 +18,7 @@ regime and the A0 box enter the shift criterion only through C, which cannot
 move its minimisers, so each panel is one shift problem, on its spread, whatever
 the regimes of its jobs.
 :func:`fit_batch` (and :func:`fit`, its batch of one) wraps the estimates in
-:class:`FitResult`; a Monte Carlo chunk reads them as they are.
+:class:`FitResult`; a Monte Carlo block reads them as they are.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class FitConfig:
             raise ConfigInvalid("theta_grid_size must be >= 1")
         if self.n_multistart < 1 or self.max_iters < 1:
             raise ConfigInvalid("n_multistart and max_iters must be >= 1")
-        if not (self.tol_objective > 0 and self.tol_param > 0):  # NaN fails too
-            raise ConfigInvalid("tolerances must be positive")
+        if not (0 < self.tol_objective <= 1 and self.tol_param > 0):  # NaN fails too
+            raise ConfigInvalid("tolerances must be positive, tol_objective (a gain relative to max(1, |f|)) at most 1")
 
     def resolve_m(self, n: int) -> int:
         if self.m is not None:

@@ -200,9 +200,13 @@ class ConfidenceReport:
 
 
 @functools.lru_cache(maxsize=64)  # computed once per confidence level in use, not once per report
-def _two_sided_quantile(level: float) -> float:
-    """The normal quantile z with P(|Z| <= z) = ``level``."""
-    return float(inverse_normal_cdf(0.5 * (1.0 + level)))
+def two_sided_quantile(level: float) -> float:
+    """The normal quantile z with P(|Z| <= z) = ``level``; the level rule: ConfigInvalid unless ``level``
+    lies in (0, 1) and its argument 0.5 * (1 + level) below 1, which a level within 2**-53 of 1 rounds to."""
+    p = 0.5 * (1.0 + level)
+    if not (0.0 < level < 1.0 and p < 1.0):
+        raise ConfigInvalid(f"confidence level must lie strictly in (0, 1) with 0.5 * (1 + level) < 1, got {level!r}")
+    return float(inverse_normal_cdf(p))
 
 
 def confidence_intervals(result, level: float) -> ConfidenceReport:
@@ -215,11 +219,12 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
 
     Raises
     ------
+    ConfigInvalid
+        If the level breaks :func:`two_sided_quantile`'s rule.
     NotConverged
         If the fit did not converge.
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigInvalid("confidence level must lie strictly in (0, 1)")
+    z = two_sided_quantile(float(level))
     if not result.converged:
         raise NotConverged("cannot build intervals from an unconverged fit")
     params = result.beta_hat
@@ -227,7 +232,7 @@ def confidence_intervals(result, level: float) -> ConfidenceReport:
     cov = scaled_covariance(params.a, result.shape_hat, result.sigma_hat, params.regime.kind) / result.n
     estimates = params.free_values()
     variances = np.diag(cov)
-    half = _two_sided_quantile(float(level)) * np.sqrt(np.where(variances < 0.0, 0.0, variances))
+    half = z * np.sqrt(np.where(variances < 0.0, 0.0, variances))
     lo, hi = estimates - half, estimates + half
     shifts = j - 1  # the free coordinates start with theta_2..theta_J
     ends = wrap_shifts([lo[:shifts], hi[:shifts]])  # both ends on the circle, or the whole circle from pi

@@ -32,7 +32,7 @@ from .model import (
     center_shape,
     project_to_constraints,
 )
-from .montecarlo import _MAX_REPLICATES, _QUANTILES, StudyConfig, StudyReport, _check_grids
+from .montecarlo import _QUANTILES, StudyConfig, StudyReport, _check_grids
 
 _GRID_TOLERANCE = 1e-9
 _TEMP_NAMES = count()  # with the pid, a name no other writer in this process or another uses
@@ -402,7 +402,11 @@ def _parse_shape(node, n_list=()) -> ShapeSpectrum:
     seen[index] = True
     coeffs = np.where(seen[::-1] & ~seen, np.conj(coeffs[::-1]), coeffs)  # one-sided pairs completed
     spec = ShapeSpectrum(m=m, coeffs=coeffs)
-    if spec.hermitian_defect() > 1e-9 * max(1.0, float(np.abs(coeffs).sum())):
+    with np.errstate(over="ignore"):  # an infinite sum is rejected below
+        mass = float(np.abs(coeffs).sum())  # bounds |f| everywhere
+    if mass == math.inf:
+        raise ConfigInvalid("shape coefficient magnitudes must have a finite sum")
+    if spec.hermitian_defect() > 1e-9 * max(1.0, mass):
         raise ConfigInvalid("shape coefficients are not conjugate-symmetric")
     if abs(coeffs[m].imag) > 0:
         raise ConfigInvalid("mean coefficient must be real")
@@ -453,11 +457,12 @@ def parse_study_config(doc: dict) -> StudyConfig:
 
     # canonicalize: center the shape, move scales onto the sphere
     centered, c0 = center_shape(shape)
-    upsilon = upsilon + a * c0
+    with np.errstate(over="ignore"):  # an infinite level or sum of squares fails its check below
+        upsilon = upsilon + a * c0
+        ssq = float(a @ a)
     j = a.size
-    ssq = float(a @ a)
-    if ssq <= 0:
-        raise ConfigInvalid("truth scales must not all vanish")
+    if not 0 < ssq < math.inf:
+        raise ConfigInvalid(f"truth scales must not all vanish and must have a finite sum of squares, got {ssq!r}")
     scale = math.sqrt(j / ssq)
     coeffs = centered.coeffs / scale
     regime = ConstraintRegime(kind=Regime.A0, upsilon_max=upsilon_max)
@@ -475,11 +480,7 @@ def parse_study_config(doc: dict) -> StudyConfig:
     canonical_shape = ShapeSpectrum(m=centered.m, coeffs=coeffs)
 
     replicates = _integer(_require(doc, "replicates", "config"), "replicates")
-    if replicates > _MAX_REPLICATES:
-        raise ConfigInvalid(f"replicates {replicates} exceeds the largest study, {_MAX_REPLICATES}")
     base_seed = _integer(_require(doc, "base_seed", "config"), "base_seed")
-    if base_seed < 0 or base_seed + replicates > 2**128:
-        raise ConfigInvalid("base_seed must be >= 0 and base_seed + replicates <= 2**128")
 
     fit_node = _object(doc.get("fit", {}), "fit")
     for key in fit_node:
@@ -493,20 +494,15 @@ def parse_study_config(doc: dict) -> StudyConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"unknown regime in regimes: {regime_names!r}") from exc
 
-    try:
-        return StudyConfig(
-            truth=truth,
-            shape=canonical_shape,
-            n_list=n_list,
-            replicates=replicates,
-            base_seed=base_seed,
-            fit_config=fit_config,
-            regimes=regimes,
-        )
-    except ConfigInvalid:
-        raise
-    except Exception as exc:  # constraint violations surface as config errors
-        raise ConfigInvalid(str(exc)) from exc
+    return StudyConfig(
+        truth=truth,
+        shape=canonical_shape,
+        n_list=n_list,
+        replicates=replicates,
+        base_seed=base_seed,
+        fit_config=fit_config,
+        regimes=regimes,
+    )
 
 
 def load_study_config(path: str) -> StudyConfig:

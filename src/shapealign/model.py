@@ -15,6 +15,8 @@ identifiability regimes are supported:
 :func:`project_rows` is the one map onto these sets: the fitter assembles
 its estimates through it, :func:`project_to_constraints` is its call for
 one parameter vector, and :func:`wrap_shifts` is its wrap of the shifts.
+Studies draw panels as (seeds, J, n) arrays (:func:`generate_panels`), banded by one
+:func:`band_stack` call; :class:`CurvePanel` holds a file's panel or :func:`generate_panel`'s.
 """
 
 from __future__ import annotations
@@ -144,18 +146,18 @@ def band_stack(y: np.ndarray, grid: SamplingGrid, m: int) -> Band:
 
     Raises NonFiniteData if any panel's moments or DFT coefficients overflow to non-finite values.
     """
-    count, j = y.shape[:2]
+    count, j, n = y.shape  # explicit sizes, so a stack of no panels reshapes too
     # overflow is detected below and reported as NonFiniteData
     with np.errstate(over="ignore", invalid="ignore"):
         ybar = y.mean(axis=2)
         centred = y - ybar[:, :, None]
         d_ac = dft(centred, grid, m)
-        mean_sq = (y**2).reshape(count, -1).sum(axis=1) / (grid.n * j)
-        spread = (centred**2).reshape(count, -1).sum(axis=1) / (grid.n * j)
+        mean_sq = (y**2).reshape(count, j * n).sum(axis=1) / (grid.n * j)
+        spread = (centred**2).reshape(count, j * n).sum(axis=1) / (grid.n * j)
     if not all(np.isfinite(v).all() for v in (mean_sq, spread, ybar, d_ac)):
         raise NonFiniteData("panel moments or DFT coefficients are not finite")
     d_ac[:, :, m] = 0.0
-    ac_trace = (np.abs(d_ac) ** 2).reshape(count, -1).sum(axis=1) / j
+    ac_trace = (np.abs(d_ac) ** 2).reshape(count, j * (2 * m + 1)).sum(axis=1) / j
     d_ac.flags.writeable = ybar.flags.writeable = False
     return Band(d_ac, ybar, mean_sq, ac_trace, spread)
 
@@ -193,38 +195,31 @@ class CurvePanel:
         return self._band_cache[m]
 
 
-def generate_panel(
-    truth: ParameterSet,
-    shape: ShapeSpectrum,
-    grid: SamplingGrid,
-    seed: int,
-) -> CurvePanel:
+def generate_panel(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGrid, seed: int) -> CurvePanel:
     """Draw one synthetic panel from the model with Gaussian noise: :func:`generate_panels` of one seed."""
-    return generate_panels(truth, shape, grid, [seed])[0]
+    return CurvePanel(grid=grid, y=generate_panels(truth, shape, grid, [seed])[0])
 
 
-def generate_panels(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGrid, seeds) -> list[CurvePanel]:
-    """Draw one synthetic panel per seed from the model with Gaussian noise.
+def generate_panels(truth: ParameterSet, shape: ShapeSpectrum, grid: SamplingGrid, seeds) -> np.ndarray:
+    """Draw one synthetic panel per seed from the model with Gaussian noise: values (len(seeds), J, n).
 
-    The band is checked and the noiseless curves evaluated once;
-    each seed draws its own Philox stream, and one quantile call maps them
-    all, so panel k is bitwise the panel of seed k alone, and no two
-    panels share memory.  The shape's mean term (if any) is folded into the
-    per-curve levels before evaluation, so algebraically equivalent (shape,
-    level) splits generate identical panels.  Identical seeds give
-    identical bits.
+    The band is checked and the noiseless curves evaluated once; each seed draws its own Philox
+    stream, and one quantile call maps them all, so row k is bitwise the panel of seed k alone.  The
+    shape's mean term (if any) is folded into the per-curve levels before evaluation, so
+    algebraically equivalent (shape, level) splits generate identical panels, and identical seeds
+    identical bits.  A panel that overflowed is left to :func:`band_stack` (or a :class:`CurvePanel`)
+    to reject as NonFiniteData.
     """
     if 2 * shape.m >= grid.n:
         raise ConstraintViolation(f"shape band {shape.m} violates 2*m < n for n={grid.n}")
     ac, c0 = center_shape(shape)
-    base = evaluate_shifted_on_grid(ac, grid, truth.theta)
-    level = truth.upsilon + truth.a * c0
-    y = truth.a[:, None] * base + level[:, None]
-    if truth.sigma > 0:
-        ys = y + truth.sigma * seeded_normals(seeds, y.size).reshape((len(seeds),) + y.shape)
-    else:
-        ys = np.repeat(y[None], len(seeds), axis=0)
-    return [CurvePanel(grid=grid, y=row) for row in ys]
+    with np.errstate(over="ignore", invalid="ignore"):  # see the docstring: band_stack rejects an overflow
+        base = evaluate_shifted_on_grid(ac, grid, truth.theta)
+        level = truth.upsilon + truth.a * c0
+        y = truth.a[:, None] * base + level[:, None]
+        if truth.sigma > 0:
+            return y + truth.sigma * seeded_normals(seeds, y.size).reshape((len(seeds),) + y.shape)
+    return np.repeat(y[None], len(seeds), axis=0)
 
 
 def center_shape(spec: ShapeSpectrum) -> tuple[ShapeSpectrum, float]:

@@ -1,20 +1,18 @@
 """Replication studies: consistency, covariance calibration, regime contrast.
 
-Each replicate's panel is generated once, from one truth and a derived seed
-(base seed plus replicate index), and fitted under every requested regime;
-the fits aggregate into deterministic summaries: mean bias, the empirical
-covariance of sqrt(n)-scaled errors against its closed-form target,
-shape-estimator integrated squared error, and boxplot-style quantiles.  A
-study splits its replicates into contiguous seed ranges, each fitted at every
-grid size, one per worker of a process pool that gets at least _FITS_PER_WORKER fits a worker, at most
-SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and never more than
-the usable CPUs; below two workers it runs as one chunk in this process.
-Each chunk's panels of one grid size are generated in one pass and kept as
-stacked arrays from their bands to the aggregates: one fit group, one lockstep
-search over every start of each panel's one shift problem (which all its
-regimes share, whatever the A0 box), one validation pass.  Stacked
-panels and fits equal lone ones bit for bit and aggregation follows
-replicate order, so parallelism cannot change any result.
+Each replicate's panel is generated once, from one truth and a derived seed (base seed plus
+replicate index), and fitted under every requested regime; the fits aggregate into deterministic
+summaries: mean bias, the empirical covariance of sqrt(n)-scaled errors against its closed-form
+target, shape-estimator integrated squared error, and boxplot-style quantiles.  A study splits its
+replicates into contiguous seed ranges, one per worker of a process pool that gets at least
+_FITS_PER_WORKER fits a worker, at most SHAPEALIGN_THREADS workers (unset: 1, 0: one per CPU) and
+never more than the usable CPUs; below two workers the one range runs in this process.  Each range
+is walked in blocks of at most _BLOCK_VALUES panel values, so a run holds one block's panels at a
+time.  A block's panels of one grid size are drawn as one (seeds, J, n) array and kept stacked from
+their bands to the estimates: one fit group, one lockstep search over every start of each panel's
+one shift problem (which all its regimes share, whatever the A0 box), one validation pass.  Stacked
+panels and fits equal lone ones bit for bit and the blocks join in replicate order, so neither the
+block size nor parallelism can change any result.
 """
 
 from __future__ import annotations
@@ -48,13 +46,15 @@ _MAX_FAILURE_FRACTION = 0.05
 # raised before anything of its size is allocated.
 _MAX_GRID = 10**6 + 1
 _MAX_TABLE = (2 * FitConfig().resolve_m(_MAX_GRID) + 1) * _MAX_GRID
-# The most replicates a study config may ask for.  A serial figure-2 study (J=2, n=201, two
-# regimes) holds about 23 KB a replicate at once, so this many peak near 2.3 GB; a larger
-# count is a config error, raised before any seed is drawn.
+# The most replicates a study may ask for, checked before any seed is drawn.  A run holds one block of
+# panels at a time, so the count grows only its time and the per-fit outputs the aggregates read: at
+# this count a serial figure-2 study (J=2, n=201, two regimes) takes about 12 s and 170 MB.
 _MAX_REPLICATES = 10**5
+# Panel values (seeds x J x the largest grid size) a block of replicates draws, bands and fits at once.
+_BLOCK_VALUES = 2**18
 
 
-# Fits a worker needs before forking it and shipping its chunk pays off: on two
+# Fits a worker needs before forking it and shipping its blocks pays off: on two
 # CPUs, 2 workers on figure-2 studies (J=2, n=201, m=5) lose at 64-128 fits each,
 # about tie at 192 and win at 256 in 5 of 6 sweeps, by about 20%; spawned workers,
 # which re-import numpy, need more (see CHANGES.md).
@@ -89,21 +89,19 @@ _Fits = namedtuple("_Fits", "free converged sigma coeffs")
 
 
 def _map_ordered(truth, shape, kinds, cells, seeds) -> list[tuple[_Fits, ...]]:
-    """Per cell ``(n, config)``, one ``_Fits`` per kind of its replicates at ``seeds``, fitted by
-    ``_replicate_chunk`` in chunks, one per worker, each a contiguous range of every cell's seeds;
-    a cell's pieces are joined in chunk order."""
-    reps, none = len(seeds), np.zeros((0, truth.n_curves))
-    if not reps:  # no replicates: every cell holds no fits
-        return [tuple(_Fits(free_columns(none, none, none, kind), none[:, 0] > 0, none[:, 0], none.astype(complex))
-                      for kind in kinds) for _ in cells]
+    """Per cell ``(n, config)``, one ``_Fits`` per kind of its replicates at ``seeds``: a seed range per worker,
+    walked in blocks of at most :data:`_BLOCK_VALUES` panel values by ``_replicate_chunk``, joined in seed order."""
+    reps = len(seeds)
     count = max(1, min(worker_count(), reps, reps * len(cells) * len(kinds) // _FITS_PER_WORKER))
+    size = max(1, _BLOCK_VALUES // (truth.n_curves * max((n for n, _ in cells), default=1)))
     bounds = [reps * w // count for w in range(count + 1)]
-    chunks = [(truth, shape, kinds, [(*cell, seeds[lo:hi]) for cell in cells]) for lo, hi in zip(bounds, bounds[1:])]
-    if count == 1:
-        return _replicate_chunk(chunks[0])
-    from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        parts = list(pool.map(_replicate_chunk, chunks))
+    blocks = [(truth, shape, kinds, [(*cell, seeds[lo:hi][b:b + size]) for cell in cells])
+              for lo, hi in zip(bounds, bounds[1:]) for b in range(0, max(hi - lo, 1), size)]  # 0 seeds: 1 block
+    parts = map(_replicate_chunk, blocks)  # serial: the join below runs the blocks
+    if count > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: a fit or a serial study never pays its import
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            parts = list(pool.map(_replicate_chunk, blocks))
     return [tuple(_Fits(*map(np.concatenate, zip(*kind))) for kind in zip(*pieces)) for pieces in zip(*parts)]
 
 
@@ -122,19 +120,29 @@ class StudyConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise ConfigInvalid("need at least 2 replicates")
+        _seeds(self.replicates, self.base_seed)
         if not self.n_list:
             raise ConfigInvalid("n_list must not be empty")
         _check_grids(self.n_list, self.shape.m)
         for n in self.n_list:
             m, grid = self.fit_config.resolve_m(n), self.fit_config.theta_grid_size or n
-            if (2 * m + 1) * max(n, grid) > _MAX_TABLE:
-                raise ConfigInvalid(f"fit band {m} and scan grid {grid} at n={n} need a table of "
-                                    f"{(2 * m + 1) * max(n, grid)} entries, above the largest study table, "
-                                    f"{_MAX_TABLE}")
+            if (table := (2 * m + 1) * max(n, grid)) > _MAX_TABLE:
+                raise ConfigInvalid(f"fit band {m} and scan grid {grid} at n={n} need a table of {table} entries, "
+                                    f"above the largest study table, {_MAX_TABLE}")
         if self.truth.regime.kind is not Regime.A0:
             raise ConfigInvalid("study truth must be given under regime A0")
         if not self.regimes:
             raise ConfigInvalid("at least one regime required")
+
+
+def _seeds(replicates: int, base_seed: int) -> range:
+    """The seeds base_seed .. base_seed + replicates - 1 of a study; ConfigInvalid above
+    :data:`_MAX_REPLICATES` replicates or unless every seed is a Philox key, 0 .. 2**128 - 1."""
+    if replicates > _MAX_REPLICATES:
+        raise ConfigInvalid(f"replicates {replicates} exceeds the largest study, {_MAX_REPLICATES}")
+    if base_seed < 0 or base_seed + replicates > 2**128:
+        raise ConfigInvalid("base_seed must be >= 0 and base_seed + replicates <= 2**128")
+    return range(base_seed, base_seed + replicates)
 
 
 def _check_grids(n_list, band: int):
@@ -150,7 +158,7 @@ def _check_grids(n_list, band: int):
 
 
 def _replicate_chunk(args) -> list[tuple[_Fits, ...]]:
-    """One ``_Fits`` per kind for each run ``(n, config, seeds)`` of a chunk: the run's panels
+    """One ``_Fits`` per kind for each run ``(n, config, seeds)`` of a block: the run's panels
     generated in one pass, their bands in one call, every panel under every kind fitted as one group
     and validated in one pass."""
     truth, shape, kinds, runs = args
@@ -158,9 +166,8 @@ def _replicate_chunk(args) -> list[tuple[_Fits, ...]]:
     out = []
     for n, config, seeds in runs:
         grid = make_grid(n)
-        panels = generate_panels(truth, shape, grid, seeds)
-        band = band_stack(np.stack([panel.y for panel in panels]), grid, config.resolve_m(n))
-        rows, jobs_a1 = np.repeat(np.arange(len(panels)), len(kinds)), np.tile(a1, len(panels))
+        band = band_stack(generate_panels(truth, shape, grid, seeds), grid, config.resolve_m(n))
+        rows, jobs_a1 = np.repeat(np.arange(len(seeds)), len(kinds)), np.tile(a1, len(seeds))
         bound = np.full(len(rows), float(truth.regime.upsilon_max))
         est = _fit_group(band, rows, jobs_a1, bound, n, config)
         validate_rows(est.theta, est.a, est.upsilon, est.sigma, jobs_a1, bound)
@@ -255,7 +262,7 @@ class StudyReport:
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Generate, fit, and aggregate; deterministic given the base seed."""
-    truth, shape, seeds = config.truth, config.shape, range(config.base_seed, config.base_seed + config.replicates)
+    truth, shape, seeds = config.truth, config.shape, _seeds(config.replicates, config.base_seed)
     fits = _map_ordered(truth, shape, config.regimes, [(n, config.fit_config) for n in config.n_list], seeds)
     refs = {kind: (truth, shape) if kind is Regime.A0 else reparameterize_to_a1(truth, shape)
             for kind in config.regimes}
@@ -340,10 +347,9 @@ def mise_curve(
     """
     if smoothness < 1:
         raise ConfigInvalid("smoothness must be >= 1")
-    base = fit_config or FitConfig()
+    seeds, base = _seeds(replicates, base_seed), fit_config or FitConfig()
     ladder = [(n, max(1, int(np.ceil(n ** (1.0 / (2 * smoothness + 1)))))) for n in n_list]
-    fits = _map_ordered(truth, shape, (Regime.A0,), [(n, replace(base, m=m_n)) for n, m_n in ladder],
-                        range(base_seed, base_seed + replicates))
+    fits = _map_ordered(truth, shape, (Regime.A0,), [(n, replace(base, m=m_n)) for n, m_n in ladder], seeds)
     points = [MisePoint(n, m_n, *_shape_error_sq(a0.coeffs[a0.converged], shape, include_mean=False))
               for (n, m_n), (a0,) in zip(ladder, fits)]
     totals = np.array([p.total for p in points])
@@ -389,10 +395,9 @@ def compare_regimes(
     mean.  Reports empirical correlations per curve, their theoretical
     counterparts, and the A1 variance diagonal against its target.
     """
-    cfg = fit_config or FitConfig()
+    seeds, cfg = _seeds(replicates, base_seed), fit_config or FitConfig()
     truth_a1, shape_a1 = reparameterize_to_a1(truth, shape)
-    (a0, a1), = _map_ordered(truth, shape, (Regime.A0, Regime.A1), [(n, cfg)],
-                             range(base_seed, base_seed + replicates))
+    (a0, a1), = _map_ordered(truth, shape, (Regime.A0, Regime.A1), [(n, cfg)], seeds)
 
     paired = a0.converged & a1.converged
     est_a0, est_a1 = a0.free[paired], a1.free[paired]

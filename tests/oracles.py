@@ -456,6 +456,8 @@ def parse_shape_entries(node) -> ShapeSpectrum:
         elif has_neg and not has_pos:
             coeffs[m + l] = np.conj(coeffs[m - l])
     spec = ShapeSpectrum(m=m, coeffs=coeffs)
+    if sum(map(math.hypot, coeffs.real.tolist(), coeffs.imag.tolist())) == math.inf:  # one magnitude at a time
+        raise ConfigInvalid("shape coefficient magnitudes must have a finite sum")
     if spec.hermitian_defect() > 1e-9 * max(1.0, float(np.abs(coeffs).sum())):
         raise ConfigInvalid("shape coefficients are not conjugate-symmetric")
     if abs(coeffs[m].imag) > 0:
@@ -573,8 +575,11 @@ def confidence_intervals_per_parameter(result, level: float) -> ConfidenceReport
     ``inverse_normal_cdf`` on each call, each half-width from its own variance, and each shift
     interval wrapped on its own (the whole circle from a half-width of pi).
 
-    ``inference.confidence_intervals``, which works on whole columns, must match it bit for bit.
+    ``inference.confidence_intervals``, which works on whole columns, must match it bit for bit,
+    and reject a level whose quantile argument 0.5 * (1 + level) rounds to 1 as this does.
     """
+    if not 0.5 * (1.0 + level) < 1.0:
+        raise ConfigInvalid(f"confidence level must lie strictly in (0, 1) with 0.5 * (1 + level) < 1, got {level!r}")
     params = result.beta_hat
     cov = scaled_covariance(params.a, result.shape_hat, result.sigma_hat, params.regime.kind) / result.n
     z = float(inverse_normal_cdf(0.5 * (1.0 + level)))

@@ -1,9 +1,11 @@
 """End-to-end command-line contract: outputs, exit codes, byte stability."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import shapealign as sa
@@ -117,6 +119,17 @@ def test_fit_rejects_bad_option_values(option, value, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+def test_fit_rejects_a_level_whose_quantile_argument_rounds_to_one(tmp_path, capsys):
+    # 0.5 * (1 + level) is 1 in floats: one error line and no result, before the fit, not a traceback after it
+    out = tmp_path / "r.json"
+    assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), "--level", "0.9999999999999999"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: confidence level must lie strictly in (0, 1) with 0.5 * (1 + level) < 1, got 0.9999999999999999"]
+    assert not out.exists()
+    assert main(["fit", "--input", FIXTURE_PANEL, "--out", str(out), "--level", "0.9999999999999998"]) == 0
+    assert json.loads(out.read_text())["ci"]["level"] == 0.9999999999999998
 
 
 def test_fit_rejects_a_quoted_cell_beyond_the_csv_field_limit(tmp_path, capsys):
@@ -438,6 +451,68 @@ def test_simulate_rejects_malformed_config_values(tmp_path, capsys, path, value)
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert path[-1] in err[0]
+
+
+# Config fuzz: edits of a small study config (2 replicates on n = 31) at every key, each fit key
+# included, to values of every JSON type, NaN spellings, and huge and negative integers beyond
+# every bound (none large enough to be accepted and expensive), or the key removed.
+_FUZZ_PATHS = [
+    *[(key,) for key in ("truth", "shape", "n_list", "replicates", "base_seed", "regimes", "fit")],
+    *[("truth", key) for key in ("theta", "a", "upsilon", "sigma", "upsilon_max")],
+    ("truth", "theta", 1), ("truth", "a", 0), ("truth", "upsilon", 1),
+    ("shape", "m"), ("shape", "coeffs"), ("shape", "coeffs", 0), ("shape", "coeffs", 0, "l"),
+    ("shape", "coeffs", 1, "re"), ("shape", "coeffs", 2, "im"), ("n_list", 0), ("regimes", 0),
+    *[("fit", key) for key in ("m", "m_exponent", "theta_grid_size", "n_multistart", "tol_objective",
+                               "tol_param", "max_iters")],
+]
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "nan", "NaN", "Infinity", "-inf", "1e999", "3", "auto", "a1",
+                     [], {}, [1], [41, 31], {"x": 1}]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0.0, -0.0, 0.25, 2.5, 31.0]),
+    st.sampled_from([-1, -(2**63), 10**9, 10**12, 2**63, 2**128, 2**128 + 1, 10**400]),
+    st.integers(-3, 40),
+)
+_REMOVED = object()  # an edit that deletes the key
+_FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), st.just(_REMOVED) | _FUZZ_VALUES), max_size=3)
+_FUZZ_SEEDS = st.integers(-2, 3) | st.integers(2**128 - 4, 2**128 + 1)
+
+
+def _edit(doc, path, value):
+    """Set the node at ``path`` of ``doc`` to ``value``, or delete it; a path that an earlier edit
+    cut no longer leads to a node and is left alone."""
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if value is _REMOVED:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)  # a fresh container: a later edit may write into it
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_FUZZ_EDITS, base_seed=_FUZZ_SEEDS)
+def test_simulate_any_config_gives_an_exit_code(tmp_path_factory, edits, base_seed):
+    # every document gives exit 0 or 2 with a report, or 1 with one error line and no report, never a traceback
+    doc = dict(_tiny_config_doc(), replicates=2, n_list=[31], base_seed=base_seed)
+    for path, value in edits:
+        _edit(doc, path, value)
+    work = tmp_path_factory.mktemp("config_fuzz")
+    cfg, out = work / "study.json", work / "report.json"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), code
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out.exists()
+    else:
+        assert out.exists(), lines
 
 
 def _assert_same_numbers(got, want, where="report"):

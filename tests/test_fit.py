@@ -58,6 +58,10 @@ def test_fit_config_validation():
         FitConfig(n_multistart=0)
     with pytest.raises(ConfigInvalid):
         FitConfig(tol_objective=0.0)
+    # a gain tolerance is relative to max(1, |f|): above 1 it has no use, and 1e308 would overflow the product
+    with pytest.raises(ConfigInvalid, match="a gain relative to max"):
+        FitConfig(tol_objective=1e308)
+    assert FitConfig(tol_objective=1.0, tol_param=1e308).tol_objective == 1.0
     for field in ("tol_objective", "tol_param"):
         with pytest.raises(ConfigInvalid):
             FitConfig(**{field: float("nan")})
@@ -479,7 +483,9 @@ def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkey
     run_study(dataclasses.replace(study, replicates=5))
     assert scanned == [5] and len(searched) == 1
     assert searched[0][0] == max(searched[0]) == 25
-    panels = generate_panels(study.truth, study.shape, sa.make_grid(201), range(study.base_seed, study.base_seed + 5))
+    grid = sa.make_grid(201)
+    ys = generate_panels(study.truth, study.shape, grid, range(study.base_seed, study.base_seed + 5))
+    panels = [sa.CurvePanel(grid=grid, y=y) for y in ys]
     jobs = [(panel, ConstraintRegime(kind=kind, upsilon_max=1.0)) for panel in panels for kind in study.regimes]
     scanned, searched = _record_problem_rows(monkeypatch)
     fit_batch(jobs, study.fit_config)

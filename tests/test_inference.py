@@ -14,7 +14,9 @@ from shapealign.errors import (
     NotConverged,
     ZeroAmplitudeCoordinate,
 )
+from shapealign.inference import two_sided_quantile
 from shapealign.model import ConstraintRegime, Regime
+from shapealign.normal import inverse_normal_cdf
 from conftest import boxplot_truth, random_hermitian_spectrum, sphere_scales
 from oracles import confidence_intervals_per_parameter
 
@@ -239,7 +241,7 @@ def test_confidence_intervals_match_the_per_parameter_oracle(data, seed, j, kind
 
 def _interval_outcome(intervals, fit, level):
     """A report's fields, its floats as bytes, or the type and message of its error (a level within
-    an ulp of 1 has no quantile)."""
+    2**-53 of 1 has no quantile)."""
     try:
         report = intervals(fit, level)
     except Exception as exc:
@@ -266,6 +268,22 @@ def test_interval_guards():
     bad.converged = False
     with pytest.raises(NotConverged):
         sa.confidence_intervals(bad, 0.95)
+
+
+@pytest.mark.parametrize("level", [0.9999999999999999, 1.0, 0.0, -0.5, float("nan")])
+def test_interval_level_rule_rejects_a_level_without_a_quantile(level):
+    # 0.5 * (1 + level) rounds to 1 for a level within 2**-53 of 1: an input error, not a bare ValueError
+    with pytest.raises(ConfigInvalid, match="confidence level must lie strictly in"):
+        sa.confidence_intervals(_tone_fit(), level)
+    with pytest.raises(ConfigInvalid, match="confidence level must lie strictly in"):
+        two_sided_quantile(level)
+
+
+def test_interval_level_rule_keeps_the_largest_level_with_a_quantile():
+    level = 0.9999999999999998  # 1 - 2**-52: its quantile argument, 1 - 2**-53, is the largest double below 1
+    report = sa.confidence_intervals(_tone_fit(), level)
+    assert two_sided_quantile(level) == float(inverse_normal_cdf(1.0 - 2**-53)) > 8.0
+    assert all(np.isfinite([iv.lo, iv.hi, iv.half_width]).all() for iv in report.intervals)
 
 
 def test_interval_zero_noise_degenerates():

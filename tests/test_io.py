@@ -438,6 +438,25 @@ def test_parse_study_config_bounds_the_replicates(replicates):
     assert parse_study_config(_config_doc(replicates=_MAX_REPLICATES)).replicates == _MAX_REPLICATES
 
 
+@pytest.mark.parametrize("a", [[1e308, 1.0], [1e155, -1e155]])
+def test_parse_study_config_rejects_scales_whose_sum_of_squares_overflows(a):
+    # finite scales whose squares sum past the float range have no sphere rescaling: an input error
+    doc = _config_doc()
+    doc["truth"]["a"] = a
+    with pytest.raises(ConfigInvalid, match="^truth scales must not all vanish and must have a finite sum of squares, "
+                                            "got inf$"):
+        parse_study_config(doc)
+
+
+def test_parse_study_config_rejects_a_canonical_level_that_overflows():
+    # a shape mean of 1e200 times a scale of 1e150 moves the first level past the float range: outside any box
+    doc = _config_doc()
+    doc["shape"]["coeffs"][0]["re"] = 1e200
+    doc["truth"].update(a=[1e150, 1.0], upsilon_max=1e308)
+    with pytest.raises(ConfigInvalid, match="^canonical truth level upsilon_1 = inf lies outside the bound upsilon_max"):
+        parse_study_config(doc)
+
+
 def _figure2_doc(**truth):
     """The shipped figure-2 study config, its truth block updated with ``truth``."""
     with open(Path(__file__).parent.parent / "fixtures" / "figure2.json") as fh:
@@ -600,6 +619,7 @@ def _parsed(parse, node):
 @settings(max_examples=600, deadline=None)
 @given(node=_shape_node())
 @example({"coeffs": [{"l": 2**70, "re": "0.5"}, {"l": 1, "re": 1.0}, {"l": -1, "re": 1.0}]})  # no band to allocate
+@example({"coeffs": [{"l": 1, "re": 1e308}, {"l": 2, "im": -1e308}]})  # finite parts whose magnitudes sum past the range
 def test_parse_shape_matches_the_per_entry_oracle(node):
     assert _parsed(_parse_shape, node) == _parsed(parse_shape_entries, node)
 

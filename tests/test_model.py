@@ -138,13 +138,13 @@ def test_generate_panels_equal_per_seed_oracle_property(draw, j, half, degree, n
     coeffs[degree] = rng.uniform(-2.0, 2.0)  # a shape mean, folded into the levels
     shape = sa.ShapeSpectrum(m=degree, coeffs=coeffs)
     grid = sa.make_grid(2 * half + 1)
-    panels = sa.generate_panels(truth, shape, grid, seeds)
-    assert len(panels) == len(seeds)
-    for seed, panel in zip(seeds, panels):
-        assert panel.y.tobytes() == generate_panel_per_seed(truth, shape, grid, seed).y.tobytes()
-    assert sa.generate_panel(truth, shape, grid, seeds[0]).y.tobytes() == panels[0].y.tobytes()
-    for p, q in combinations(panels, 2):
-        assert not np.shares_memory(p.y, q.y)
+    ys = sa.generate_panels(truth, shape, grid, seeds)
+    assert len(ys) == len(seeds)
+    for seed, y in zip(seeds, ys):
+        assert y.tobytes() == generate_panel_per_seed(truth, shape, grid, seed).y.tobytes()
+    assert sa.generate_panel(truth, shape, grid, seeds[0]).y.tobytes() == ys[0].tobytes()
+    for p, q in combinations(ys, 2):
+        assert not np.shares_memory(p, q)
 
 
 def test_center_shape_noop_and_parabola():
@@ -383,6 +383,26 @@ def test_band_stack_rows_equal_lone_panel_bands(seed, p, j, half, band, scale, o
         alone = sa.CurvePanel(grid=grid, y=y[k]).band(m)
         for field, value in zip(alone._fields, alone):
             assert np.asarray(value).tobytes() == getattr(stacked, field)[k].tobytes(), field
+
+
+def test_band_stack_of_no_panels_is_empty():
+    band = band_stack(np.zeros((0, 3, 21)), sa.make_grid(21), 4)
+    assert band.d_ac.shape == (0, 3, 9) and band.ybar.shape == (0, 3)
+    assert band.mean_sq.shape == band.ac_trace.shape == band.spread.shape == (0,)
+
+
+def test_generated_panels_that_overflow_are_band_stack_nonfinite_data():
+    # sigma near the float limit overflows the noise: the draw itself warns of nothing (warnings are
+    # errors here), the values are not finite, and band_stack, like a lone CurvePanel, rejects them
+    theta, a = _valid_theta_a()
+    truth = sa.ParameterSet(theta=theta, a=a, upsilon=[0.0, 1.0], sigma=1e308)
+    shape, grid = sa.ShapeSpectrum.from_onesided({1: 1.0, 2: 0.3}), sa.make_grid(21)
+    ys = sa.generate_panels(truth, shape, grid, [4, 5])
+    assert ys.shape == (2, 2, 21) and not np.isfinite(ys).all()
+    with pytest.raises(NonFiniteData, match="^panel moments or DFT coefficients are not finite$"):
+        band_stack(ys, grid, 3)
+    with pytest.raises(NonFiniteData, match="^panel values must be finite$"):
+        sa.generate_panel(truth, shape, grid, 4)
 
 
 def test_band_stack_reports_an_overflowing_panel_as_the_panel_alone_does():

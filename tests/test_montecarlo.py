@@ -1,7 +1,9 @@
 """Replication harness: determinism, seeding, aggregation, comparisons."""
 
 import concurrent.futures
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import shapealign as sa
 from shapealign import montecarlo
-from shapealign.errors import ConfigInvalid
+from shapealign.errors import ConfigInvalid, NonFiniteData
 from shapealign.io import dumps_canonical, load_study_config, report_document
 from shapealign.montecarlo import _QUANTILES, _aggregate, _covariance, _Fits, _quantiles, _replicate_chunk, worker_count
 from shapealign.model import ConstraintRegime, Regime, free_columns, reparameterize_to_a1
@@ -160,6 +162,103 @@ def test_parallel_matches_serial_both_regimes(monkeypatch):
     opened = _force_three_workers(monkeypatch)
     assert _canonical(sa.run_study(config)) == serial
     assert opened == [3]
+
+
+def test_study_of_overflowing_panels_is_band_stack_nonfinite_data(monkeypatch):
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    truth, shape = _small_truth(sigma=1e308)
+    config = sa.StudyConfig(truth=truth, shape=shape, n_list=(41,), replicates=3, base_seed=0,
+                            fit_config=sa.FitConfig(m=4))
+    with pytest.raises(NonFiniteData, match="^panel moments or DFT coefficients are not finite$"):
+        sa.run_study(config)
+
+
+def _figure2():
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    with open(os.path.join(fixtures, "figure2_report.json"), "rb") as fh:
+        return load_study_config(os.path.join(fixtures, "figure2.json")), fh.read().decode()
+
+
+@pytest.mark.parametrize("block", [1, 7, None, "all"], ids=["1", "7", "default", "all"])
+def test_study_report_is_the_same_at_every_block_size(block, monkeypatch):
+    # blocks of 1 and 7 seeds, the default and one block of every seed: the figure-2 report is the
+    # golden one byte for byte, and a two-grid two-regime study's is its default serial report, both
+    # serially and through three in-process workers, each block inside one worker's seed range
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    figure2, golden = _figure2()
+    two_grid = dataclasses.replace(_two_grid_config(), replicates=17)
+    expected = _canonical(sa.run_study(two_grid))
+    runs, generate = [], montecarlo.generate_panels
+
+    def recording(truth, shape, grid, seeds):
+        runs.append((grid.n, seeds))
+        return generate(truth, shape, grid, seeds)
+
+    monkeypatch.setattr(montecarlo, "generate_panels", recording)
+    for pooled in (False, True):
+        if pooled:
+            monkeypatch.setattr(montecarlo, "_FITS_PER_WORKER", 1)
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+            monkeypatch.setenv("SHAPEALIGN_THREADS", "3")
+            opened = _record_pools(monkeypatch, _InProcessPool)
+        for config, want in ((figure2, golden), (two_grid, expected)):
+            j, n = config.truth.n_curves, max(config.n_list)
+            seeds = {1: 1, 7: 7, "all": config.replicates}.get(block)
+            if seeds is not None:
+                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", seeds * j * n)
+            runs.clear()
+            assert _canonical(sa.run_study(config)) == want
+            size = seeds or max(1, montecarlo._BLOCK_VALUES // (j * n))
+            workers = 3 if pooled else 1
+            ranges = [range(config.base_seed + config.replicates * w // workers,
+                            config.base_seed + config.replicates * (w + 1) // workers) for w in range(workers)]
+            blocks = [r[b:b + size] for r in ranges for b in range(0, len(r), size)]
+            assert runs == [(grid, part) for part in blocks for grid in config.n_list]
+        if pooled:
+            assert opened == [3, 3]
+
+
+def test_no_replicates_give_empty_fits_of_every_cell_and_kind(monkeypatch):
+    monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
+    truth, shape = _small_truth()
+    cells = [(41, sa.FitConfig(m=3)), (61, sa.FitConfig(m=4))]
+    fits = montecarlo._map_ordered(truth, shape, (Regime.A0, Regime.A1), cells, range(5, 5))
+    assert len(fits) == 2
+    for (n, config), per_kind in zip(cells, fits):
+        for kind, cell in zip((Regime.A0, Regime.A1), per_kind):
+            width = truth.free_values().size - (kind is Regime.A1)
+            assert cell.free.shape == (0, width) and cell.free.dtype == float
+            assert cell.converged.shape == (0,) and cell.converged.dtype == bool
+            assert cell.sigma.shape == (0,) and cell.coeffs.shape == (0, 2 * config.m + 1)
+
+
+@pytest.mark.parametrize("replicates, base_seed, message", [
+    (10**12, 0, "replicates 1000000000000 exceeds the largest study, 100000"),
+    (montecarlo._MAX_REPLICATES + 1, 0, "replicates 100001 exceeds the largest study, 100000"),
+    (4, -1, "base_seed must be >= 0 and base_seed + replicates <= 2**128"),
+    (4, 2**128, "base_seed must be >= 0 and base_seed + replicates <= 2**128"),
+    (4, 2**128 - 3, "base_seed must be >= 0 and base_seed + replicates <= 2**128"),
+])
+def test_every_study_entry_point_applies_the_seed_rules(replicates, base_seed, message, monkeypatch):
+    # StudyConfig, mise_curve and compare_regimes reject the count and the seed keys before any draw
+    def refuse(*args):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(montecarlo, "_map_ordered", refuse)
+    truth, shape = _small_truth()
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        sa.StudyConfig(truth=truth, shape=shape, n_list=(41,), replicates=replicates, base_seed=base_seed)
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        sa.mise_curve(truth, shape, [41], replicates=replicates, base_seed=base_seed)
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        sa.compare_regimes(truth, shape, 41, replicates=replicates, base_seed=base_seed)
+
+
+def test_the_last_seed_keys_are_a_study():
+    truth, shape = _small_truth()
+    config = sa.StudyConfig(truth=truth, shape=shape, n_list=(41,), replicates=4, base_seed=2**128 - 4,
+                            fit_config=sa.FitConfig(m=4))
+    assert sa.run_study(config).cells[0].replicates == 4
 
 
 def test_worker_count_parsing(monkeypatch):
