@@ -9,11 +9,11 @@ exact Hessian at many rows of shifts, one eigendecomposition per row.
 arrays to stacked estimates, each stage in stacked calls whose rows do not
 interact: a cross-correlation grid scan whose start candidates, built from each
 curve's score peaks and linear in J, are ranked with one eigenvalue call; one
-lockstep modified-Newton search with the exact Hessian, a row per start, which
-runs each row until its gradient vanishes to rounding or no step can shrink it;
-and the assembly of the estimates at each panel's best endpoint, wrapped once,
-whose ``converged`` certificate reads the search's last evaluation there, and
-which :func:`model.project_rows` puts on the constraint set.  The
+lockstep modified-Newton search with the exact Hessian, a row per distinct
+start, which runs each row until its gradient vanishes to rounding or no step
+can shrink it; and the assembly of the estimates at each panel's best endpoint,
+wrapped once, whose ``converged`` certificate reads the search's last evaluation
+there, and which :func:`model.project_rows` puts on the constraint set.  The
 regime and the A0 box enter the shift criterion only through C, which cannot
 move its minimisers, so each panel is one shift problem, on its spread, whatever
 the regimes of its jobs.
@@ -247,7 +247,7 @@ class FitResult:
 
 # Stacked estimates of F jobs, row f job f's: theta, a, upsilon (F, J); sigma (sqrt of an objective
 # above the noise floor, else 0), objective (C - lambda_max(Q)), iterations, converged, tie_break (F,);
-# the shape coefficients (F, 2m+1); and restarts, the search rows of every job.
+# the shape coefficients (F, 2m+1); and restarts, the starts of every job, copies of a start included.
 Estimates = namedtuple("Estimates", "theta a upsilon sigma objective coeffs iterations converged tie_break restarts")
 
 
@@ -303,7 +303,8 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
 
     Job f fits panel ``rows[f]`` under A1 where ``a1[f]``, else within +-``bound[f]``; callers
     validate the estimates.  Each panel is one shift problem, spread - lambda_max(Q), scanned,
-    searched, picked and certified once, in one search over every start of every panel.  Its best
+    searched, picked and certified once, in one search over every distinct start of every panel,
+    whose endpoint, evaluation and iterations each copy of that start takes as its own.  Its best
     endpoint, wrapped by :func:`model.wrap_shifts` like every ranking key, is the estimate; lambda_max,
     the scales and the tie flag are the search's last evaluation there, or, where the wrap moved the
     endpoint, one Hessian-free kernel row's per panel.  :func:`model.project_rows` puts each job's
@@ -313,12 +314,15 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     require_energy(band.ac_trace, band.mean_sq)
     starts = initialize_shifts(band.d_ac, band.spread, config.theta_grid_size or n, config)
     count, per_problem, j = starts.shape
-    owner = np.repeat(np.arange(count), per_problem)
 
-    def kernel(xs, subset, hessian):
-        return shift_objective_stack(band.d_ac, owner[subset], xs, band.spread[owner[subset]], hessian)
+    def kernel(xs, owners, hessian):
+        return shift_objective_stack(band.d_ac, owners, xs, band.spread[owners], hessian)
 
-    x_end, ev, iters = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
+    searched, copy_of = _distinct_starts(starts)  # each problem's first of equal starts, searched once
+    owners = searched // per_problem
+    x_end, ev, iters = _lockstep_newton(lambda xs, rows, hessian: kernel(xs, owners[rows], hessian),
+                                        starts.reshape(-1, j)[searched, 1:], config)
+    x_end, ev, iters = x_end[copy_of], ev._make(field[copy_of] for field in ev), iters[copy_of]  # every start's row
     wrapped = wrap_shifts(x_end)  # the ranking key and the estimate
     best = per_problem * np.arange(count) + _best_starts(
         ev.value.reshape(count, per_problem), wrapped.reshape(count, per_problem, j - 1), config.tol_objective)
@@ -330,7 +334,7 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
     moved = best[((x_end[best] < 0.0) | (x_end[best] >= TWO_PI)).any(axis=1)]  # endpoints the wrap moved
     if moved.size:  # profiled anew at their wrapped shifts, a row per panel
-        profile = kernel(wrapped[moved], moved, False)
+        profile = kernel(wrapped[moved], moved // per_problem, False)
         ev.energy[moved], ev.lead[moved], ev.tie_break[moved] = profile.energy, profile.lead, profile.tie_break
     theta = np.concatenate([np.zeros((count, 1)), wrapped[best]], axis=1)
     theta, energy, lead, tie_break, certified, iterations = (  # each panel's to its jobs
@@ -347,6 +351,22 @@ def _fit_group(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, 
     sigma = np.sqrt(np.where(above, objective, 0.0))
     return Estimates(theta, a, upsilon, sigma, objective, coeffs, iterations, finite & certified, tie_break,
                      per_problem)
+
+
+def _distinct_starts(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``starts`` (P, K, J), flattened, that the search runs, and where each row's search is.
+
+    A start bitwise equal to an earlier one of its problem, as a curve with fewer than k peaks
+    pads with its best, is the same search, since rows do not interact: only each problem's
+    first of equals is searched.  Returns the searched rows' flat indices, in order, and for
+    every row the position of its first equal among them.
+    """
+    count, per_problem = starts.shape[:2]
+    bits = starts.view(np.uint64)
+    first = (bits[:, :, None] == bits[:, None]).all(axis=3).argmax(axis=2)  # (P, K): each start's first equal
+    distinct = (first == np.arange(per_problem)).ravel()
+    position = np.cumsum(distinct) - 1
+    return np.flatnonzero(distinct), position[(per_problem * np.arange(count)[:, None] + first).ravel()]
 
 
 def _best_starts(values: np.ndarray, wrapped: np.ndarray, tol: float) -> np.ndarray:

@@ -118,14 +118,15 @@ def dumps_canonical(doc) -> str:
 def write_atomic(path: str, text: str):
     """Write-then-rename so no partial file is ever visible.
 
-    The text goes to a temporary file beside ``path``, named from the process id and a
-    per-process counter and created exclusively (a taken name moves on to the next), so
-    writers never share one, with mode 0o666 less the umask as a plain ``open`` gives it;
-    one rename replaces ``path``.  On any failure the temporary file is removed and ``path``
-    keeps its old content.  There is no fsync: the rename is atomic for readers but not
-    durable across a power loss.  On ext4 on a 2-CPU virtual machine, creating and writing
-    the temporary file took 0.1 to 0.3 ms, the rename over the old file 0.05 to 0.25 ms, and
-    an fsync would add about 0.1 ms, against about 2.5 ms for a whole J=3, n=201 CLI fit.
+    The text goes, encoded as UTF-8 in one binary write with no newline translation, to a
+    temporary file beside ``path``, named from the process id and a per-process counter and
+    created exclusively (a taken name moves on to the next), so writers never share one, with
+    mode 0o666 less the umask as a plain ``open`` gives it; one rename replaces ``path``.  On
+    any failure the temporary file is removed and ``path`` keeps its old content.  There is no
+    fsync: the rename is atomic for readers but not durable across a power loss.  On ext4 on a
+    2-CPU virtual machine, creating and writing the temporary file took 0.1 to 0.3 ms, the
+    rename over the old file 0.05 to 0.25 ms, and an fsync would add about 0.1 ms, against
+    about 2.5 ms for a whole J=3, n=201 CLI fit.
     """
     directory, name = os.path.split(os.path.abspath(path))
     while True:  # a name another writer holds moves on to the next
@@ -134,8 +135,8 @@ def write_atomic(path: str, text: str):
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -47,28 +47,34 @@ _F = np.array([
 
 
 def _poly(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner's rule, the highest coefficient first, one multiply and one add a step, in place."""
     out = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
 def inverse_normal_cdf(p) -> float | np.ndarray:
-    """Quantile z with Phi(z) = p, elementwise, for p in (0, 1)."""
+    """Quantile z with Phi(z) = p, elementwise, for p in (0, 1); any other value, NaN too, is a ValueError.
+
+    The central rational function, finite on all of (0, 1), runs on every value with in-place
+    Horner steps, and only the tails, |p - 0.5| > 0.425, are indexed, to overwrite their entries.
+    A Python or 0-d input gives a Python ``float``.
+    """
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+    if not ((p_arr > 0.0) & (p_arr < 1.0)).all():  # NaN fails too
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    q = p_arr - 0.5
-    z = np.empty_like(p_arr)
+    p_flat = p_arr.reshape(-1)
+    q = p_flat - 0.5
+    r = 0.180625 - q * q
+    z = q * _poly(_A, r)
+    z /= _poly(_B, r)
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        z[central] = q[central] * _poly(_A, r) / _poly(_B, r)
-
-    tails = ~central
-    if np.any(tails):
-        r = np.sqrt(-np.log(np.minimum(p_arr[tails], 1.0 - p_arr[tails])))
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        pt = p_flat[tails]
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
         near = r <= 5.0
         val = np.empty_like(r)
         if near.any():
@@ -78,7 +84,7 @@ def inverse_normal_cdf(p) -> float | np.ndarray:
             val[far] = _poly(_E, r[far] - 5.0) / _poly(_F, r[far] - 5.0)
         z[tails] = np.sign(q[tails]) * val
 
-    return float(z) if np.isscalar(p) or p_arr.ndim == 0 else z
+    return float(z[0]) if p_arr.ndim == 0 else z.reshape(p_arr.shape)
 
 
 def standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -92,7 +98,27 @@ def standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def seeded_normals(seeds, size: int) -> np.ndarray:
-    """Rows (len(seeds), size) of ``standard_normals`` draws, one Philox stream a seed, one quantile call."""
-    words = np.array([np.random.Philox(key=int(seed)).random_raw(size) for seed in seeds], dtype=np.uint64)
-    u = ((words.reshape(len(seeds), size) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """Rows (len(seeds), size) of ``standard_normals`` draws, one Philox stream a seed, one quantile call.
+
+    One ``Philox`` is re-keyed for each seed through its ``state``: counter 0, an empty buffer and
+    key (seed mod 2^64, seed >> 64), the words ``Philox(key=seed)`` gives, without building a
+    generator a seed.  The words fill one preallocated array.  A seed outside 0 .. 2^128 - 1 is
+    the ``ValueError`` ``Philox`` raises.
+    """
+    seeds = [int(seed) for seed in seeds]
+    words = np.empty((len(seeds), size), dtype=np.uint64)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    philox = np.random.Philox(0)
+    for row, seed in zip(words, seeds):
+        if not 0 <= seed < 2**128:
+            raise ValueError("key must be positive and less than 2**128.")
+        key[0], key[1] = seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64
+        philox.state = state
+        row[:] = philox.random_raw(size)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     return inverse_normal_cdf(u)

@@ -16,12 +16,23 @@ import numpy as np
 
 from shapealign.criterion import (
     criterion_gradient,
+    criterion_stack,
     criterion_value,
     require_energy,
+    shift_constants,
     shift_objective_stack,
 )
 from shapealign.errors import ConfigInvalid, ConstraintViolation, GridMismatch, ParseError, RaggedColumns
-from shapealign.fit import FitConfig, fit
+from shapealign.fit import (
+    NOISE_FLOOR,
+    Estimates,
+    FitConfig,
+    _best_starts,
+    _lockstep_newton,
+    _profiled_levels,
+    fit,
+    initialize_shifts,
+)
 from shapealign.fourier import TWO_PI, ShapeSpectrum, _twiddle_table, evaluate_shifted_on_grid, make_grid
 from shapealign.inference import (
     ConfidenceReport,
@@ -38,6 +49,7 @@ from shapealign.model import (
     ParameterSet,
     Regime,
     free_parameter_labels,
+    project_rows,
     reparameterize_to_a1,
     wrap_shifts,
 )
@@ -51,7 +63,7 @@ from shapealign.montecarlo import (
     _circular_errors,
     _Fits,
 )
-from shapealign.normal import inverse_normal_cdf
+from shapealign.normal import _A, _B, _C, _D, _E, _F, inverse_normal_cdf
 
 
 def orthogonality_kernel(t: float, n: int) -> complex:
@@ -297,12 +309,107 @@ def first_best(f_end: np.ndarray, wrapped: np.ndarray, tol: float) -> int:
     return best
 
 
+def fit_group_every_row(band: Band, rows: np.ndarray, a1: np.ndarray, bound: np.ndarray, n: int,
+                        config: FitConfig) -> Estimates:
+    """``fit._fit_group`` with every padded start searched, the copies of a start too.
+
+    Same scan, search, pick and assembly, but the search runs all K rows of every problem, so
+    a start that repeats an earlier one is searched again; ``_fit_group``, which searches each
+    distinct start once, must give the same estimates and raise the same errors, bit for bit.
+    """
+    require_energy(band.ac_trace, band.mean_sq)
+    starts = initialize_shifts(band.d_ac, band.spread, config.theta_grid_size or n, config)
+    count, per_problem, j = starts.shape
+    owner = np.repeat(np.arange(count), per_problem)
+
+    def kernel(xs, subset, hessian):
+        return shift_objective_stack(band.d_ac, owner[subset], xs, band.spread[owner[subset]], hessian)
+
+    x_end, ev, iters = _lockstep_newton(kernel, starts.reshape(-1, j)[:, 1:], config)
+    wrapped = wrap_shifts(x_end)
+    best = per_problem * np.arange(count) + _best_starts(
+        ev.value.reshape(count, per_problem), wrapped.reshape(count, per_problem, j - 1), config.tol_objective)
+    value, grad, hess, tie = ev.value[best], ev.grad[best], ev.hess[best], ev.tie_break[best]
+
+    gnorm_ok = np.max(np.abs(grad), axis=1) <= 1e-8 * np.fmax(1.0, np.abs(value))
+    certified = gnorm_ok & tie
+    need = gnorm_ok & ~tie & np.isfinite(hess).all(axis=(1, 2))
+    certified[need] = np.linalg.eigvalsh(hess[need])[:, 0] > 0.0
+    moved = best[((x_end[best] < 0.0) | (x_end[best] >= TWO_PI)).any(axis=1)]
+    if moved.size:
+        profile = kernel(wrapped[moved], moved, False)
+        ev.energy[moved], ev.lead[moved], ev.tie_break[moved] = profile.energy, profile.lead, profile.tie_break
+    theta = np.concatenate([np.zeros((count, 1)), wrapped[best]], axis=1)
+    theta, energy, lead, tie_break, certified, iterations = (
+        v[rows] for v in (theta, ev.energy[best], ev.lead[best], ev.tie_break[best], certified,
+                          iters.reshape(count, per_problem).sum(axis=1)))
+
+    ybar, spread = band.ybar[rows], band.spread[rows]
+    a = np.sqrt(j) * lead
+    theta, a, upsilon, _ = project_rows(theta, a, _profiled_levels(ybar, a1, a), a1, bound)
+    objective = shift_constants(ybar, spread, a1, bound) - energy
+    coeffs = criterion_stack(band.d_ac[rows], ybar, spread, a1, theta, a, upsilon)[1]
+    finite = np.isfinite(np.hstack([theta, a[:, 1:], upsilon])).all(axis=1) & np.isfinite(objective)
+    above = objective > NOISE_FLOOR * np.sqrt(spread * band.mean_sq[rows])
+    sigma = np.sqrt(np.where(above, objective, 0.0))
+    return Estimates(theta, a, upsilon, sigma, objective, coeffs, iterations, finite & certified, tie_break,
+                     per_problem)
+
+
+def _poly_by_copies(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def inverse_normal_cdf_by_mask(p):
+    """Wichura's quantile with each branch on its own boolean-indexed values, a new array a Horner step.
+
+    Same coefficients and operations as ``normal.inverse_normal_cdf``, which runs the central
+    branch on every value in place and must match it bit for bit on (0, 1); here a NaN is not
+    rejected and maps to NaN.
+    """
+    p_arr = np.asarray(p, dtype=float)
+    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+        raise ValueError("quantile argument must lie strictly in (0, 1)")
+    q = p_arr - 0.5
+    z = np.empty_like(p_arr)
+
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        z[central] = q[central] * _poly_by_copies(_A, r) / _poly_by_copies(_B, r)
+
+    tails = ~central
+    if np.any(tails):
+        r = np.sqrt(-np.log(np.minimum(p_arr[tails], 1.0 - p_arr[tails])))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if near.any():
+            val[near] = _poly_by_copies(_C, r[near] - 1.6) / _poly_by_copies(_D, r[near] - 1.6)
+        if not near.all():
+            far = ~near
+            val[far] = _poly_by_copies(_E, r[far] - 5.0) / _poly_by_copies(_F, r[far] - 5.0)
+        z[tails] = np.sign(q[tails]) * val
+
+    return float(z) if np.isscalar(p) or p_arr.ndim == 0 else z
+
+
+def seeded_normals_per_seed(seeds, size: int) -> np.ndarray:
+    """Rows (len(seeds), size) of N(0, 1) draws, a new ``Philox(key=seed)`` a seed, mapped as
+    ``normal.seeded_normals`` maps them and through :func:`inverse_normal_cdf_by_mask`."""
+    words = np.array([np.random.Philox(key=int(seed)).random_raw(size) for seed in seeds], dtype=np.uint64)
+    u = ((words.reshape(len(seeds), size) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return inverse_normal_cdf_by_mask(u)
+
+
 def generate_panel_per_seed(truth: ParameterSet, shape: ShapeSpectrum, grid, seed: int) -> CurvePanel:
     """One synthetic panel by its own curve evaluation, Philox draw and quantile call.
 
     The noise is the seed's Philox stream drawn through ``Generator.integers``
     over the full 64-bit range, mapped to u = ((w >> 11) + 0.5) * 2^-53 and
-    through the quantile, as ``model.generate_panels`` must give it bit for bit.
+    through :func:`inverse_normal_cdf_by_mask`, as ``model.generate_panels`` must give it bit for bit.
     """
     truth.validate()
     if 2 * shape.m >= grid.n:
@@ -316,7 +423,7 @@ def generate_panel_per_seed(truth: ParameterSet, shape: ShapeSpectrum, grid, see
         gen = np.random.Generator(np.random.Philox(key=int(seed)))
         words = gen.integers(0, 2**64, size=y.size, dtype=np.uint64)
         u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        y += truth.sigma * inverse_normal_cdf(u).reshape(y.shape)
+        y += truth.sigma * inverse_normal_cdf_by_mask(u).reshape(y.shape)
     return CurvePanel(grid=grid, y=y)
 
 

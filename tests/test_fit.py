@@ -20,17 +20,19 @@ from shapealign.fit import (
     NOISE_FLOOR,
     FitConfig,
     _best_starts,
+    _fit_group,
     _lockstep_newton,
     fit_batch,
     initialize_shifts,
 )
 from shapealign.io import dumps_canonical, load_study_config, read_panel, result_document
-from shapealign.model import ConstraintRegime, Regime, generate_panels
+from shapealign.model import ConstraintRegime, Regime, band_stack, generate_panels
 from shapealign.montecarlo import run_study
 from conftest import bandlimited_truth, sphere_scales, zero_reference_panel
 from oracles import (
     band_levels,
     first_best,
+    fit_group_every_row,
     initialize_shifts_loop,
     newton_per_start,
     numeric_hessian,
@@ -475,14 +477,16 @@ def _record_problem_rows(monkeypatch):
 
 def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkeypatch):
     # a panel poses one shift problem under both regimes and any box: a five-replicate
-    # part scans 5 problems, not 10, and its full search calls carry 5 x 5 starts, not
-    # 10 x 5, also under a box that binds every panel (curve means near 5.0 and 4.5 against 1)
+    # part scans 5 problems, not 10, and its full search calls carry each problem's 2
+    # distinct starts of its 5 (the free curve has 2 score peaks and pads with its best),
+    # 10 rows, not 10 x 5, also under a box that binds every panel (curve means near 5.0
+    # and 4.5 against 1)
     monkeypatch.delenv("SHAPEALIGN_THREADS", raising=False)
     study = load_study_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "figure2.json"))
     scanned, searched = _record_problem_rows(monkeypatch)
     run_study(dataclasses.replace(study, replicates=5))
     assert scanned == [5] and len(searched) == 1
-    assert searched[0][0] == max(searched[0]) == 25
+    assert searched[0][0] == max(searched[0]) == 10
     grid = sa.make_grid(201)
     ys = generate_panels(study.truth, study.shape, grid, range(study.base_seed, study.base_seed + 5))
     panels = [sa.CurvePanel(grid=grid, y=y) for y in ys]
@@ -490,7 +494,59 @@ def test_figure2_part_scans_and_searches_each_panel_once_for_both_regimes(monkey
     scanned, searched = _record_problem_rows(monkeypatch)
     fit_batch(jobs, study.fit_config)
     assert scanned == [5] and len(searched) == 1
-    assert searched[0][0] == max(searched[0]) == 25
+    assert searched[0][0] == max(searched[0]) == 10
+
+
+def _oracle_panel(rng, kind, j, grid):
+    """A panel of J curves on ``grid``: a noiseless or noisy band-limited one; J identical tones
+    (two equal score peaks a curve); tones of harmonics 1 and 2 in turn, of equal energy, whose Q
+    ties its two leading eigenvalues at every shift for J = 2 and at the best ones for even J; a
+    constant first curve (its profiled scale is 0); or constant curves (no energy in the band)."""
+    if kind in ("noiseless", "noisy"):
+        truth, shape = bandlimited_truth(rng, j=j, degree=3, sigma=0.3 if kind == "noisy" else 0.0)
+        return sa.generate_panel(truth, shape, grid, seed=int(rng.integers(2**32))).y
+    harmonics = 1 + np.arange(j)[:, None] % 2 if kind == "tied" else np.ones((j, 1))
+    y = np.cos(harmonics * grid.points) + rng.uniform(-1.0, 1.0, (j, 1))
+    if kind == "zero reference":
+        y[0] = 2.0
+    elif kind == "constant":
+        y[:] = 2.0
+    return y
+
+
+def _fit_group_outcome(fit_group, *args):
+    """Every Estimates field by dtype, shape and bytes, or the error's type and message."""
+    try:
+        est = fit_group(*args)
+    except Exception as exc:  # every error both must raise alike
+        return type(exc), str(exc)
+    return [(np.asarray(v).dtype.str, np.shape(v), np.asarray(v).tobytes()) for v in est]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 6), multistart=st.integers(1, 7),
+       n=st.sampled_from((31, 61, 201)),
+       max_iters=st.sampled_from((1, 3, 500)),
+       kinds=st.lists(st.sampled_from(("noiseless", "noisy", "tones", "tied")), min_size=1, max_size=3),
+       spoiler=st.sampled_from((None, None, None, "zero reference", "constant")),
+       jobs=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(("a0", "a1", "box"))), min_size=1, max_size=6))
+def test_fit_group_equals_the_every_row_oracle_property(seed, j, multistart, n, max_iters, kinds, spoiler, jobs):
+    # searching each problem's distinct starts once gives every estimate, iteration count and
+    # restart count, and every error, of the search over all padded rows, bit for bit, also for
+    # rows stopped by a small budget
+    rng = np.random.default_rng(seed)
+    grid = sa.make_grid(n)
+    kinds = kinds + ([spoiler] if spoiler else [])
+    ys = np.stack([_oracle_panel(rng, kind, j, grid) for kind in kinds])
+    config = FitConfig(n_multistart=multistart, max_iters=max_iters)
+    band = band_stack(ys, grid, config.resolve_m(n))
+    rows = np.array([panel % len(kinds) for panel, _ in jobs])
+    a1 = np.array([kind == "a1" for _, kind in jobs])
+    # the box binds at half the panel's largest curve mean
+    bound = np.array([0.5 * np.abs(ys[row].mean(axis=1)).max() if kind == "box" else 1e6
+                      for row, (_, kind) in zip(rows, jobs)])
+    assert (_fit_group_outcome(_fit_group, band, rows, a1, bound, n, config)
+            == _fit_group_outcome(fit_group_every_row, band, rows, a1, bound, n, config))
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,7 @@
 """Normal quantile accuracy and the reproducible noise stream."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import shapealign as sa
+from shapealign.normal import seeded_normals
+from oracles import inverse_normal_cdf_by_mask, seeded_normals_per_seed
 
 
 def test_inverse_cdf_against_reference():
@@ -35,6 +39,9 @@ def test_inverse_cdf_domain():
         sa.inverse_normal_cdf(0.0)
     with pytest.raises(ValueError):
         sa.inverse_normal_cdf(1.0)
+    for nan in (math.nan, np.array(math.nan), np.array([0.25, math.nan, 0.75])):
+        with pytest.raises(ValueError, match="strictly in"):
+            sa.inverse_normal_cdf(nan)
 
 
 def test_normals_bit_reproducible():
@@ -65,3 +72,50 @@ def test_inverse_cdf_of_a_batch_equals_per_part_property(parts):
     whole = sa.inverse_normal_cdf(np.concatenate([np.array(part) for part in parts]))
     each = np.concatenate([sa.inverse_normal_cdf(np.array(part)) for part in parts])
     assert whole.tobytes() == each.tobytes()
+
+
+def _ulp_walk(center: float, steps: int) -> list[float]:
+    """``center`` and its ``steps`` nearest floats on either side, in order."""
+    below, above = [center], [center]
+    for _ in range(steps):
+        below.append(float(np.nextafter(below[-1], 0.0)))
+        above.append(float(np.nextafter(above[-1], 1.0)))
+    return below[:0:-1] + above
+
+
+# the quantile's branch edges with their neighbours: |p - 0.5| = 0.425, then r = 5, where r rounds
+# to 5 for several floats near e^-25; the least uniform of a word, 2^-54; 2^-53; 1 - 2^-53, the
+# largest double below 1; the median and the least double
+_EDGES = tuple(p for center, steps in ((0.075, 4), (0.925, 4), (math.exp(-25.0), 24), (1.0 - math.exp(-25.0), 4))
+               for p in _ulp_walk(center, steps)) + (2.0**-54, 2.0**-53, 1.0 - 2.0**-53, 0.5, 5e-324)
+_KEYS = (st.sampled_from((0, 1, 2**64 - 1, 2**64, 2**128 - 1)) | st.integers(0, 2**64 - 1)
+         | st.integers(2**64, 2**128 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(_KEYS, max_size=6), size=st.sampled_from((0, 1, 10**4)) | st.integers(0, 10**4),
+       values=st.lists(st.sampled_from(_EDGES) | _UNIFORMS, min_size=1, max_size=60),
+       scalar=st.sampled_from(_EDGES) | _UNIFORMS)
+def test_seeded_normals_and_quantile_equal_the_per_seed_oracle_property(seeds, size, values, scalar):
+    # one re-keyed Philox a block and the in-place central branch give the draws of a new Philox
+    # a seed and of the boolean-indexed branches bit for bit, at every key, size and branch edge
+    draws = seeded_normals(seeds, size)
+    assert draws.shape == (len(seeds), size)
+    assert draws.tobytes() == seeded_normals_per_seed(seeds, size).tobytes()
+    p = np.array(values)
+    for shaped in (p, p.reshape(1, -1), p[::-1]):
+        z = sa.inverse_normal_cdf(shaped)
+        assert z.shape == shaped.shape and z.tobytes() == inverse_normal_cdf_by_mask(shaped).tobytes()
+    for value in (scalar, np.float64(scalar), np.array(scalar)):
+        z = sa.inverse_normal_cdf(value)
+        assert type(z) is float and np.float64(z).tobytes() == np.float64(inverse_normal_cdf_by_mask(value)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seeded_normals_reject_a_key_outside_philox_range(seed):
+    # the error a new Philox(key=seed) raised for the seed
+    with pytest.raises(ValueError) as expected:
+        np.random.Philox(key=seed)
+    with pytest.raises(ValueError) as raised:
+        seeded_normals([0, seed], 3)
+    assert str(raised.value) == str(expected.value)
